@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	fpic [-scheme none|basic|advanced] [-dump-ir] [-dump-rdg] [-dump-partition] [-S] [-lines] file.c
+//	fpic [-scheme advanced] [-dump-ir] [-dump-rdg] [-dump-partition] [-S] [-lines] file.c
 //	fpic -example          # compile the paper's Figure 3 gcc fragment
 //	fpic -example -explain # per-component benefit/overhead/profit decisions
 //	fpic -example -json -  # audit trail + pass log as JSON
@@ -18,10 +18,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"fpint/internal/analysis"
 	"fpint/internal/bench"
@@ -31,6 +33,7 @@ import (
 	"fpint/internal/ir"
 	"fpint/internal/obs"
 	"fpint/internal/obs/profile"
+	"fpint/internal/uarch"
 )
 
 const exampleSrc = `
@@ -54,34 +57,40 @@ int main() {
 `
 
 func main() {
-	err := fpicMain()
+	err := fpicMain(os.Args[1:])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fpic: %v\n", err)
 	}
 	os.Exit(fperr.ExitCode(err))
 }
 
-func fpicMain() error {
+func fpicMain(args []string) error {
+	fs := flag.NewFlagSet("fpic", flag.ContinueOnError)
 	var (
-		schemeName   = flag.String("scheme", "advanced", "partitioning scheme: none, basic, advanced, balanced, optimal")
-		analysisMode = flag.String("analysis", "off", "consult the alias/value-range analyses to unpin provably safe load/store addresses: on or off")
-		dumpIR       = flag.Bool("dump-ir", false, "print the optimized IR")
-		dumpRDG      = flag.Bool("dump-rdg", false, "print each function's register dependence graph")
-		dumpPart     = flag.Bool("dump-partition", false, "print the partition assignment per RDG node")
-		dumpDot      = flag.Bool("dot", false, "emit the RDG with partition coloring as Graphviz digraphs")
-		asm          = flag.Bool("S", true, "print the generated assembly")
-		example      = flag.Bool("example", false, "compile the built-in Figure 3 example")
-		workload     = flag.String("workload", "", "compile a named built-in workload instead of a file")
-		ocopy        = flag.Float64("ocopy", 4, "copy overhead o_copy (paper: 3-6)")
-		odupl        = flag.Float64("odupl", 2, "duplicate overhead o_dupl (paper: 1.5-3)")
-		calib        = flag.String("calib", "", "load fitted cost constants from a fpint-calib/v1 JSON document (fpibench -calibrate -calib-out), overriding -ocopy/-odupl")
-		calibConfig  = flag.String("calib-config", "4-way", "with -calib: machine configuration whose fit to use")
-		lines        = flag.Bool("lines", false, "print a line-annotated disassembly (PC, source line, subsystem, IR op)")
-		explain      = flag.Bool("explain", false, "print the partition-decision audit trail per function")
-		passes       = flag.Bool("passes", false, "print per-pass timing and IR instruction deltas")
-		jsonOut      = flag.String("json", "", "write the audit trail, pass log, and per-function stats as JSON to the given file (\"-\" for stdout, suppressing normal output)")
+		schemeName   = fs.String("scheme", "advanced", "partitioning scheme: "+strings.Join(codegen.SchemeNames(), ", "))
+		analysisMode = fs.String("analysis", "off", "consult the alias/value-range analyses to unpin provably safe load/store addresses: on or off")
+		dumpIR       = fs.Bool("dump-ir", false, "print the optimized IR")
+		dumpRDG      = fs.Bool("dump-rdg", false, "print each function's register dependence graph")
+		dumpPart     = fs.Bool("dump-partition", false, "print the partition assignment per RDG node")
+		dumpDot      = fs.Bool("dot", false, "emit the RDG with partition coloring as Graphviz digraphs")
+		asm          = fs.Bool("S", true, "print the generated assembly")
+		example      = fs.Bool("example", false, "compile the built-in Figure 3 example")
+		workload     = fs.String("workload", "", "compile a named built-in workload instead of a file")
+		ocopy        = fs.Float64("ocopy", 4, "copy overhead o_copy (paper: 3-6)")
+		odupl        = fs.Float64("odupl", 2, "duplicate overhead o_dupl (paper: 1.5-3)")
+		calib        = fs.String("calib", "", "load fitted cost constants from a fpint-calib/v1 JSON document (fpibench -calibrate -calib-out), overriding -ocopy/-odupl")
+		calibConfig  = fs.String("calib-config", "4way", "with -calib: machine configuration whose fit to use: "+strings.Join(uarch.ConfigNames(), ", "))
+		lines        = fs.Bool("lines", false, "print a line-annotated disassembly (PC, source line, subsystem, IR op)")
+		explain      = fs.Bool("explain", false, "print the partition-decision audit trail per function")
+		passes       = fs.Bool("passes", false, "print per-pass timing and IR instruction deltas")
+		jsonOut      = fs.String("json", "", "write the audit trail, pass log, and per-function stats as JSON to the given file (\"-\" for stdout, suppressing normal output)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fperr.Wrap(fperr.ClassUsage, err)
+	}
 
 	var src string
 	switch {
@@ -94,10 +103,10 @@ func fpicMain() error {
 		}
 		src = w.Src
 	default:
-		if flag.NArg() != 1 {
+		if fs.NArg() != 1 {
 			return fperr.New(fperr.ClassUsage, "usage: fpic [flags] file.c  (or -example / -workload NAME)")
 		}
-		data, err := os.ReadFile(flag.Arg(0))
+		data, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
 			return fperr.Wrap(fperr.ClassInput, err)
 		}
@@ -109,20 +118,13 @@ func fpicMain() error {
 		return fperr.Wrap(fperr.ClassUsage, err)
 	}
 
-	var scheme codegen.Scheme
-	switch *schemeName {
-	case "none":
-		scheme = codegen.SchemeNone
-	case "basic":
-		scheme = codegen.SchemeBasic
-	case "advanced":
-		scheme = codegen.SchemeAdvanced
-	case "balanced":
-		scheme = codegen.SchemeBalanced
-	case "optimal":
-		scheme = codegen.SchemeOptimal
-	default:
-		return fperr.New(fperr.ClassUsage, "unknown scheme %q", *schemeName)
+	scheme, err := codegen.ParseScheme(*schemeName)
+	if err != nil {
+		return err
+	}
+	calibCfg, err := uarch.ParseConfig(*calibConfig)
+	if err != nil {
+		return err
 	}
 
 	cost := core.CostParams{OCopy: *ocopy, ODupl: *odupl}
@@ -136,9 +138,9 @@ func fpicMain() error {
 		if err != nil {
 			return fperr.Wrapf(fperr.ClassInput, err, "%s", *calib)
 		}
-		p, ok := doc.Params(*calibConfig)
+		p, ok := doc.Params(calibCfg.Name)
 		if !ok {
-			return fperr.New(fperr.ClassInput, "%s: no fit for configuration %q", *calib, *calibConfig)
+			return fperr.New(fperr.ClassInput, "%s: no fit for configuration %q", *calib, calibCfg.Name)
 		}
 		cost = p
 	}
@@ -157,44 +159,43 @@ func fpicMain() error {
 		fmt.Println("==== optimized IR ====")
 		fmt.Print(mod.String())
 	}
+	res, err := codegen.CompileWithFallback(mod, codegen.Options{Scheme: scheme, Profile: prof,
+		Cost: cost, PassLog: plog, Analysis: useAnalysis})
+	if err != nil {
+		return err
+	}
+	if res.Fallback != nil {
+		fmt.Fprintf(os.Stderr, "fpic: warning: %s scheme failed, degraded to %s\n",
+			res.Fallback.Requested, res.Fallback.Used)
+	}
 	if *dumpRDG || *dumpPart || *dumpDot {
+		// Dump the partitions the compile produced; under SchemeNone (or a
+		// compile degraded to it) there are none, so build the RDG here.
 		var facts *analysis.Facts
 		if useAnalysis {
 			facts = analysis.AnalyzeModule(mod)
 		}
 		for _, fn := range mod.Funcs {
-			var oracle core.AddrOracle
-			if facts != nil {
-				if ff := facts.Funcs[fn.Name]; ff != nil {
-					oracle = ff
+			p := res.Partitions[fn.Name]
+			var g *core.Graph
+			if p != nil {
+				g = p.G
+			} else {
+				var oracle core.AddrOracle
+				if facts != nil {
+					if ff := facts.Funcs[fn.Name]; ff != nil {
+						oracle = ff
+					}
 				}
+				g = core.BuildGraphWithOracle(fn, prof, oracle)
 			}
-			g := core.BuildGraphWithOracle(fn, prof, oracle)
 			if *dumpRDG {
 				fmt.Print(g.String())
 			}
 			if *dumpDot {
-				var p *core.Partition
-				switch scheme {
-				case codegen.SchemeBasic:
-					p = core.BasicPartition(g)
-				case codegen.SchemeAdvanced, codegen.SchemeBalanced:
-					p = core.AdvancedPartition(g, cost)
-				case codegen.SchemeOptimal:
-					p, _ = core.OptimalPartition(g, cost, core.OracleLimits{}, nil)
-				}
 				fmt.Print(core.DotGraph(g, p))
 			}
-			if *dumpPart && scheme != codegen.SchemeNone {
-				var p *core.Partition
-				switch scheme {
-				case codegen.SchemeBasic:
-					p = core.BasicPartition(g)
-				case codegen.SchemeOptimal:
-					p, _ = core.OptimalPartition(g, cost, core.OracleLimits{}, nil)
-				default:
-					p = core.AdvancedPartition(g, cost)
-				}
+			if *dumpPart && p != nil {
 				fmt.Printf("==== partition of %s (%s) ====\n", fn.Name, p.Scheme)
 				for _, n := range g.Nodes {
 					where := "FP "
@@ -219,16 +220,6 @@ func fpicMain() error {
 				}
 			}
 		}
-	}
-
-	res, err := codegen.CompileWithFallback(mod, codegen.Options{Scheme: scheme, Profile: prof,
-		Cost: cost, PassLog: plog, Analysis: useAnalysis})
-	if err != nil {
-		return err
-	}
-	if res.Fallback != nil {
-		fmt.Fprintf(os.Stderr, "fpic: warning: %s scheme failed, degraded to %s\n",
-			res.Fallback.Requested, res.Fallback.Used)
 	}
 	if *lines && !quiet {
 		fmt.Println("==== line-annotated disassembly ====")

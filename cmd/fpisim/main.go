@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	fpisim [-scheme advanced] [-timing] [-config 4way|8way] file.c
+//	fpisim [-scheme advanced] [-timing] [-config 4way] file.c
 //	fpisim -workload compress -timing -compare
 //	fpisim -workload compress -timing -json -              # metrics as JSON
 //	fpisim -workload compress -timing -pipetrace-json t.json  # Perfetto trace
@@ -51,11 +51,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"fpint/internal/analysis"
 	"fpint/internal/bench"
@@ -71,44 +73,50 @@ import (
 )
 
 func main() {
-	err := fpisimMain()
+	err := fpisimMain(os.Args[1:])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fpisim: %v\n", err)
 	}
 	os.Exit(fperr.ExitCode(err))
 }
 
-func fpisimMain() error {
+func fpisimMain(args []string) error {
+	fs := flag.NewFlagSet("fpisim", flag.ContinueOnError)
 	var (
-		schemeName   = flag.String("scheme", "advanced", "partitioning scheme: none, basic, advanced, balanced")
-		analysisMode = flag.String("analysis", "off", "consult the alias/value-range analyses to unpin provably safe load/store addresses: on or off")
-		timing       = flag.Bool("timing", false, "run the cycle-level timing model")
-		configName   = flag.String("config", "4way", "machine configuration: 4way or 8way")
-		compare      = flag.Bool("compare", false, "run all three schemes and report speedups")
-		workload     = flag.String("workload", "", "run a named built-in workload instead of a file")
-		pipetrace    = flag.Int("pipetrace", 0, "with -timing: dump the pipeline journal of the first N instructions")
-		traceJSON    = flag.String("pipetrace-json", "", "with -timing: write the pipeline journal as Chrome trace-event JSON to the given file")
-		jsonOut      = flag.String("json", "", "write run metrics as deterministic JSON to the given file (\"-\" for stdout, suppressing normal output)")
-		csvOut       = flag.String("csv", "", "write run metrics as CSV to the given file (\"-\" for stdout, suppressing normal output)")
-		interproc    = flag.Bool("interproc", false, "enable the §6.6 interprocedural FP-argument extension")
-		profileOut   = flag.Bool("profile", false, "print hot-function and hot-line cycle-attribution tables (implies -timing)")
-		annotate     = flag.Bool("annotate", false, "print the source annotated with per-line cycles, offload fraction, and copy/dup overhead (implies -timing)")
-		foldedOut    = flag.String("folded", "", "write folded-stack cycle attribution for flamegraph tooling to the given file (\"-\" for stdout; implies -timing)")
-		pprofOut     = flag.String("pprof", "", "write a gzipped pprof protobuf profile to the given file (implies -timing)")
-		injectSpec   = flag.String("inject-fault", "", "inject transient faults: \"seed=N,kind=K,rate=R\" (implies -timing)")
-		faultTrace   = flag.Bool("fault-trace", false, "with -inject-fault: print the deterministic fault trace")
-		hostMetrics  = flag.Bool("hostmetrics", false, "measure the simulator's own host-side cost (wall time, allocations, GC) around the run")
-		fast         = flag.Bool("fast", false, "sampled-timing fast mode: periodic detailed windows instead of the full cycle-level run (implies -timing)")
-		fastPeriod   = flag.Int("fast-period", 0, "with -fast: sampling period in units, one in N measured (0 = default)")
-		fastWidth    = flag.Int("fast-width", 0, "with -fast: sampling-unit width in instructions (0 = default)")
-		fastWarmup   = flag.Int("fast-warmup", 0, "with -fast: detailed warmup instructions before each measured unit (0 = default, negative = none)")
-		fastSeed     = flag.Uint64("fast-seed", 1, "with -fast: sampling phase seed")
-		timelineOut  = flag.Bool("timeline", false, "record a windowed phase timeline and print the per-phase table (implies -timing)")
-		tlWidth      = flag.Int64("timeline-width", 0, "timeline window width in cycles (0 = default 1024)")
-		tlCSV        = flag.String("timeline-csv", "", "write the plot-ready per-window timeline CSV to the given file (\"-\" for stdout; implies -timing)")
-		tlJSON       = flag.String("timeline-json", "", "write the fpint-timeline/v1 JSON document to the given file (\"-\" for stdout; implies -timing)")
+		schemeName   = fs.String("scheme", "advanced", "partitioning scheme: "+strings.Join(codegen.SchemeNames(), ", "))
+		analysisMode = fs.String("analysis", "off", "consult the alias/value-range analyses to unpin provably safe load/store addresses: on or off")
+		timing       = fs.Bool("timing", false, "run the cycle-level timing model")
+		configName   = fs.String("config", "4way", "machine configuration: "+strings.Join(uarch.ConfigNames(), ", "))
+		compare      = fs.Bool("compare", false, "run all three schemes and report speedups")
+		workload     = fs.String("workload", "", "run a named built-in workload instead of a file")
+		pipetrace    = fs.Int("pipetrace", 0, "with -timing: dump the pipeline journal of the first N instructions")
+		traceJSON    = fs.String("pipetrace-json", "", "with -timing: write the pipeline journal as Chrome trace-event JSON to the given file")
+		jsonOut      = fs.String("json", "", "write run metrics as deterministic JSON to the given file (\"-\" for stdout, suppressing normal output)")
+		csvOut       = fs.String("csv", "", "write run metrics as CSV to the given file (\"-\" for stdout, suppressing normal output)")
+		interproc    = fs.Bool("interproc", false, "enable the §6.6 interprocedural FP-argument extension")
+		profileOut   = fs.Bool("profile", false, "print hot-function and hot-line cycle-attribution tables (implies -timing)")
+		annotate     = fs.Bool("annotate", false, "print the source annotated with per-line cycles, offload fraction, and copy/dup overhead (implies -timing)")
+		foldedOut    = fs.String("folded", "", "write folded-stack cycle attribution for flamegraph tooling to the given file (\"-\" for stdout; implies -timing)")
+		pprofOut     = fs.String("pprof", "", "write a gzipped pprof protobuf profile to the given file (implies -timing)")
+		injectSpec   = fs.String("inject-fault", "", "inject transient faults: \"seed=N,kind=K,rate=R\" (implies -timing)")
+		faultTrace   = fs.Bool("fault-trace", false, "with -inject-fault: print the deterministic fault trace")
+		hostMetrics  = fs.Bool("hostmetrics", false, "measure the simulator's own host-side cost (wall time, allocations, GC) around the run")
+		fast         = fs.Bool("fast", false, "sampled-timing fast mode: periodic detailed windows instead of the full cycle-level run (implies -timing)")
+		fastPeriod   = fs.Int("fast-period", 0, "with -fast: sampling period in units, one in N measured (0 = default)")
+		fastWidth    = fs.Int("fast-width", 0, "with -fast: sampling-unit width in instructions (0 = default)")
+		fastWarmup   = fs.Int("fast-warmup", 0, "with -fast: detailed warmup instructions before each measured unit (0 = default, negative = none)")
+		fastSeed     = fs.Uint64("fast-seed", 1, "with -fast: sampling phase seed")
+		timelineOut  = fs.Bool("timeline", false, "record a windowed phase timeline and print the per-phase table (implies -timing)")
+		tlWidth      = fs.Int64("timeline-width", 0, "timeline window width in cycles (0 = default 1024)")
+		tlCSV        = fs.String("timeline-csv", "", "write the plot-ready per-window timeline CSV to the given file (\"-\" for stdout; implies -timing)")
+		tlJSON       = fs.String("timeline-json", "", "write the fpint-timeline/v1 JSON document to the given file (\"-\" for stdout; implies -timing)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fperr.Wrap(fperr.ClassUsage, err)
+	}
 
 	var src, srcName string
 	if *workload != "" {
@@ -119,29 +127,24 @@ func fpisimMain() error {
 		src = w.Src
 		srcName = *workload + ".c"
 	} else {
-		if flag.NArg() != 1 {
+		if fs.NArg() != 1 {
 			return fperr.New(fperr.ClassUsage, "usage: fpisim [flags] file.c  (or -workload NAME)")
 		}
-		data, err := os.ReadFile(flag.Arg(0))
+		data, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
 			return fperr.Wrap(fperr.ClassInput, err)
 		}
 		src = string(data)
-		srcName = flag.Arg(0)
+		srcName = fs.Arg(0)
 	}
 
-	cfg := uarch.Config4Way()
-	if *configName == "8way" {
-		cfg = uarch.Config8Way()
+	cfg, err := uarch.ParseConfig(*configName)
+	if err != nil {
+		return err
 	}
-
-	schemes := map[string]codegen.Scheme{
-		"none": codegen.SchemeNone, "basic": codegen.SchemeBasic,
-		"advanced": codegen.SchemeAdvanced, "balanced": codegen.SchemeBalanced,
-	}
-	sch, ok := schemes[*schemeName]
-	if !ok {
-		return fperr.New(fperr.ClassUsage, "unknown scheme %q", *schemeName)
+	sch, err := codegen.ParseScheme(*schemeName)
+	if err != nil {
+		return err
 	}
 
 	useAnalysis, err := analysis.ParseOnOff(*analysisMode)
@@ -188,13 +191,14 @@ func fpisimMain() error {
 
 	if *compare {
 		var baseCycles int64
-		for _, name := range []string{"none", "basic", "advanced"} {
+		for _, s := range []codegen.Scheme{codegen.SchemeNone, codegen.SchemeBasic, codegen.SchemeAdvanced} {
 			r := runConfig{cfg: cfg, timing: true, faultCfg: faultCfg, fast: *fast, sample: sample}
-			cycles, offl, err := run(src, schemes[name], opts, r)
+			cycles, offl, err := run(src, s, opts, r)
 			if err != nil {
 				return err
 			}
-			if name == "none" {
+			name := codegen.SchemeNames()[s]
+			if s == codegen.SchemeNone {
 				baseCycles = cycles
 				fmt.Printf("%-10s cycles=%-10d offload=%4.1f%%\n", name, cycles, offl*100)
 				continue
@@ -287,39 +291,29 @@ func run(src string, sch codegen.Scheme, opts codegen.Options, rc runConfig) (in
 			res.Fallback.Requested, res.Fallback.Used)
 	}
 
-	m := sim.New(res.Prog)
-	var p *uarch.Pipeline
+	// One machine serves detailed and fast runs; the detailed-only probes
+	// stay unarmed under -fast because fpisimMain rejects their flags.
 	var fm *uarch.Machine
-	var journal *uarch.Journal
-	var cycleProf *uarch.CycleProfile
+	var fsim *sim.Machine
 	var plan *faultinject.Plan
-	var rec *uarch.TimelineRecorder
-	if rc.timing && rc.fast {
+	if rc.timing {
 		fm = uarch.NewMachine(rc.cfg)
-		if rc.wantTimeline() {
+		if rc.wantTimeline() || rc.traceJSON != "" {
+			// A Perfetto trace gets counter tracks even without -timeline.
 			fm.SetTimelineWidth(rc.timelineWidth())
 		}
-	} else if rc.timing {
-		p = uarch.NewPipeline(rc.cfg)
 		limit := rc.pipetrace
 		if rc.traceJSON != "" && limit == 0 {
 			limit = 1 << 20
 		}
-		if limit > 0 {
-			journal = p.AttachJournal(limit)
-		}
-		if rc.wantProfile() {
-			cycleProf = p.AttachProfile()
-		}
+		fm.SetJournalLimit(limit)
+		fm.SetProfiling(rc.wantProfile())
 		if rc.faultCfg != nil {
 			plan = faultinject.NewPlan(*rc.faultCfg)
-			p.AttachFaults(plan)
+			fm.SetFaultPlan(plan)
 		}
-		if rc.wantTimeline() || rc.traceJSON != "" {
-			// A Perfetto trace gets counter tracks even without -timeline.
-			rec = p.AttachTimeline(rc.timelineWidth())
-		}
-		m.Trace = p.Feed
+	} else {
+		fsim = sim.New(res.Prog)
 	}
 	// The measured region is the simulation proper — functional run plus
 	// timing-model drain — excluding compilation and report rendering, so
@@ -329,14 +323,14 @@ func run(src string, sch codegen.Scheme, opts codegen.Options, rc runConfig) (in
 	var sst uarch.SampledStats
 	var runErr error
 	simulate := func() {
-		if fm != nil {
+		switch {
+		case rc.fast:
 			out, sst, runErr = fm.RunSampled(res.Prog, rc.sample)
 			st = sst.Stats
-			return
-		}
-		out, runErr = m.Run()
-		if runErr == nil && rc.timing {
-			st = p.Finish()
+		case rc.timing:
+			out, st, runErr = fm.Run(res.Prog)
+		default:
+			out, runErr = fsim.Run()
 		}
 	}
 	var hostSample hostmetrics.Sample
@@ -354,16 +348,16 @@ func run(src string, sch codegen.Scheme, opts codegen.Options, rc runConfig) (in
 	// envelope, and the human phase table.
 	var tl *timeline.Timeline
 	var phases []timeline.Phase
-	if rec != nil {
-		tl = rec.Build(rc.srcName, rc.cfg)
-	} else if fm != nil && rc.wantTimeline() {
-		tl = fm.Timeline(rc.srcName)
-		if tl != nil && !sst.Exact {
+	var journal *uarch.Journal
+	var cycleProf *uarch.CycleProfile
+	if fm != nil {
+		tl, journal, cycleProf = fm.Timeline(rc.srcName), fm.Journal(), fm.Profile()
+	}
+	if tl != nil {
+		if rc.fast && !sst.Exact {
 			tl.Estimated = true
 			tl.SampledFraction = sst.SampledFraction
 		}
-	}
-	if tl != nil {
 		phases = tl.Segment(timeline.DefaultSegConfig())
 	}
 

@@ -38,7 +38,7 @@ func cmdRecord(args []string, stdout io.Writer) error {
 	fs.SetOutput(io.Discard)
 	var (
 		storePath    = fs.String("store", defaultStore, "append-only run-record store (JSONL)")
-		schemeName   = fs.String("scheme", "advanced", "partitioning scheme: none, basic, advanced")
+		schemeName   = fs.String("scheme", "advanced", "partitioning scheme: "+strings.Join(codegen.SchemeNames(), ", "))
 		analysisMode = fs.String("analysis", "on", "consult the alias/value-range analyses: on or off")
 		repeat       = fs.Int("repeat", 3, "timed runs per record (host samples for min/median noise estimation)")
 		rev          = fs.String("rev", "", "revision to stamp records with (default: resolved from .git)")
@@ -53,12 +53,9 @@ func cmdRecord(args []string, stdout io.Writer) error {
 	if *repeat < 1 {
 		return fperr.New(fperr.ClassUsage, "-repeat must be at least 1")
 	}
-	schemes := map[string]codegen.Scheme{
-		"none": codegen.SchemeNone, "basic": codegen.SchemeBasic, "advanced": codegen.SchemeAdvanced,
-	}
-	sch, ok := schemes[*schemeName]
-	if !ok {
-		return fperr.New(fperr.ClassUsage, "unknown scheme %q", *schemeName)
+	sch, err := codegen.ParseScheme(*schemeName)
+	if err != nil {
+		return err
 	}
 	useAnalysis, err := analysis.ParseOnOff(*analysisMode)
 	if err != nil {

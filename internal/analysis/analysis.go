@@ -103,7 +103,8 @@ func (ff *FuncFacts) SafeAddr(instrID int) (string, bool) {
 // SafeAddrCount reports how many memory accesses were proven safe.
 func (ff *FuncFacts) SafeAddrCount() int { return len(ff.safe) }
 
-// ParseOnOff parses the shared -analysis=on|off CLI flag value.
+// ParseOnOff parses the shared analysis on|off value of the -analysis CLI
+// flag and the fpintd request field.
 func ParseOnOff(v string) (bool, error) {
 	switch v {
 	case "on":
@@ -111,5 +112,5 @@ func ParseOnOff(v string) (bool, error) {
 	case "off":
 		return false, nil
 	}
-	return false, fmt.Errorf("invalid -analysis value %q (want on or off)", v)
+	return false, fmt.Errorf("unknown analysis mode %q (want on or off)", v)
 }

@@ -47,8 +47,10 @@ func (s *Suite) FaultSensitivity(ws []Workload, cfg uarch.Config, fc faultinject
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", w.Name, scheme, err)
 			}
-			plan := faultinject.NewPlan(fc)
-			out, st, prof, err := uarch.RunInjected(res.Prog, cfg, plan)
+			m := uarch.NewMachine(cfg)
+			m.SetFaultPlan(faultinject.NewPlan(fc))
+			m.SetProfiling(true)
+			out, st, err := m.Run(res.Prog)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: injected run: %w", w.Name, scheme, err)
 			}
@@ -59,7 +61,7 @@ func (s *Suite) FaultSensitivity(ws []Workload, cfg uarch.Config, fc faultinject
 			if e := st.StallAccountingError(); e != 0 {
 				return nil, fmt.Errorf("%s/%s: stall ledger open by %d cycles under injection", w.Name, scheme, e)
 			}
-			if got := prof.TotalAttributed(); got != st.Cycles {
+			if got := m.Profile().TotalAttributed(); got != st.Cycles {
 				return nil, fmt.Errorf("%s/%s: cycle profile attributes %d of %d cycles under injection",
 					w.Name, scheme, got, st.Cycles)
 			}

@@ -3,10 +3,12 @@ package codegen
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"fpint/internal/analysis"
 	"fpint/internal/core"
+	"fpint/internal/fperr"
 	"fpint/internal/interp"
 	"fpint/internal/ir"
 	"fpint/internal/isa"
@@ -24,6 +26,30 @@ const (
 	SchemeBalanced               // §6.6 extension: advanced + load-balance cap
 	SchemeOptimal                // exact branch-and-bound partition oracle
 )
+
+// schemeNames is the one input-name table for Scheme, indexed by Scheme.
+var schemeNames = [...]string{
+	SchemeNone:     "none",
+	SchemeBasic:    "basic",
+	SchemeAdvanced: "advanced",
+	SchemeBalanced: "balanced",
+	SchemeOptimal:  "optimal",
+}
+
+// SchemeNames lists the names ParseScheme accepts, indexed by Scheme.
+func SchemeNames() []string { return append([]string(nil), schemeNames[:]...) }
+
+// ParseScheme resolves a scheme name from a flag or request; an unknown
+// name is a usage error. The input spelling of SchemeNone is "none", while
+// String keeps "conventional" as its output spelling.
+func ParseScheme(name string) (Scheme, error) {
+	for s, n := range schemeNames {
+		if n == name {
+			return Scheme(s), nil
+		}
+	}
+	return 0, fperr.New(fperr.ClassUsage, "unknown scheme %q (want %s)", name, strings.Join(schemeNames[:], ", "))
+}
 
 // String names the scheme.
 func (s Scheme) String() string {

@@ -416,7 +416,10 @@ func checkDynamicStats(c schemeCase, res *codegen.Result, st *sim.Stats) error {
 // with the stats counters.
 func checkInjected(scheme string, cfg uarch.Config, prog *isa.Program, fc faultinject.Config, ref *interp.Result, refKind trap.Kind) error {
 	plan := faultinject.NewPlan(fc)
-	out, st, prof, rerr := uarch.RunInjected(prog, cfg, plan)
+	m := uarch.NewMachine(cfg)
+	m.SetFaultPlan(plan)
+	m.SetProfiling(true)
+	out, st, rerr := m.Run(prog)
 	config := cfg.Name + "+faults"
 	if err := compareRun(scheme, config, ref, refKind, out, rerr); err != nil {
 		return err
@@ -427,7 +430,7 @@ func checkInjected(scheme string, cfg uarch.Config, prog *isa.Program, fc faulti
 	if err := checkTiming(scheme, config, &st, out); err != nil {
 		return err
 	}
-	if got := prof.TotalAttributed(); got != st.Cycles {
+	if got := m.Profile().TotalAttributed(); got != st.Cycles {
 		return &Mismatch{Stage: "fault", Scheme: scheme, Config: config,
 			Detail: fmt.Sprintf("cycle profile attributes %d of %d cycles under injection", got, st.Cycles)}
 	}

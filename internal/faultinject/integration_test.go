@@ -39,11 +39,14 @@ func compileProg(t *testing.T, scheme codegen.Scheme) *codegen.Result {
 func runInjected(t *testing.T, res *codegen.Result, cfg uarch.Config, fc faultinject.Config) (int64, uarch.Stats, *uarch.CycleProfile, *faultinject.Plan) {
 	t.Helper()
 	plan := faultinject.NewPlan(fc)
-	out, st, prof, err := uarch.RunInjected(res.Prog, cfg, plan)
+	m := uarch.NewMachine(cfg)
+	m.SetFaultPlan(plan)
+	m.SetProfiling(true)
+	out, st, err := m.Run(res.Prog)
 	if err != nil {
 		t.Fatalf("injected run: %v", err)
 	}
-	return out.Ret, st, prof, plan
+	return out.Ret, st, m.Profile(), plan
 }
 
 // Acceptance: the same fault seed must reproduce a byte-identical fault

@@ -22,12 +22,14 @@
 package service
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"time"
 
+	"fpint/internal/analysis"
 	"fpint/internal/bench"
 	"fpint/internal/codegen"
 	"fpint/internal/core"
@@ -50,11 +52,13 @@ type Request struct {
 	Source string `json:"source,omitempty"`
 	// Workload names a built-in benchmark (bench.Lookup) instead.
 	Workload string `json:"workload,omitempty"`
-	// Scheme is the partitioning scheme: none, basic, advanced (default),
-	// or balanced.
+	// Scheme is the partitioning scheme, one of codegen.SchemeNames():
+	// none, basic, advanced (default), balanced, or optimal. A job
+	// deadline does not interrupt the optimal scheme's oracle search,
+	// which is bounded only by the default core.OracleLimits.
 	Scheme string `json:"scheme,omitempty"`
-	// Config is the machine configuration for simulate jobs: 4way
-	// (default) or 8way.
+	// Config is the machine configuration for simulate jobs, one of
+	// uarch.ConfigNames(): 4way (default) or 8way.
 	Config string `json:"config,omitempty"`
 	// Analysis turns the alias/value-range analyses on or off (default).
 	Analysis string `json:"analysis,omitempty"`
@@ -179,38 +183,16 @@ func parseRequest(kind string, req *Request) (*job, error) {
 		return nil, fperr.New(fperr.ClassUsage, "one of source or workload is required")
 	}
 
-	j.schemeName = req.Scheme
-	if j.schemeName == "" {
-		j.schemeName = "advanced"
+	j.schemeName = cmp.Or(req.Scheme, "advanced")
+	var err error
+	if j.scheme, err = codegen.ParseScheme(j.schemeName); err != nil {
+		return nil, err
 	}
-	switch j.schemeName {
-	case "none":
-		j.scheme = codegen.SchemeNone
-	case "basic":
-		j.scheme = codegen.SchemeBasic
-	case "advanced":
-		j.scheme = codegen.SchemeAdvanced
-	case "balanced":
-		j.scheme = codegen.SchemeBalanced
-	default:
-		return nil, fperr.New(fperr.ClassUsage, "unknown scheme %q", j.schemeName)
+	if j.cfg, err = uarch.ParseConfig(cmp.Or(req.Config, "4way")); err != nil {
+		return nil, err
 	}
-
-	switch req.Config {
-	case "", "4way":
-		j.cfg = uarch.Config4Way()
-	case "8way":
-		j.cfg = uarch.Config8Way()
-	default:
-		return nil, fperr.New(fperr.ClassUsage, "unknown config %q (want 4way or 8way)", req.Config)
-	}
-
-	switch req.Analysis {
-	case "", "off":
-	case "on":
-		j.analysis = true
-	default:
-		return nil, fperr.New(fperr.ClassUsage, "unknown analysis mode %q (want on or off)", req.Analysis)
+	if j.analysis, err = analysis.ParseOnOff(cmp.Or(req.Analysis, "off")); err != nil {
+		return nil, fperr.Wrap(fperr.ClassUsage, err)
 	}
 
 	switch req.Timing {

@@ -83,7 +83,10 @@ func TestJobStatuses(t *testing.T) {
 		{"valid simulate functional", "/v1/simulate", `{"source": ` + jsonStr(okSrc) + `, "timing": "functional"}`, 200, "none"},
 		{"valid simulate detailed 8way", "/v1/simulate", `{"source": ` + jsonStr(okSrc) + `, "config": "8way"}`, 200, "none"},
 		{"malformed JSON", "/v1/compile", `{"source": "int main`, 400, "usage"},
+		{"valid compile optimal", "/v1/compile", `{"source": ` + jsonStr(okSrc) + `, "scheme": "optimal"}`, 200, "none"},
 		{"unknown scheme", "/v1/compile", `{"source": "int main() { return 0; }", "scheme": "warp"}`, 400, "usage"},
+		{"unknown config", "/v1/simulate", `{"source": "int main() { return 0; }", "config": "16way"}`, 400, "usage"},
+		{"unknown analysis", "/v1/compile", `{"source": "int main() { return 0; }", "analysis": "maybe"}`, 400, "usage"},
 		{"unknown workload", "/v1/compile", `{"workload": "no-such-benchmark"}`, 400, "usage"},
 		{"source and workload", "/v1/compile", `{"source": "x", "workload": "compress"}`, 400, "usage"},
 		{"timing on compile", "/v1/compile", `{"source": "x", "timing": "fast"}`, 400, "usage"},

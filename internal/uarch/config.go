@@ -1,5 +1,11 @@
 package uarch
 
+import (
+	"strings"
+
+	"fpint/internal/fperr"
+)
+
 // Config holds the machine parameters of Table 1.
 type Config struct {
 	Name string
@@ -84,4 +90,35 @@ func Config8Way() Config {
 	c.IntPhysRegs = 80
 	c.FpPhysRegs = 80
 	return c
+}
+
+// configs is the one input-name table for the Table 1 machines. Input
+// names differ from Config.Name ("4-way"), the output spelling that run
+// records and reports carry.
+var configs = []struct {
+	name  string
+	build func() Config
+}{
+	{"4way", Config4Way},
+	{"8way", Config8Way},
+}
+
+// ConfigNames lists the names ParseConfig accepts.
+func ConfigNames() []string {
+	names := make([]string, len(configs))
+	for i, c := range configs {
+		names[i] = c.name
+	}
+	return names
+}
+
+// ParseConfig resolves a machine-configuration name from a flag or
+// request; an unknown name is a usage error.
+func ParseConfig(name string) (Config, error) {
+	for _, c := range configs {
+		if c.name == name {
+			return c.build(), nil
+		}
+	}
+	return Config{}, fperr.New(fperr.ClassUsage, "unknown config %q (want %s)", name, strings.Join(ConfigNames(), ", "))
 }

@@ -1,0 +1,34 @@
+package uarch_test
+
+import (
+	"reflect"
+	"testing"
+
+	"fpint/internal/fperr"
+	"fpint/internal/uarch"
+)
+
+func TestParseConfig(t *testing.T) {
+	cases := []struct {
+		name string
+		want uarch.Config
+	}{
+		{"4way", uarch.Config4Way()},
+		{"8way", uarch.Config8Way()},
+	}
+	for _, tc := range cases {
+		got, err := uarch.ParseConfig(tc.name)
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseConfig(%q) = %q, %v; want %q", tc.name, got.Name, err, tc.want.Name)
+		}
+	}
+	if names := uarch.ConfigNames(); !reflect.DeepEqual(names, []string{"4way", "8way"}) {
+		t.Errorf("ConfigNames() = %v", names)
+	}
+	// Config.Name ("4-way") is the output spelling, not an input name.
+	for _, bad := range []string{"", "16way", "4-way", "8WAY"} {
+		if _, err := uarch.ParseConfig(bad); fperr.ClassOf(err) != fperr.ClassUsage {
+			t.Errorf("ParseConfig(%q) error class = %v, want usage", bad, fperr.ClassOf(err))
+		}
+	}
+}

@@ -299,7 +299,7 @@ func NewPipeline(cfg Config) *Pipeline {
 // Reset restores the pipeline to its power-on state for a new run, keeping
 // all buffers (ROB columns, pending queue, histogram slices, cache and
 // predictor tables) so a warm pipeline allocates nothing. Any attached
-// journal, profile, or fault plan is detached; re-attach after Reset.
+// journal, profile, fault plan, or flight recorder is detached.
 func (p *Pipeline) Reset() {
 	p.bpred.Reset()
 	p.icache.Reset()
@@ -353,10 +353,6 @@ func (p *Pipeline) Feed(ev sim.Event) {
 		}
 	}
 }
-
-// AttachFaults arms the pipeline with a deterministic transient-fault plan.
-// Attach before feeding events; pass a fresh plan per run.
-func (p *Pipeline) AttachFaults(plan *faultinject.Plan) { p.faults = plan }
 
 // Finish drains the pipeline and returns the final statistics.
 func (p *Pipeline) Finish() Stats {

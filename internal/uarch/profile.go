@@ -27,7 +27,8 @@ type PCSample struct {
 }
 
 // CycleProfile attributes every simulated cycle to the PC responsible for
-// it. Attach one to a Pipeline with AttachProfile before feeding events.
+// it. Arm one with Machine.SetProfiling and read it back with
+// Machine.Profile.
 //
 // Charging rules, applied once per cycle:
 //   - A cycle in which at least one instruction issued is charged to the
@@ -95,12 +96,4 @@ func (cp *CycleProfile) TotalAttributed() int64 {
 		n += s.Cycles
 	}
 	return n
-}
-
-// AttachProfile enables per-PC cycle attribution on the pipeline and
-// returns the profile, which is populated as the simulation advances and
-// complete after Finish. Attach before feeding any events.
-func (p *Pipeline) AttachProfile() *CycleProfile {
-	p.profile = NewCycleProfile()
-	return p.profile
 }

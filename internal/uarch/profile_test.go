@@ -43,10 +43,13 @@ func TestCycleProfileClosedLedger(t *testing.T) {
 	for _, cfg := range []Config{Config4Way(), Config8Way()} {
 		t.Run(cfg.Name, func(t *testing.T) {
 			prog := buildProfProg()
-			_, st, prof, err := RunProfiled(prog, cfg)
+			m := NewMachine(cfg)
+			m.SetProfiling(true)
+			_, st, err := m.Run(prog)
 			if err != nil {
 				t.Fatal(err)
 			}
+			prof := m.Profile()
 			if st.StallAccountingError() != 0 {
 				t.Fatalf("aggregate stall ledger not closed: %d", st.StallAccountingError())
 			}

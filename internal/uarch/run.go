@@ -26,10 +26,15 @@ type Machine struct {
 	rec     *TimelineRecorder
 	tlWidth int64
 
-	// stepLimit, when > 0, bounds every run's dynamic instruction count;
-	// it is re-applied after each functional Reset (which restores the
-	// simulator's own 4e9 default).
+	// stepLimit, when > 0, bounds every run's dynamic instruction count.
 	stepLimit int64
+
+	// Detailed-run probes and what the most recent run recorded with them.
+	journalLimit int
+	profiling    bool
+	faults       *faultinject.Plan
+	journal      *Journal
+	profile      *CycleProfile
 }
 
 // NewMachine builds a reusable functional+timing machine for cfg.
@@ -51,30 +56,68 @@ func (m *Machine) SetStepLimit(n int64) { m.stepLimit = n }
 
 // SetRunHook installs a cooperative cancellation check on the underlying
 // functional simulator: hook runs every `every` dynamic instructions
-// during Run, RunProfiled, RunInjected, and RunSampled (all of which are
-// driven by the functional step loop), and a non-nil return aborts the run
-// with that error — conventionally a trap.KindCancelled trap. Arming a
+// during Run and RunSampled, and a non-nil return aborts the run with
+// that error — conventionally a trap.KindCancelled trap. Arming a
 // hook keeps the warm machine's zero-allocation steady state (pinned by
 // TestPipelineZeroSteadyStateAllocs).
 func (m *Machine) SetRunHook(hook func(steps int64) error, every int64) {
 	m.fm.SetRunHook(hook, every)
 }
 
-// applyBudget re-applies the machine-level step budget after a functional
-// Reset (the run hook survives Reset on its own).
-func (m *Machine) applyBudget() {
+// SetJournalLimit arms the pipeline journal: every subsequent detailed run
+// records its first n committed instructions, read back with Journal. 0
+// disarms it.
+func (m *Machine) SetJournalLimit(n int) { m.journalLimit = n }
+
+// SetProfiling arms per-PC cycle attribution for every subsequent detailed
+// run, read back with Profile. Profiled runs allocate in the profile
+// itself, not in the pipeline loop.
+func (m *Machine) SetProfiling(on bool) { m.profiling = on }
+
+// SetFaultPlan arms a transient-fault plan on every subsequent detailed run
+// (nil disarms it); the plan accumulates its trace, so arm a fresh one per
+// run. Faults cost only cycles: the functional result comes from the
+// architectural simulator and is untouched by the timing model.
+func (m *Machine) SetFaultPlan(plan *faultinject.Plan) { m.faults = plan }
+
+// Journal returns the journal of the most recent run, or nil when none was
+// armed. It remains valid across later runs.
+func (m *Machine) Journal() *Journal { return m.journal }
+
+// Profile returns the cycle profile of the most recent run, or nil when
+// profiling was off. It is complete (Σ per-PC cycles == Stats.Cycles) and
+// remains valid across later runs.
+func (m *Machine) Profile() *CycleProfile { return m.profile }
+
+// reset readies the pipeline, the flight recorder, and the functional
+// simulator for a run of prog, dropping the previous run's journal and
+// profile. The step budget is re-applied after the functional Reset, which
+// restores the simulator's default; the run hook survives Reset.
+func (m *Machine) reset(prog *isa.Program) {
+	m.pipe.Reset()
+	if m.tlWidth > 0 {
+		m.rec.reset(m.tlWidth)
+		m.pipe.rec = m.rec
+	}
+	m.journal, m.profile = nil, nil
+	m.fm.Reset(prog)
 	if m.stepLimit > 0 {
 		m.fm.SetStepLimit(m.stepLimit)
 	}
 }
 
-// Run executes prog functionally while driving the timing model, returning
-// both the functional result and the timing statistics.
+// Run executes prog functionally while driving the timing model with the
+// armed probes, returning both the functional result and the timing
+// statistics.
 func (m *Machine) Run(prog *isa.Program) (*sim.Result, Stats, error) {
-	m.pipe.Reset()
-	m.armTimeline()
-	m.fm.Reset(prog)
-	m.applyBudget()
+	m.reset(prog)
+	if m.journalLimit > 0 {
+		m.journal = m.pipe.AttachJournal(m.journalLimit)
+	}
+	if m.profiling {
+		m.profile = NewCycleProfile()
+	}
+	m.pipe.profile, m.pipe.faults = m.profile, m.faults
 	res, err := m.fm.Run()
 	if err != nil {
 		return nil, Stats{}, err
@@ -82,56 +125,8 @@ func (m *Machine) Run(prog *isa.Program) (*sim.Result, Stats, error) {
 	return res, m.pipe.Finish(), nil
 }
 
-// RunProfiled is Run with per-PC cycle attribution enabled; the returned
-// profile is complete (Σ per-PC cycles == Stats.Cycles). Profiled runs
-// allocate in the profile itself, not in the pipeline loop.
-func (m *Machine) RunProfiled(prog *isa.Program) (*sim.Result, Stats, *CycleProfile, error) {
-	m.pipe.Reset()
-	m.armTimeline()
-	prof := m.pipe.AttachProfile()
-	m.fm.Reset(prog)
-	m.applyBudget()
-	res, err := m.fm.Run()
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	return res, m.pipe.Finish(), prof, nil
-}
-
-// RunInjected is RunProfiled with a transient-fault plan armed on the
-// timing model. The functional result is computed by the architectural
-// simulator and is untouched by timing-model faults — the detection/
-// recovery discipline guarantees architecturally correct output; injected
-// faults cost only cycles, visible in the stats, profile, and the plan's
-// trace.
-func (m *Machine) RunInjected(prog *isa.Program, plan *faultinject.Plan) (*sim.Result, Stats, *CycleProfile, error) {
-	m.pipe.Reset()
-	m.armTimeline()
-	prof := m.pipe.AttachProfile()
-	m.pipe.AttachFaults(plan)
-	m.fm.Reset(prog)
-	m.applyBudget()
-	res, err := m.fm.Run()
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	return res, m.pipe.Finish(), prof, nil
-}
-
 // Run executes prog functionally while driving the timing model on a fresh
 // machine, returning both the functional result and the timing statistics.
 func Run(prog *isa.Program, cfg Config) (*sim.Result, Stats, error) {
 	return NewMachine(cfg).Run(prog)
-}
-
-// RunProfiled is Run with per-PC cycle attribution enabled; the returned
-// profile is complete (Σ per-PC cycles == Stats.Cycles).
-func RunProfiled(prog *isa.Program, cfg Config) (*sim.Result, Stats, *CycleProfile, error) {
-	return NewMachine(cfg).RunProfiled(prog)
-}
-
-// RunInjected is RunProfiled with a transient-fault plan armed on the
-// timing model; see Machine.RunInjected.
-func RunInjected(prog *isa.Program, cfg Config, plan *faultinject.Plan) (*sim.Result, Stats, *CycleProfile, error) {
-	return NewMachine(cfg).RunInjected(prog, plan)
 }

@@ -283,8 +283,8 @@ func (p *Pipeline) resetCore() {
 // RunSampled executes prog in the fast mode: full-fidelity functional
 // simulation (the result is bit-identical to Run's) with timing
 // extrapolated from periodic detailed windows. With sc.Period <= 1 it is
-// exactly Run. Fault injection, journals, and profiles are detailed-mode
-// features and are not available here.
+// exactly Run. The journal, profiling, and fault probes are detailed-mode
+// features: they apply only when the run falls back to Run.
 func (m *Machine) RunSampled(prog *isa.Program, sc SampleConfig) (*sim.Result, SampledStats, error) {
 	sc = sc.withDefaults()
 	if sc.Period <= 1 {
@@ -295,11 +295,8 @@ func (m *Machine) RunSampled(prog *isa.Program, sc SampleConfig) (*sim.Result, S
 		r, ss := exactSampled(res, st)
 		return r, ss, nil
 	}
-	m.pipe.Reset()
-	m.armTimeline()
+	m.reset(prog)
 	s := newSampler(m.pipe, sc)
-	m.fm.Reset(prog)
-	m.applyBudget()
 	m.fm.Trace = s.feed
 	res, err := m.fm.Run()
 	m.fm.Trace = m.pipe.Feed

@@ -235,21 +235,8 @@ func (r *TimelineRecorder) Build(program string, cfg Config) *timeline.Timeline 
 	return t
 }
 
-// AttachTimeline arms a fresh flight recorder with the given window width
-// (in cycles) on the pipeline. Attach after Reset and before feeding
-// events; the recorder samples at window boundaries inside the pipeline
-// loop and closes its final partial window when Finish drains. Machine
-// users should prefer SetTimelineWidth, which recycles one recorder
-// across runs.
-func (p *Pipeline) AttachTimeline(width int64) *TimelineRecorder {
-	r := &TimelineRecorder{}
-	r.reset(width)
-	p.rec = r
-	return r
-}
-
 // SetTimelineWidth arms the machine's flight recorder: every subsequent
-// run (detailed, profiled, injected, or sampled) records a timeline with
+// run (detailed or sampled, with any probes armed) records a timeline with
 // the given window width in cycles. Width 0 disables recording; negative
 // widths are treated as 1. The recorder is machine-owned and recycled
 // across runs, preserving the warm machine's zero-allocation property.
@@ -257,15 +244,6 @@ func (m *Machine) SetTimelineWidth(width int64) {
 	m.tlWidth = width
 	if width > 0 && m.rec == nil {
 		m.rec = &TimelineRecorder{}
-	}
-}
-
-// armTimeline rearms the machine's recorder on its freshly reset
-// pipeline; no-op when recording is disabled.
-func (m *Machine) armTimeline() {
-	if m.tlWidth > 0 {
-		m.rec.reset(m.tlWidth)
-		m.pipe.rec = m.rec
 	}
 }
 

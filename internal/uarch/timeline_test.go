@@ -126,7 +126,8 @@ int main() {
 	plan := faultinject.NewPlan(faultinject.Config{Seed: 7, Kind: faultinject.KindAny, Rate: 0.002})
 	m := uarch.NewMachine(uarch.Config4Way())
 	m.SetTimelineWidth(200)
-	_, st, _, err := m.RunInjected(res.Prog, plan)
+	m.SetFaultPlan(plan)
+	_, st, err := m.Run(res.Prog)
 	if err != nil {
 		t.Fatal(err)
 	}

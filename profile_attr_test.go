@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fpint/internal/codegen"
+	"fpint/internal/isa"
 	"fpint/internal/obs/profile"
 	"fpint/internal/uarch"
 )
@@ -39,10 +40,7 @@ func TestProfileAttributionClosed(t *testing.T) {
 			}
 			for _, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
 				t.Run(cfg.Name, func(t *testing.T) {
-					_, st, cp, err := uarch.RunProfiled(res.Prog, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
+					st, cp := runProfiled(t, res.Prog, cfg)
 					if got := st.StallAccountingError(); got != 0 {
 						t.Fatalf("stall ledger not closed: error=%d", got)
 					}
@@ -111,10 +109,7 @@ func TestProfileFoldedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, cp, err := uarch.RunProfiled(res.Prog, uarch.Config4Way())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, cp := runProfiled(t, res.Prog, uarch.Config4Way())
 	var buf bytes.Buffer
 	profile.WriteFolded(&buf, profile.Build(res.Prog, cp))
 	got := buf.String()
@@ -163,10 +158,7 @@ func TestProfilePprofWireFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, cp, err := uarch.RunProfiled(res.Prog, uarch.Config4Way())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, cp := runProfiled(t, res.Prog, uarch.Config4Way())
 	pr := profile.Build(res.Prog, cp)
 
 	var buf bytes.Buffer
@@ -282,4 +274,16 @@ func decodeVarint(b []byte) (uint64, int) {
 		}
 	}
 	return 0, 0
+}
+
+// runProfiled runs prog on a fresh machine with cycle profiling armed.
+func runProfiled(t *testing.T, prog *isa.Program, cfg uarch.Config) (uarch.Stats, *uarch.CycleProfile) {
+	t.Helper()
+	m := uarch.NewMachine(cfg)
+	m.SetProfiling(true)
+	_, st, err := m.Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, m.Profile()
 }
