@@ -31,6 +31,7 @@ import (
 	"fpint/internal/codegen"
 	"fpint/internal/faultinject"
 	"fpint/internal/fperr"
+	"fpint/internal/obs"
 	"fpint/internal/obs/hostmetrics"
 	"fpint/internal/uarch"
 )
@@ -67,7 +68,7 @@ func fpibenchMain() error {
 		writeBaseline = flag.String("write-baseline", "", "regenerate the checked-in cycle baseline: run the classic experiment set and write it as JSON to the given file")
 		hostMetrics   = flag.Bool("hostmetrics", false, "also print a per-experiment host-side cost table (wall time, allocations, GC)")
 		fastMode      = flag.Bool("fast", false, "run cycle experiments in the sampled-timing fast mode (bounded-error sweep; incompatible with baselines and fault sweeps)")
-		fastPeriod    = flag.Int("fast-period", 0, "with -fast: sampling period in units, one in N measured (0 = default)")
+		fastPeriod    = flag.Int("fast-period", 0, "with -fast: starting sampling period in units, one in N measured; it doubles as the estimate converges (0 = default)")
 		oracleGap     = flag.Bool("oracle-gap", false, "greedy-vs-optimal partition gap per workload on both configurations (gated: profit dominance must hold and the exact search must complete)")
 		calibrate     = flag.Bool("calibrate", false, "fit the cost-model constants o_copy/o_dupl against measured cycle deltas on both configurations")
 		calibOut      = flag.String("calib-out", "", "with -calibrate: write the fpint-calib/v1 JSON document to the given file (\"-\" for stdout)")
@@ -115,7 +116,7 @@ func fpibenchMain() error {
 		}
 		c.s.SetFast(sc)
 		if !c.quiet {
-			fmt.Printf("fast mode: sampled timing (period=%d width=%d warmup=%d) — cycle figures are bounded-error estimates\n",
+			fmt.Printf("fast mode: sampled timing (start period=%d, doubling once a stratum's 99.7%% CI is within 1%%; width=%d warmup=%d) — cycle figures are bounded-error estimates\n",
 				sc.Period, sc.Width, sc.Warmup)
 		}
 	}
@@ -199,6 +200,10 @@ func fpibenchMain() error {
 	}
 	if runErr != nil {
 		return runErr
+	}
+	if fs := c.s.FastSummary(); fs.Runs > 0 && !c.quiet {
+		fmt.Printf("\nfast mode: %d sampled runs, %s up to %d, %s up to %.2f%%\n",
+			fs.Runs, obs.MetricFastFinalPeriod, fs.MaxFinalPeriod, obs.MetricFastRelCI, 100*fs.MaxRelCI)
 	}
 
 	if *hostMetrics && !c.quiet {

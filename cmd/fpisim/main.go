@@ -15,7 +15,7 @@
 //	fpisim -inject-fault seed=1,kind=any,rate=0.001 file.c  # fault injection
 //	fpisim -timing -hostmetrics file.c     # simulator's own host-side cost
 //	fpisim -fast file.c                    # sampled-timing fast mode
-//	fpisim -fast -fast-period 20 file.c    # sparser sampling for long sweeps
+//	fpisim -fast -fast-period 16 file.c    # start sampling sparser
 //	fpisim -timeline file.c                # windowed phase timeline + table
 //	fpisim -timeline-csv t.csv file.c      # plot-ready per-window CSV
 //	fpisim -timeline-json t.json file.c    # fpint-timeline/v1 document
@@ -40,7 +40,10 @@
 // with SMARTS-style periodic sampling: most instructions execute
 // functionally (still training the branch predictor and caches) and only
 // periodic detailed windows are timed, extrapolated to a total cycle
-// estimate with a closed stall ledger. The functional output is
+// estimate with a closed stall ledger. Sampling starts at -fast-period and
+// the period doubles (up to 32) each time a stratum's mean CPI is known to
+// within 1% at 99.7% confidence; the final period and the estimate's
+// relative confidence half-width are reported. The functional output is
 // bit-identical to the detailed model; cycles carry a bounded estimation
 // error (see the root fast-mode acceptance test). Detailed-only surfaces —
 // pipetraces, cycle attribution, fault injection — are rejected under
@@ -102,7 +105,7 @@ func fpisimMain(args []string) error {
 		faultTrace   = fs.Bool("fault-trace", false, "with -inject-fault: print the deterministic fault trace")
 		hostMetrics  = fs.Bool("hostmetrics", false, "measure the simulator's own host-side cost (wall time, allocations, GC) around the run")
 		fast         = fs.Bool("fast", false, "sampled-timing fast mode: periodic detailed windows instead of the full cycle-level run (implies -timing)")
-		fastPeriod   = fs.Int("fast-period", 0, "with -fast: sampling period in units, one in N measured (0 = default)")
+		fastPeriod   = fs.Int("fast-period", 0, "with -fast: starting sampling period in units, one in N measured; it doubles as the estimate converges (0 = default)")
 		fastWidth    = fs.Int("fast-width", 0, "with -fast: sampling-unit width in instructions (0 = default)")
 		fastWarmup   = fs.Int("fast-warmup", 0, "with -fast: detailed warmup instructions before each measured unit (0 = default, negative = none)")
 		fastSeed     = fs.Uint64("fast-seed", 1, "with -fast: sampling phase seed")
@@ -421,19 +424,11 @@ func run(src string, sch codegen.Scheme, opts codegen.Options, rc runConfig) (in
 		reg := obs.NewRegistry()
 		reg.Gauge(obs.MetricRunExit).Set(float64(out.Ret))
 		out.Stats.AddTo(reg, obs.PrefixSim)
-		if rc.timing {
+		switch {
+		case rc.fast:
+			sst.AddTo(reg, obs.PrefixUarch)
+		case rc.timing:
 			st.AddTo(reg, obs.PrefixUarch)
-		}
-		if rc.fast {
-			reg.Gauge(obs.PrefixUarch + obs.MetricFastWindows).Set(float64(sst.Windows))
-			reg.Gauge(obs.PrefixUarch + obs.MetricFastMeasuredInstructions).Set(float64(sst.MeasuredInstructions))
-			reg.Gauge(obs.PrefixUarch + obs.MetricFastMeasuredCycles).Set(float64(sst.MeasuredCycles))
-			reg.Gauge(obs.PrefixUarch + obs.MetricFastSampledFraction).Set(sst.SampledFraction)
-			exact := 0.0
-			if sst.Exact {
-				exact = 1
-			}
-			reg.Gauge(obs.PrefixUarch + obs.MetricFastExact).Set(exact)
 		}
 		if tl != nil {
 			reg.Gauge(obs.PrefixTimeline + obs.MetricTimelineWindows).Set(float64(len(tl.Windows)))
@@ -489,9 +484,9 @@ func run(src string, sch codegen.Scheme, opts codegen.Options, rc runConfig) (in
 	fmt.Printf(";   issue-active=%d stall=%d (accounting error=%d)\n",
 		st.IssueActiveCycles, st.TotalStallCycles(), st.StallAccountingError())
 	if rc.fast {
-		fmt.Printf(";   fast mode: windows=%d measured=%d/%d instrs (%.1f%% of stream) exact=%v\n",
+		fmt.Printf(";   fast mode: windows=%d measured=%d/%d instrs (%.1f%% of stream) final_period=%d rel_ci=%.2f%% exact=%v\n",
 			sst.Windows, sst.MeasuredInstructions, out.Stats.Total,
-			100*sst.SampledFraction, sst.Exact)
+			100*sst.SampledFraction, sst.FinalPeriod, 100*sst.RelCI, sst.Exact)
 	}
 	if rc.hostMetrics {
 		fmt.Printf(";   host: %s sims/sec=%.3g\n",

@@ -61,15 +61,27 @@ type SampledInfo struct {
 	Windows              int
 	MeasuredInstructions int64
 	SampledFraction      float64
+	FinalPeriod          int
+	RelCI                float64
 	Exact                bool
+}
+
+// FastSummary aggregates the SampledInfo of every fast-mode measurement a
+// Suite has made: the run count, the largest final sampling period, and
+// the widest relative confidence half-width.
+type FastSummary struct {
+	Runs           int
+	MaxFinalPeriod int
+	MaxRelCI       float64
 }
 
 // Suite compiles and runs workloads, caching frontend results (the IR and
 // the self-profile) per workload so repeated measurements stay cheap.
 type Suite struct {
-	mu    sync.Mutex
-	front map[string]*frontRes
-	fast  *uarch.SampleConfig
+	mu      sync.Mutex
+	front   map[string]*frontRes
+	fast    *uarch.SampleConfig
+	fastSum FastSummary
 }
 
 type frontRes struct {
@@ -81,6 +93,13 @@ type frontRes struct {
 // NewSuite returns an empty measurement cache.
 func NewSuite() *Suite {
 	return &Suite{front: make(map[string]*frontRes)}
+}
+
+// FastSummary reports the fast-mode measurements made so far.
+func (s *Suite) FastSummary() FastSummary {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fastSum
 }
 
 // SetFast switches every subsequent Measure call to the sampled-timing
@@ -147,6 +166,8 @@ func (s *Suite) Measure(w *Workload, scheme codegen.Scheme, cfg uarch.Config) (*
 				Windows:              sst.Windows,
 				MeasuredInstructions: sst.MeasuredInstructions,
 				SampledFraction:      sst.SampledFraction,
+				FinalPeriod:          sst.FinalPeriod,
+				RelCI:                sst.RelCI,
 				Exact:                sst.Exact,
 			}
 		} else {
@@ -158,6 +179,13 @@ func (s *Suite) Measure(w *Workload, scheme codegen.Scheme, cfg uarch.Config) (*
 	}
 	if out.Ret != fr.ref.Ret || out.Output != fr.ref.Output {
 		return nil, fmt.Errorf("%s/%s: functional mismatch: got %d want %d", w.Name, scheme, out.Ret, fr.ref.Ret)
+	}
+	if sampled != nil {
+		s.mu.Lock()
+		s.fastSum.Runs++
+		s.fastSum.MaxFinalPeriod = max(s.fastSum.MaxFinalPeriod, sampled.FinalPeriod)
+		s.fastSum.MaxRelCI = max(s.fastSum.MaxRelCI, sampled.RelCI)
+		s.mu.Unlock()
 	}
 	m := &Measurement{
 		Workload:       w.Name,

@@ -56,12 +56,16 @@ const (
 
 	// Fast-mode provenance gauges, exported under PrefixUarch by runs that
 	// used the sampled-timing fast path: how many detailed windows were
-	// measured, how much of the stream they covered, and whether the run
-	// degenerated to the exact detailed model.
+	// measured, how much of the stream they covered, the sampling period
+	// the run ended at, the relative 99.7% confidence half-width of the
+	// cycle estimate, and whether the run degenerated to the exact
+	// detailed model.
 	MetricFastWindows              = "fast.windows"
 	MetricFastMeasuredInstructions = "fast.measured_instructions"
 	MetricFastMeasuredCycles       = "fast.measured_cycles"
 	MetricFastSampledFraction      = "fast.sampled_fraction"
+	MetricFastFinalPeriod          = "fast.final_period"
+	MetricFastRelCI                = "fast.rel_ci"
 	MetricFastExact                = "fast.exact"
 
 	// PrefixHost namespaces the simulator's own Go-level cost (see

@@ -132,19 +132,11 @@ func (s *Server) simulate(j *job, res *codegen.Result, ws *workerState, hook fun
 
 	reg.Gauge(obs.MetricRunExit).Set(float64(out.Ret))
 	out.Stats.AddTo(reg, obs.PrefixSim)
-	if timed {
+	switch {
+	case j.timing == timingFast:
+		sst.AddTo(reg, obs.PrefixUarch)
+	case timed:
 		st.AddTo(reg, obs.PrefixUarch)
-	}
-	if j.timing == timingFast {
-		reg.Gauge(obs.PrefixUarch + obs.MetricFastWindows).Set(float64(sst.Windows))
-		reg.Gauge(obs.PrefixUarch + obs.MetricFastMeasuredInstructions).Set(float64(sst.MeasuredInstructions))
-		reg.Gauge(obs.PrefixUarch + obs.MetricFastMeasuredCycles).Set(float64(sst.MeasuredCycles))
-		reg.Gauge(obs.PrefixUarch + obs.MetricFastSampledFraction).Set(sst.SampledFraction)
-		exact := 0.0
-		if sst.Exact {
-			exact = 1
-		}
-		reg.Gauge(obs.PrefixUarch + obs.MetricFastExact).Set(exact)
 	}
 	return &SimulateReport{Exit: out.Ret, Output: out.Output, Metrics: metricsJSON(reg)}, nil
 }

@@ -88,6 +88,11 @@ type Machine struct {
 	dirty []bool // per-page store tracking for cheap Reset
 	out   []byte
 
+	// byOp counts executed opcodes during a run, indexed by opcode; Run
+	// copies the nonzero entries into Stats.ByOp at HALT, keeping the map
+	// out of the per-instruction path.
+	byOp [256]int64
+
 	maxSteps int64
 
 	// Cooperative cancellation (see SetRunHook). Reset preserves the hook,
@@ -148,6 +153,7 @@ func (m *Machine) Reset(prog *isa.Program) {
 	m.out = m.out[:0]
 	m.maxSteps = 4_000_000_000
 	m.hookLeft = m.hookEvery
+	m.byOp = [256]int64{}
 	byOp := m.res.Stats.ByOp
 	clear(byOp)
 	*m.res = Result{Stats: Stats{ByOp: byOp}}
@@ -259,6 +265,11 @@ func (m *Machine) Run() (*Result, error) {
 		if in.Op == isa.HALT {
 			m.res.Ret = m.R[isa.RegV0]
 			m.res.Output = string(m.out)
+			for op, n := range m.byOp {
+				if n != 0 {
+					st.ByOp[isa.Opcode(op)] = n
+				}
+			}
 			return m.res, nil
 		}
 		steps++
@@ -455,7 +466,7 @@ func (m *Machine) Run() (*Result, error) {
 
 		st.Total++
 		st.BySubsys[isa.ExecSubsystem(in.Op)]++
-		st.ByOp[in.Op]++
+		m.byOp[in.Op]++
 		if in.Op == isa.CP2FP || in.Op == isa.CP2INT {
 			st.Copies++
 		}
@@ -519,7 +530,9 @@ func intALU(op isa.Opcode, a, b int64, pc int) (int64, error) {
 	return 0, fmt.Errorf("sim: bad ALU op %s", op)
 }
 
-var fpaToInt = map[isa.Opcode]isa.Opcode{
+// fpaToInt maps each FPa integer opcode to the INT opcode it computes,
+// indexed by opcode (zero for every other opcode).
+var fpaToInt = [256]isa.Opcode{
 	isa.ADDA: isa.ADD, isa.SUBA: isa.SUB, isa.ANDA: isa.AND, isa.ORA: isa.OR,
 	isa.XORA: isa.XOR, isa.NORA: isa.NOR, isa.SLLA: isa.SLL,
 	isa.SRAA: isa.SRA, isa.SRLA: isa.SRL,

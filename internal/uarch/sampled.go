@@ -4,22 +4,32 @@ import (
 	"math"
 
 	"fpint/internal/isa"
+	"fpint/internal/obs"
 	"fpint/internal/sim"
 )
 
 // SampleConfig controls the sampled-timing fast mode: functional execution
 // with periodic detailed-timing windows, in the style of SMARTS periodic
 // sampling. The dynamic instruction stream is cut into units of Width
-// instructions; every Period-th unit (phase chosen by Seed) is simulated
-// in full cycle-level detail, preceded by Warmup detailed instructions
-// that refill the out-of-order window before measurement starts. All other
-// instructions execute functionally while still training the branch
-// predictor and touching the caches, so long-lived microarchitectural
-// state stays warm between windows.
+// instructions; one unit in every period-group (phase chosen by Seed) is
+// simulated in full cycle-level detail, preceded by Warmup detailed
+// instructions that refill the out-of-order window before measurement
+// starts. All other instructions execute functionally while still training
+// the branch predictor and touching the caches, so long-lived
+// microarchitectural state stays warm between windows.
+//
+// The period is not fixed. Sampling starts at Period and runs in strata: a
+// stratum is a run of period-groups sampled at one period. Once a stratum
+// has measured enough windows that its mean window CPI is known to the
+// precision target (see converged), the period doubles — up to
+// maxDoublingPeriod — and a new stratum starts at the next group boundary.
+// Each stratum is extrapolated over the instructions it covers, so phases
+// sampled at different densities are weighted by their length.
 type SampleConfig struct {
-	// Period is the sampling period in units: one unit out of every
-	// Period is measured. Period <= 1 degenerates to the full detailed
-	// model (every instruction measured, zero estimation error).
+	// Period is the starting sampling period in units: one unit out of
+	// every Period is measured until the first stratum converges. Period
+	// <= 1 degenerates to the full detailed model (every instruction
+	// measured, zero estimation error).
 	Period int
 	// Width is the sampling-unit size in instructions.
 	Width int
@@ -32,21 +42,28 @@ type SampleConfig struct {
 }
 
 // DefaultSampleConfig returns the fast-mode defaults: 500-instruction
-// units, one in four measured after a 500-instruction detailed warmup — a
-// conservative 25% measured fraction that keeps the cycle-estimate error
-// within the acceptance test's 5% bound even on the small testdata
-// programs. Long-running sweeps should raise Period (20–50 works well
-// above a few hundred thousand instructions) to trade accuracy for
-// speed; error grows slowly because the measured units still sweep all
-// period phases.
+// units, starting at one in four measured, each after a 200-instruction
+// detailed warmup. The predictor and caches are functionally warmed
+// between windows, so the warmup only has to refill the out-of-order
+// window; 200 instructions is more than three times the largest ROB.
 func DefaultSampleConfig() SampleConfig {
-	return SampleConfig{Period: 4, Width: 500, Warmup: 500, Seed: 1}
+	return SampleConfig{Period: 4, Width: 500, Warmup: 200, Seed: 1}
 }
 
 // windowCap bounds Warmup+Width so a detailed window always fits the
 // pipeline's pending buffer without triggering mid-window stepping that
 // would skip the warmup/measure boundary snapshot.
 const windowCap = 8000
+
+// The stratum precision target. A stratum converges, and the period
+// doubles, once it has at least minStratumWindows measured windows and the
+// 99.7% confidence half-width of its mean window CPI, 3σ/√n, is within
+// relCITarget of the mean. The period stops doubling at maxDoublingPeriod.
+const (
+	minStratumWindows = 64
+	relCITarget       = 0.01
+	maxDoublingPeriod = 32
+)
 
 func (sc SampleConfig) withDefaults() SampleConfig {
 	def := DefaultSampleConfig()
@@ -71,14 +88,15 @@ func (sc SampleConfig) withDefaults() SampleConfig {
 }
 
 // SampledStats is the fast mode's timing estimate. The embedded Stats
-// holds extrapolated totals: Cycles, IssueActiveCycles, and StallBySub are
-// scaled from the measured windows (the ledger closes by construction —
+// holds extrapolated totals: Cycles, IssueActiveCycles, StallBySub,
+// IntIdleFPaBusy and FetchMispredictStalls are scaled from the measured
+// windows stratum by stratum (the ledger closes by construction —
 // IssueActiveCycles + ΣStallBySub == Cycles), while Instructions, Loads,
 // Stores, and the per-subsystem issue counts are exact functional counts.
 // Branch-predictor and cache totals are exact too: the predictor and both
-// caches observe the entire instruction stream, detailed or not. Histogram
-// slices cover only the detailed windows, rescaled to the estimated cycle
-// count.
+// caches observe the entire instruction stream, detailed or not, and
+// FetchICacheStalls follows from the I-cache miss count. Histogram slices
+// cover only the detailed windows, rescaled to the estimated cycle count.
 type SampledStats struct {
 	Stats
 
@@ -90,13 +108,91 @@ type SampledStats struct {
 	// the detailed windows (warmup excluded).
 	MeasuredInstructions int64
 	MeasuredCycles       int64
+	// DetailedInstructions counts every instruction the detailed pipeline
+	// simulated, warmup included: the part of the stream that paid the
+	// cycle-level cost.
+	DetailedInstructions int64
 	// Windows is the number of measured windows.
 	Windows int
 	// SampledFraction is MeasuredInstructions / Instructions.
 	SampledFraction float64
+	// FinalPeriod is the sampling period of the last stratum: the starting
+	// period, doubled once per converged stratum (1 when Exact).
+	FinalPeriod int
+	// RelCI is the 99.7% confidence half-width of the cycle estimate,
+	// relative to it: 3·sqrt(Σ covered² · s²/n) / Cycles over the strata,
+	// where s² is a stratum's window-CPI variance and n its window count
+	// (strata with fewer than two windows contribute no variance). Zero
+	// when Exact.
+	RelCI float64
 }
 
-// sampler drives the periodic-detailed-window state machine from the
+// AddTo exports the estimate into a metrics registry under the given
+// prefix: the extrapolated Stats as Stats.AddTo does, plus the fast.*
+// provenance gauges.
+func (s *SampledStats) AddTo(r *obs.Registry, prefix string) {
+	s.Stats.AddTo(r, prefix)
+	g := func(name string, v float64) { r.Gauge(prefix + name).Set(v) }
+	g(obs.MetricFastWindows, float64(s.Windows))
+	g(obs.MetricFastMeasuredInstructions, float64(s.MeasuredInstructions))
+	g(obs.MetricFastMeasuredCycles, float64(s.MeasuredCycles))
+	g(obs.MetricFastSampledFraction, s.SampledFraction)
+	g(obs.MetricFastFinalPeriod, float64(s.FinalPeriod))
+	g(obs.MetricFastRelCI, s.RelCI)
+	exact := 0.0
+	if s.Exact {
+		exact = 1
+	}
+	g(obs.MetricFastExact, exact)
+}
+
+// stratum is a run of period-groups sampled at one period: its position in
+// the unit stream, its measured totals, and the running statistics of its
+// per-window CPI.
+type stratum struct {
+	period    int64
+	startUnit int64 // first unit of the stratum's first period-group
+
+	windows int
+	instr   int64 // measured instructions
+	cycles  int64
+	active  int64
+	stalls  [3][NumStallCauses]int64
+	idle    int64 // IntIdleFPaBusy
+	fetchBr int64 // FetchMispredictStalls
+
+	// Welford running mean and sum of squared deviations of window CPI.
+	cpiMean, cpiM2 float64
+}
+
+// addWindow folds one measured window's CPI into the running statistics.
+func (st *stratum) addWindow(instr, cycles int64) {
+	st.windows++
+	cpi := float64(cycles) / float64(instr)
+	d := cpi - st.cpiMean
+	st.cpiMean += d / float64(st.windows)
+	st.cpiM2 += d * (cpi - st.cpiMean)
+}
+
+// cpiVar is the sample variance of window CPI (0 below two windows).
+func (st *stratum) cpiVar() float64 {
+	if st.windows < 2 {
+		return 0
+	}
+	return st.cpiM2 / float64(st.windows-1)
+}
+
+// converged reports whether the stratum's mean CPI meets the precision
+// target: enough windows, and 3σ/√n within relCITarget of the mean.
+func (st *stratum) converged() bool {
+	if st.windows < minStratumWindows {
+		return false
+	}
+	halfWidth := 3 * math.Sqrt(st.cpiVar()/float64(st.windows))
+	return halfWidth <= relCITarget*st.cpiMean
+}
+
+// sampler drives the stratified detailed-window state machine from the
 // functional simulator's trace callback.
 type sampler struct {
 	pipe *Pipeline
@@ -105,28 +201,25 @@ type sampler struct {
 	n int64 // next dynamic instruction index
 
 	inWindow  bool
-	winStart  int64 // first instruction of the current/next window
-	measStart int64 // first measured instruction of that window
-	winEnd    int64 // first instruction past the window
-	phase     int64 // seed-derived base phase within the period
-	group     int64 // next period-group to pick a measured unit from
-	winFed    int64 // events fed to the pipeline in the current window
-	instrBase int64 // pipeline committed-instruction count at window entry
+	winStart  int64  // first instruction of the current/next window
+	measStart int64  // first measured instruction of that window
+	winEnd    int64  // first instruction past the window
+	phaseHash uint64 // seed-derived; reduced modulo each stratum's period
+	group     int64  // next period-group of the current stratum
+	groups    int64  // period-groups scheduled so far, across strata
+	winFed    int64  // events fed to the pipeline in the current window
+	instrBase int64  // pipeline committed-instruction count at window entry
+	detailed  int64  // events fed to the pipeline over all windows
 
 	lastLine int64 // functional I-cache warming: last line probed
 
-	// Accumulators over measured parts of windows.
-	windows    int
-	measInstr  int64
-	measCycles int64
-	measActive int64
-	measStalls [3][NumStallCauses]int64
-	measIdle   int64 // IntIdleFPaBusy
+	// strata holds every stratum so far; the last one is being sampled.
+	strata []stratum
 }
 
 func newSampler(p *Pipeline, sc SampleConfig) *sampler {
-	s := &sampler{pipe: p, sc: sc, lastLine: -1}
-	s.phase = int64(splitmix64(sc.Seed) % uint64(sc.Period))
+	s := &sampler{pipe: p, sc: sc, lastLine: -1, phaseHash: splitmix64(sc.Seed)}
+	s.strata = append(make([]stratum, 0, 4), stratum{period: int64(sc.Period)})
 	s.schedule()
 	return s
 }
@@ -134,16 +227,19 @@ func newSampler(p *Pipeline, sc SampleConfig) *sampler {
 // phaseRotation decorrelates the measured units from program loop
 // structure: picking the same phase in every period-group aliases badly
 // with loops whose trip "wavelength" divides Period×Width, so the phase
-// advances by a fixed odd stride per group, sweeping all offsets.
+// advances by a fixed odd stride per group, which sweeps every offset of
+// any power-of-two period, doubled or not.
 const phaseRotation = 7
 
 // schedule computes the bounds of the next measured window: one unit out
-// of the next period-group of units, at a per-group rotated phase. Warmup
-// is clipped so windows never overlap (and never reach before the stream
-// position at scheduling time).
+// of the current stratum's next period-group, at a per-group rotated phase.
+// Warmup is clipped so windows never overlap (and never reach before the
+// stream position at scheduling time).
 func (s *sampler) schedule() {
-	period := int64(s.sc.Period)
-	unit := s.group*period + (s.phase+s.group*phaseRotation)%period
+	st := &s.strata[len(s.strata)-1]
+	period := st.period
+	phase := int64(s.phaseHash % uint64(period))
+	unit := st.startUnit + s.group*period + (phase+s.groups*phaseRotation)%period
 	if unit == 0 {
 		// Never measure the very first unit: it would be measured with no
 		// warmup on a cold pipeline and would fold program-startup
@@ -151,12 +247,25 @@ func (s *sampler) schedule() {
 		unit = period / 2
 	}
 	s.group++
+	s.groups++
 	s.measStart = unit * int64(s.sc.Width)
 	s.winEnd = s.measStart + int64(s.sc.Width)
 	s.winStart = s.measStart - int64(s.sc.Warmup)
 	if s.winStart < s.n {
 		s.winStart = s.n
 	}
+}
+
+// maybeDouble starts a new stratum at twice the period, beginning at the
+// next group boundary, once the current one has converged.
+func (s *sampler) maybeDouble() {
+	st := &s.strata[len(s.strata)-1]
+	if st.period >= maxDoublingPeriod || !st.converged() {
+		return
+	}
+	next := stratum{period: 2 * st.period, startUnit: st.startUnit + s.group*st.period}
+	s.strata = append(s.strata, next)
+	s.group = 0
 }
 
 // feed is the sim.Machine trace callback in fast mode.
@@ -205,9 +314,11 @@ func (s *sampler) enterWindow() {
 	s.pipe.resetCore()
 }
 
-// closeWindow drains the pipeline, snapshotting the ledger at the
-// warmup/measure boundary so only the measured instructions' cycles are
-// accumulated, then schedules the next window.
+// closeWindow drains the pipeline, snapshotting the ledger and the fetch
+// stall counters at the warmup/measure boundary so only the measured
+// instructions' cycles are accumulated into the current stratum, then
+// doubles the period if the stratum has converged and schedules the next
+// window.
 func (s *sampler) closeWindow() {
 	p := s.pipe
 	warmCount := s.measStart - s.winStart
@@ -218,31 +329,34 @@ func (s *sampler) closeWindow() {
 		warmCount = s.winFed // halted during warmup: nothing measured
 	}
 	meas := s.winFed - warmCount
+	s.detailed += s.winFed
 	// Drain the warmup prefix.
 	warmTarget := s.instrBase + warmCount
 	for p.stats.Instructions < warmTarget {
 		p.step()
 	}
 	c0 := p.cycle
-	a0 := p.stats.IssueActiveCycles
-	st0 := p.stats.StallBySub
-	idle0 := p.stats.IntIdleFPaBusy
+	base := p.stats
 	// Step until the last measured instruction commits.
 	measTarget := warmTarget + meas
 	for p.stats.Instructions < measTarget {
 		p.step()
 	}
 	if meas > 0 {
-		s.windows++
-		s.measInstr += meas
-		s.measCycles += p.cycle - c0
-		s.measActive += p.stats.IssueActiveCycles - a0
-		s.measIdle += p.stats.IntIdleFPaBusy - idle0
+		st := &s.strata[len(s.strata)-1]
+		cycles := p.cycle - c0
+		st.addWindow(meas, cycles)
+		st.instr += meas
+		st.cycles += cycles
+		st.active += p.stats.IssueActiveCycles - base.IssueActiveCycles
+		st.idle += p.stats.IntIdleFPaBusy - base.IntIdleFPaBusy
+		st.fetchBr += p.stats.FetchMispredictStalls - base.FetchMispredictStalls
 		for sub := 0; sub < 3; sub++ {
 			for c := 0; c < NumStallCauses; c++ {
-				s.measStalls[sub][c] += p.stats.StallBySub[sub][c] - st0[sub][c]
+				st.stalls[sub][c] += p.stats.StallBySub[sub][c] - base.StallBySub[sub][c]
 			}
 		}
+		s.maybeDouble()
 	}
 	s.inWindow = false
 	s.lastLine = -1
@@ -311,7 +425,7 @@ func (m *Machine) RunSampled(prog *isa.Program, sc SampleConfig) (*sim.Result, S
 		// built timeline as estimated.
 		m.pipe.rec.flush(m.pipe)
 	}
-	if s.measInstr == 0 {
+	if s.strata[0].instr == 0 {
 		// Too short to produce a single measured window: fall back to the
 		// detailed model, which is cheap at this size.
 		res, st, err := m.Run(prog)
@@ -336,17 +450,43 @@ func exactSampled(res *sim.Result, st Stats) (*sim.Result, SampledStats) {
 		Exact:                true,
 		MeasuredInstructions: st.Instructions,
 		MeasuredCycles:       st.Cycles,
+		DetailedInstructions: st.Instructions,
 		Windows:              1,
 		SampledFraction:      1,
+		FinalPeriod:          1,
 	}
 }
 
-// estimate extrapolates whole-run statistics from the measured windows.
+// estimate extrapolates whole-run statistics from the measured windows,
+// stratum by stratum. Stratum k covers the instructions from its first
+// unit to the next stratum's first unit (the last one to the end of the
+// run), and each of its measured cells is weighted by covered/measured
+// instructions. A trailing stratum that measured nothing folds into the one
+// before it. Every cell is summed across strata and rounded once, and
+// Cycles is the sum of the rounded ledger cells.
 func (s *sampler) estimate(res *sim.Result) SampledStats {
 	p := s.pipe
 	total := res.Stats.Total
-	scale := float64(total) / float64(s.measInstr)
-	round := func(v int64) int64 { return int64(math.Round(float64(v) * scale)) }
+	strata := s.strata
+	if n := len(strata); strata[n-1].instr == 0 {
+		strata = strata[:n-1]
+	}
+	width := int64(s.sc.Width)
+	cover := make([]float64, len(strata))
+	for k := range strata {
+		end := total
+		if k+1 < len(strata) {
+			end = strata[k+1].startUnit * width
+		}
+		cover[k] = float64(end - strata[k].startUnit*width)
+	}
+	scaled := func(cell func(*stratum) int64) int64 {
+		var v float64
+		for k := range strata {
+			v += float64(cell(&strata[k])) * cover[k] / float64(strata[k].instr)
+		}
+		return int64(math.Round(v))
+	}
 
 	var est Stats
 	// Exact functional counts.
@@ -364,19 +504,23 @@ func (s *sampler) estimate(res *sim.Result) SampledStats {
 	est.DCacheMissRate = p.dcache.MissRate()
 	// Extrapolated ledger: scaling active cycles and every stall cell
 	// independently and summing keeps the closure invariant exact.
-	est.IssueActiveCycles = round(s.measActive)
+	est.IssueActiveCycles = scaled(func(st *stratum) int64 { return st.active })
 	cycles := est.IssueActiveCycles
 	for sub := 0; sub < 3; sub++ {
 		for c := 0; c < NumStallCauses; c++ {
-			v := round(s.measStalls[sub][c])
+			v := scaled(func(st *stratum) int64 { return st.stalls[sub][c] })
 			est.StallBySub[sub][c] = v
 			cycles += v
 		}
 	}
 	est.Cycles = cycles
-	est.IntIdleFPaBusy = round(s.measIdle)
-	est.FetchMispredictStalls = round(p.stats.FetchMispredictStalls)
-	est.FetchICacheStalls = round(p.stats.FetchICacheStalls)
+	est.IntIdleFPaBusy = scaled(func(st *stratum) int64 { return st.idle })
+	est.FetchMispredictStalls = scaled(func(st *stratum) int64 { return st.fetchBr })
+	// Each I-cache miss blocks fetch for the miss penalty less the probing
+	// cycle, and the I-cache saw the whole stream, so this counter follows
+	// from the miss count instead of the windows: the few cold misses a
+	// program takes mostly fall between windows.
+	est.FetchICacheStalls = p.icache.Misses * int64(max(p.cfg.ICacheMissPenalty-1, 0))
 	// Histograms cover only the detailed windows; rescale them toward the
 	// estimated cycle count so their masses stay comparable across modes.
 	winCycles := p.cycle
@@ -396,13 +540,25 @@ func (s *sampler) estimate(res *sim.Result) SampledStats {
 	est.FpWinOcc = hist(p.stats.FpWinOcc)
 	est.ROBOcc = hist(p.stats.ROBOcc)
 
-	return SampledStats{
+	ss := SampledStats{
 		Stats:                est,
-		MeasuredInstructions: s.measInstr,
-		MeasuredCycles:       s.measCycles,
-		Windows:              s.windows,
-		SampledFraction:      float64(s.measInstr) / float64(total),
+		DetailedInstructions: s.detailed,
+		FinalPeriod:          int(strata[len(strata)-1].period),
 	}
+	// The stratified variance of the cycle estimate Σ covered·meanCPI.
+	var variance float64
+	for k := range strata {
+		st := &strata[k]
+		ss.MeasuredInstructions += st.instr
+		ss.MeasuredCycles += st.cycles
+		ss.Windows += st.windows
+		variance += cover[k] * cover[k] * st.cpiVar() / float64(st.windows)
+	}
+	ss.SampledFraction = float64(ss.MeasuredInstructions) / float64(total)
+	if cycles > 0 {
+		ss.RelCI = 3 * math.Sqrt(variance) / float64(cycles)
+	}
+	return ss
 }
 
 // splitmix64 is the standard 64-bit mix, used to derive the sampling phase
