@@ -7,17 +7,18 @@
 //	fpibench -fig8 -fig9     # selected experiments only
 //	fpibench -table1 -table2 # static tables
 //	fpibench -json results.json  # machine-readable results ("-" for stdout)
-//	fpibench -baseline BENCH_BASELINE.json  # regression check against a prior -json report
-//	fpibench -write-baseline BENCH_BASELINE.json  # regenerate the checked-in baseline
 //	fpibench -faultsweep     # per-scheme fault-sensitivity sweep (both configs)
 //	fpibench -hostmetrics    # also print per-experiment host-side cost (wall, allocs, GC)
 //	fpibench -fast -fig9     # sampled-timing sweep: bounded-error cycle estimates, much faster
 //	fpibench -oracle-gap     # greedy-vs-optimal partition gap per workload, both configs (gated)
 //	fpibench -calibrate -calib-out CALIB.json  # fit o_copy/o_dupl against measured cycles
 //
-// Exit codes: 0 success, 1 usage error, 2 input error (e.g. an unreadable
-// baseline file), 3 an experiment failed, 5 a -baseline comparison found a
-// cycle regression.
+// The cycle counts behind Figures 9/10 and §7.5 are pinned as run records
+// in BASELINE_RUNS.jsonl and gated with `fpistat record -suite` plus
+// `fpistat gate -baseline BASELINE_RUNS.jsonl`.
+//
+// Exit codes: 0 success, 1 usage error, 2 input error (e.g. an unwritable
+// -json file), 3 an experiment failed, 5 the -oracle-gap gate failed.
 package main
 
 import (
@@ -59,15 +60,12 @@ func fpibenchMain() error {
 		phases        = flag.Bool("phases", false, "per-benchmark phase timeline: segmented occupancy/stall phases on both configurations")
 		phaseWidth    = flag.Int64("phase-width", 1024, "with -phases: timeline window width in cycles")
 		jsonOut       = flag.String("json", "", "also write the selected experiments as JSON to the given file (\"-\" for stdout, suppressing the tables)")
-		baseline      = flag.String("baseline", "", "compare cycle counts against a prior -json report and exit non-zero on regressions")
-		tolerance     = flag.Float64("regress-tolerance", 2.0, "with -baseline: maximum tolerated cycle increase in percent")
 		faultsw       = flag.Bool("faultsweep", false, "per-scheme fault-sensitivity sweep on both machine configurations")
 		faultRate     = flag.Float64("fault-rate", 0.001, "with -faultsweep: per-instruction fault probability")
 		faultSeed     = flag.Int64("fault-seed", 1, "with -faultsweep: fault plan seed")
 		analysisDelta = flag.Bool("analysis-delta", false, "static-analysis payoff: offload and cycles with the address oracle off vs on, both configurations")
-		writeBaseline = flag.String("write-baseline", "", "regenerate the checked-in cycle baseline: run the classic experiment set and write it as JSON to the given file")
 		hostMetrics   = flag.Bool("hostmetrics", false, "also print a per-experiment host-side cost table (wall time, allocations, GC)")
-		fastMode      = flag.Bool("fast", false, "run cycle experiments in the sampled-timing fast mode (bounded-error sweep; incompatible with baselines and fault sweeps)")
+		fastMode      = flag.Bool("fast", false, "run cycle experiments in the sampled-timing fast mode (bounded-error sweep; incompatible with fault sweeps and exact-cycle gates)")
 		fastPeriod    = flag.Int("fast-period", 0, "with -fast: starting sampling period in units, one in N measured; it doubles as the estimate converges (0 = default)")
 		oracleGap     = flag.Bool("oracle-gap", false, "greedy-vs-optimal partition gap per workload on both configurations (gated: profit dominance must hold and the exact search must complete)")
 		calibrate     = flag.Bool("calibrate", false, "fit the cost-model constants o_copy/o_dupl against measured cycle deltas on both configurations")
@@ -78,11 +76,8 @@ func fpibenchMain() error {
 		return fperr.New(fperr.ClassUsage, "-fault-rate %g outside (0,1]", *faultRate)
 	}
 	if *fastMode {
-		// Baselines are exact detailed-cycle contracts and the fault model
-		// needs continuous detailed execution; neither mixes with sampling.
-		if *baseline != "" || *writeBaseline != "" {
-			return fperr.New(fperr.ClassUsage, "-fast produces estimated cycles and cannot be used with -baseline/-write-baseline")
-		}
+		// The fault model needs continuous detailed execution, and the
+		// gates judge exact detailed cycles; neither mixes with sampling.
 		if *faultsw {
 			return fperr.New(fperr.ClassUsage, "-fast does not support -faultsweep; fault injection needs the detailed model")
 		}
@@ -94,21 +89,8 @@ func fpibenchMain() error {
 		return fperr.New(fperr.ClassUsage, "-calib-out requires -calibrate")
 	}
 	all := !(*table1 || *table2 || *fig8 || *fig9 || *fig10 || *overheads || *fpprogs || *loads || *slices || *imbalance || *faultsw || *analysisDelta || *phases || *oracleGap || *calibrate)
-	if *baseline != "" && all {
-		// Baseline mode defaults to exactly the cycle-bearing experiments.
-		all, *fig9, *fig10, *fpprogs = false, true, true, true
-	}
-	if *writeBaseline != "" {
-		// The baseline is the classic experiment set BENCH_BASELINE.json
-		// carries, in its checked-in order — deterministic regeneration, no
-		// host-noise experiments.
-		all = false
-		*table1, *table2, *slices, *fig8, *fig9 = true, true, true, true, true
-		*fig10, *overheads, *loads, *imbalance, *fpprogs = true, true, true, true, true
-		*faultsw, *analysisDelta = false, false
-	}
 
-	c := &ctx{s: bench.NewSuite(), quiet: *jsonOut == "-" || *writeBaseline != ""}
+	c := &ctx{s: bench.NewSuite(), quiet: *jsonOut == "-"}
 	if *fastMode {
 		sc := uarch.DefaultSampleConfig()
 		if *fastPeriod > 0 {
@@ -120,7 +102,7 @@ func fpibenchMain() error {
 				sc.Period, sc.Width, sc.Warmup)
 		}
 	}
-	if *jsonOut != "" || *baseline != "" || *writeBaseline != "" {
+	if *jsonOut != "" {
 		c.rep = bench.NewReport()
 	}
 	type hostRow struct {
@@ -220,20 +202,9 @@ func fpibenchMain() error {
 		fmt.Print(bench.FormatTable([]string{"Experiment", "Wall", "Allocs", "Bytes", "GC", "GC pause"}, out))
 		fmt.Println("\nHost numbers measure this simulator process, not the modeled machine;\nthey are noisy — gate them with `fpistat gate`, never by eye.")
 	}
-	if c.rep != nil && *jsonOut != "" {
+	if c.rep != nil {
 		if err := writeTo(*jsonOut, c.rep.WriteJSON); err != nil {
 			return fperr.Wrap(fperr.ClassInput, err)
-		}
-	}
-	if *writeBaseline != "" {
-		if err := writeTo(*writeBaseline, c.rep.WriteJSON); err != nil {
-			return fperr.Wrap(fperr.ClassInput, err)
-		}
-		fmt.Printf("wrote %d experiments to %s\n", len(c.rep.Experiments), *writeBaseline)
-	}
-	if *baseline != "" {
-		if err := compareBaseline(c.rep, *baseline, *tolerance); err != nil {
-			return fperr.Wrap(fperr.ClassInternal, err)
 		}
 	}
 	return nil
@@ -349,41 +320,6 @@ func printFaultSweep(c *ctx, fc faultinject.Config) error {
 		c.table([]string{"Benchmark", "Scheme", "Config", "Faults", "Recovery cyc", "Clean cyc", "Fault cyc", "Slowdown"}, out)
 	}
 	c.note("\nEvery injected run is checked to produce the reference output with a closed\nstall ledger: faults cost recovery cycles, never correctness (seed=%d rate=%g).", fc.Seed, fc.Rate)
-	return nil
-}
-
-// compareBaseline diffs the current report's cycle counts against a prior
-// -json report and returns an error when any benchmark slowed down by more
-// than tolerance percent.
-func compareBaseline(rep *bench.Report, path string, tolerance float64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	base, err := bench.LoadBaselineCycles(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	cur, err := bench.ExtractCycles(rep)
-	if err != nil {
-		return err
-	}
-	deltas := bench.CompareCycles(base, cur)
-	if len(deltas) == 0 {
-		return fmt.Errorf("%s: no cycle metrics in common with this run", path)
-	}
-	fmt.Printf("\n================ baseline comparison (%s) ================\n", path)
-	fmt.Printf("%-22s %-10s %-11s %12s %12s %8s\n",
-		"EXPERIMENT", "WORKLOAD", "METRIC", "BASELINE", "CURRENT", "DELTA")
-	for _, d := range deltas {
-		fmt.Printf("%-22s %-10s %-11s %12d %12d %+7.2f%%\n",
-			d.Key.Experiment, d.Key.Workload, d.Key.Field, d.Old, d.New, d.Pct())
-	}
-	if reg := bench.Regressions(deltas, tolerance); len(reg) > 0 {
-		return fperr.New(fperr.ClassRegression, "%d cycle regression(s) beyond %.1f%% tolerance", len(reg), tolerance)
-	}
-	fmt.Printf("no regressions beyond %.1f%% tolerance (%d metrics compared)\n", tolerance, len(deltas))
 	return nil
 }
 

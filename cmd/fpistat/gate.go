@@ -2,30 +2,23 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
-	"os"
-	"strings"
 	"time"
 
-	"fpint/internal/bench"
 	"fpint/internal/fperr"
 	"fpint/internal/obs/runstore"
 )
 
 // cmdGate compares current performance against a baseline and exits
 // nonzero (fperr.ClassRegression, exit code 5) if anything regressed.
-// Three baseline sources:
+// Two baseline sources:
 //
 //   - -baseline FILE: another run-record store; its latest record per
-//     trend line is the baseline, the -store's latest records are judged;
+//     trend line is the baseline, the -store's latest records are judged.
+//     The checked-in cycle baseline is BASELINE_RUNS.jsonl, gated against
+//     a store filled by `fpistat record -suite`;
 //   - -baseline-rev REV: the records taken at revision REV inside the
-//     same -store are the baseline for the store's latest records;
-//   - -bench-baseline FILE: the checked-in fpint-bench/v1 report
-//     (BENCH_BASELINE.json); the cycle-bearing experiments are regenerated
-//     in-process and every cycle count is compared — the discipline
-//     `fpibench -baseline` applies, available without re-rendering the
-//     full evaluation.
+//     same -store are the baseline for the store's latest records.
 //
 // Guest cycles are deterministic and judged exactly by default
 // (-guest-tolerance 0); host metrics are judged on min-over-samples with a
@@ -38,7 +31,6 @@ func cmdGate(args []string, stdout io.Writer) error {
 		storePath   = fs.String("store", defaultStore, "run-record store holding the current records")
 		baseline    = fs.String("baseline", "", "baseline run-record store (JSONL) to gate against")
 		baselineRev = fs.String("baseline-rev", "", "gate the store's latest records against those recorded at this revision")
-		benchBase   = fs.String("bench-baseline", "", "fpint-bench/v1 report (e.g. BENCH_BASELINE.json) to regenerate cycle experiments against")
 		guestTol    = fs.Float64("guest-tolerance", 0, "tolerated guest-cycle increase in percent (guest runs are deterministic; keep 0)")
 		hostTol     = fs.Float64("host-tolerance", runstore.DefaultHostTolerancePct, "tolerated host wall/alloc increase in percent")
 		wallFloor   = fs.Duration("wall-floor", time.Duration(runstore.DefaultMinHostWallNS), "wall-time floor below which host wall regressions are noise")
@@ -46,17 +38,8 @@ func cmdGate(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return fperr.Wrap(fperr.ClassUsage, err)
 	}
-	modes := 0
-	for _, m := range []string{*baseline, *baselineRev, *benchBase} {
-		if m != "" {
-			modes++
-		}
-	}
-	if modes != 1 {
-		return fperr.New(fperr.ClassUsage, "gate needs exactly one of -baseline FILE, -baseline-rev REV, or -bench-baseline FILE")
-	}
-	if *benchBase != "" {
-		return gateBenchBaseline(*benchBase, *guestTol, stdout)
+	if (*baseline == "") == (*baselineRev == "") {
+		return fperr.New(fperr.ClassUsage, "gate needs exactly one of -baseline FILE or -baseline-rev REV")
 	}
 
 	current, err := loadStore(*storePath)
@@ -99,64 +82,16 @@ func cmdGate(args []string, stdout io.Writer) error {
 		HostTolerancePct:  *hostTol,
 		MinHostWallNS:     int64(*wallFloor),
 	})
+	if len(rep.Deltas) == 0 {
+		// A gate that compared nothing must not pass: the current store
+		// measured none of the baseline's trend lines.
+		return fperr.New(fperr.ClassInput, "no trend line has records on both sides; nothing was gated")
+	}
 	if err := rep.WriteText(stdout); err != nil {
 		return err
 	}
 	if reg := rep.Regressions(); len(reg) > 0 {
 		return fperr.New(fperr.ClassRegression, "%d metric(s) regressed beyond tolerance", len(reg))
-	}
-	return nil
-}
-
-// gateBenchBaseline regenerates the cycle-bearing experiments and compares
-// every cycle count against the checked-in fpint-bench/v1 report — the
-// `fpibench -baseline` logic, shared via bench.CycleReport.
-func gateBenchBaseline(path string, tolerancePct float64, stdout io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fperr.Wrap(fperr.ClassInput, err)
-	}
-	old, err := bench.LoadBaselineCycles(f)
-	f.Close()
-	if err != nil {
-		return fperr.Wrap(fperr.ClassInput, err)
-	}
-	rep, err := bench.CycleReport(bench.NewSuite())
-	if err != nil {
-		return fperr.Wrap(fperr.ClassInternal, err)
-	}
-	cur, err := bench.ExtractCycles(rep)
-	if err != nil {
-		return fperr.Wrap(fperr.ClassInternal, err)
-	}
-	deltas := bench.CompareCycles(old, cur)
-	if len(deltas) == 0 {
-		return fperr.New(fperr.ClassInput, "%s: no cycle metrics overlap the regenerated experiments", path)
-	}
-	reg := bench.Regressions(deltas, tolerancePct)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-22s %-12s %-12s %12s %12s %9s %s\n",
-		"EXPERIMENT", "WORKLOAD", "FIELD", "BASELINE", "CURRENT", "DELTA", "VERDICT")
-	for _, d := range deltas {
-		verdict := "ok"
-		if d.Pct() > tolerancePct {
-			verdict = fmt.Sprintf("REGRESSED (>%.0f%%)", tolerancePct)
-		}
-		fmt.Fprintf(&sb, "%-22s %-12s %-12s %12d %12d %+8.2f%% %s\n",
-			d.Key.Experiment, d.Key.Workload, d.Key.Field, d.Old, d.New, d.Pct(), verdict)
-	}
-	if len(reg) == 0 {
-		fmt.Fprintf(&sb, "gate: ok — %d cycle metrics match %s (tolerance %.1f%%)\n",
-			len(deltas), path, tolerancePct)
-	} else {
-		fmt.Fprintf(&sb, "gate: FAILED — %d of %d cycle metrics regressed vs %s\n",
-			len(reg), len(deltas), path)
-	}
-	if _, err := io.WriteString(stdout, sb.String()); err != nil {
-		return err
-	}
-	if len(reg) > 0 {
-		return fperr.New(fperr.ClassRegression, "%d cycle metric(s) regressed vs %s", len(reg), path)
 	}
 	return nil
 }

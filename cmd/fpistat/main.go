@@ -7,14 +7,14 @@
 //
 //	fpistat record [-store runs.jsonl] [-scheme advanced] [-analysis on]
 //	               [-repeat 3] [-rev REV] [-label L] file.c...   # record source files (both Table 1 configs)
-//	fpistat record -suite                                        # record the bench workload suite
+//	fpistat record -suite                                        # record the Fig. 9/10 and §7.5 cycle jobs
 //	fpistat record -gobench bench.txt                            # import `go test -bench -benchmem` results
 //	fpistat trend  [-store runs.jsonl]                           # per-workload/per-scheme time series
 //	fpistat diff   [-store runs.jsonl] A B                       # guest+host deltas between two revisions or record hashes
 //	fpistat report [-store runs.jsonl] [-md out.md] [-json out.json]  # deterministic markdown + JSON report
 //	fpistat gate   [-store runs.jsonl] -baseline base.jsonl      # gate latest records against another store
 //	fpistat gate   [-store runs.jsonl] -baseline-rev REV         # ... against the records taken at REV
-//	fpistat gate   -bench-baseline BENCH_BASELINE.json           # ... regenerate cycle experiments vs the checked-in baseline
+//	fpistat gate   -store cur.jsonl -baseline BASELINE_RUNS.jsonl  # ... cycle jobs from record -suite vs the checked-in baseline
 //	fpistat phasediff A.json B.json                              # compare two fpisim -timeline-json runs phase by phase
 //
 // Records wrap the deterministic guest-side results (the closed cycle

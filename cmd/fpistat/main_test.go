@@ -304,3 +304,17 @@ PASS
 		t.Fatalf("min allocs = %d, want 3148", got)
 	}
 }
+
+// TestGateRefusesEmptyComparison checks that a gate whose stores share no
+// trend line is an input error rather than a vacuous pass.
+func TestGateRefusesEmptyComparison(t *testing.T) {
+	other := filepath.Join(t.TempDir(), "other.jsonl")
+	if err := runstore.Open(other).Append(fixtureSim(fixRev1, "gamma", "4-way", 10_000, 1_000_000, 100)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := fpistatMain([]string{"gate", "-store", fixtureStore(t), "-baseline", other}, &buf)
+	if got := fperr.ClassOf(err); got != fperr.ClassInput {
+		t.Fatalf("class %v (err %v), want ClassInput", got, err)
+	}
+}

@@ -28,8 +28,11 @@ import (
 //     requested scheme and run on both Table 1 machine configurations,
 //     -repeat times, so every record carries repeated host samples for the
 //     gate's noise estimators;
-//   - -suite: the bench workload suite, through the same Suite machinery
-//     fpibench uses;
+//   - -suite: the cycle-bearing job set (bench.CycleJobs — every run behind
+//     Figures 9/10 and §7.5, under none, basic and advanced), through the
+//     same Suite machinery fpibench uses. This is the set
+//     BASELINE_RUNS.jsonl pins; -scheme and -analysis apply to source
+//     files only;
 //   - -gobench FILE: `go test -bench -benchmem` output, imported as
 //     host-metrics-only records (the testing.B benchmarks in
 //     internal/uarch and internal/codegen are the intended feed).
@@ -38,12 +41,12 @@ func cmdRecord(args []string, stdout io.Writer) error {
 	fs.SetOutput(io.Discard)
 	var (
 		storePath    = fs.String("store", defaultStore, "append-only run-record store (JSONL)")
-		schemeName   = fs.String("scheme", "advanced", "partitioning scheme: "+strings.Join(codegen.SchemeNames(), ", "))
-		analysisMode = fs.String("analysis", "on", "consult the alias/value-range analyses: on or off")
+		schemeName   = fs.String("scheme", "advanced", "partitioning scheme for source files: "+strings.Join(codegen.SchemeNames(), ", "))
+		analysisMode = fs.String("analysis", "on", "consult the alias/value-range analyses for source files: on or off")
 		repeat       = fs.Int("repeat", 3, "timed runs per record (host samples for min/median noise estimation)")
 		rev          = fs.String("rev", "", "revision to stamp records with (default: resolved from .git)")
 		label        = fs.String("label", "", "free-form annotation (excluded from the content hash)")
-		suite        = fs.Bool("suite", false, "record the bench workload suite instead of source files")
+		suite        = fs.Bool("suite", false, "record the Fig. 9/10 and §7.5 cycle jobs (the set BASELINE_RUNS.jsonl pins)")
 		gobench      = fs.String("gobench", "", "import `go test -bench` output from the given file (\"-\" for stdin)")
 		fast         = fs.Bool("fast", false, "measure with the sampled-timing fast mode; records are stamped timingMode=fast and gate only against other fast records")
 	)
@@ -109,17 +112,14 @@ func cmdRecord(args []string, stdout io.Writer) error {
 		if *fast {
 			s.SetFast(uarch.DefaultSampleConfig())
 		}
-		for _, w := range bench.IntWorkloads() {
-			w := w
-			for _, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
-				rec, err := recordSuiteWorkload(s, &w, sch, cfg, *repeat)
-				if err != nil {
-					return fperr.Wrap(fperr.ClassInternal, err)
-				}
-				rec.Rev, rec.CreatedAt, rec.Label = *rev, now, *label
-				rec.TimingMode = timingMode
-				recs = append(recs, rec)
+		for _, j := range bench.CycleJobs() {
+			rec, err := recordCycleJob(s, j, *repeat)
+			if err != nil {
+				return fperr.Wrap(fperr.ClassInternal, err)
 			}
+			rec.Rev, rec.CreatedAt, rec.Label = *rev, now, *label
+			rec.TimingMode = timingMode
+			recs = append(recs, rec)
 		}
 	}
 
@@ -158,11 +158,12 @@ func cmdRecord(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// recordSuiteWorkload measures one bench workload on one config, repeat
-// times, collecting the per-run host sample Suite.Measure captures around
-// the timed run. The guest block must be identical across repeats — the
-// simulator is deterministic — and a disagreement is an internal error.
-func recordSuiteWorkload(s *bench.Suite, w *bench.Workload, sch codegen.Scheme, cfg uarch.Config, repeat int) (runstore.Record, error) {
+// recordCycleJob measures one cycle job repeat times, collecting the
+// per-run host sample Suite.Measure captures around the timed run. The
+// guest block must be identical across repeats — the simulator is
+// deterministic — and a disagreement is an internal error.
+func recordCycleJob(s *bench.Suite, j bench.CycleJob, repeat int) (runstore.Record, error) {
+	w, sch, cfg := &j.Workload, j.Scheme, j.Config
 	host := &runstore.Host{Env: hostmetrics.CurrentEnv()}
 	var guest runstore.Guest
 	for i := 0; i < repeat; i++ {

@@ -239,30 +239,27 @@ type SpeedupRow struct {
 }
 
 // FigureSpeedups computes speedups (Figures 9 and 10) for the given
-// workloads on cfg.
+// workloads on cfg, measuring each under figureSchemes.
 func (s *Suite) FigureSpeedups(ws []Workload, cfg uarch.Config) ([]SpeedupRow, error) {
 	var rows []SpeedupRow
 	for i := range ws {
 		w := &ws[i]
-		base, err := s.Measure(w, codegen.SchemeNone, cfg)
-		if err != nil {
-			return nil, err
+		var cycles [len(figureSchemes)]int64
+		for j, sch := range figureSchemes {
+			m, err := s.Measure(w, sch, cfg)
+			if err != nil {
+				return nil, err
+			}
+			cycles[j] = m.Cycles
 		}
-		basic, err := s.Measure(w, codegen.SchemeBasic, cfg)
-		if err != nil {
-			return nil, err
-		}
-		adv, err := s.Measure(w, codegen.SchemeAdvanced, cfg)
-		if err != nil {
-			return nil, err
-		}
+		base, basic, adv := cycles[0], cycles[1], cycles[2]
 		rows = append(rows, SpeedupRow{
 			Workload:    w.Name,
-			BasicPct:    100 * (float64(base.Cycles)/float64(basic.Cycles) - 1),
-			AdvancedPct: 100 * (float64(base.Cycles)/float64(adv.Cycles) - 1),
-			BaseCycles:  base.Cycles,
-			BasicCycles: basic.Cycles,
-			AdvCycles:   adv.Cycles,
+			BasicPct:    100 * (float64(base)/float64(basic) - 1),
+			AdvancedPct: 100 * (float64(base)/float64(adv) - 1),
+			BaseCycles:  base,
+			BasicCycles: basic,
+			AdvCycles:   adv,
 		})
 	}
 	return rows, nil

@@ -12,8 +12,7 @@ const ReportSchema = "fpint-bench/v1"
 
 // Report is the machine-readable form of the evaluation: every requested
 // figure/table as one named experiment with structured rows, so downstream
-// tooling (and future perf PRs regressing against BENCH_*.json baselines)
-// can consume the numbers without scraping tables.
+// tooling can consume the numbers without scraping tables.
 type Report struct {
 	Schema      string       `json:"schema"`
 	Experiments []Experiment `json:"experiments"`

@@ -14,9 +14,8 @@ import (
 // are judged exactly (default tolerance 0%); host metrics are noisy, so
 // they are judged on the min over repeated samples against a generous
 // percentage threshold, and tiny runs below a wall-time floor are not
-// judged at all. This generalizes the `fpibench -baseline` cycle
-// comparison: same discipline, applied to any record pair, both guest and
-// host side.
+// judged at all. It is the repo's one regression gate: the checked-in
+// cycle baseline (BASELINE_RUNS.jsonl) is a store like any other.
 
 // GateOptions tunes the comparison.
 type GateOptions struct {

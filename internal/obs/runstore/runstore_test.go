@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,6 +143,21 @@ func TestLoadRejectsTamperedStore(t *testing.T) {
 	}
 	if _, err := s.Load(); err == nil || !strings.Contains(err.Error(), "hash mismatch") {
 		t.Fatalf("tampered store loaded without error (err=%v)", err)
+	}
+}
+
+// TestLoadRejectsUnknownSchema pins the refusal to read records of another
+// layout: comparing incompatible layouts would gate on confident nonsense.
+func TestLoadRejectsUnknownSchema(t *testing.T) {
+	r := testRecord("abc123def456", 5000)
+	r.Schema = "fpint-run/v999"
+	r.Hash = r.ComputeHash()
+	line, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFrom(strings.NewReader(string(line) + "\n")); err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Fatalf("err = %v, want schema mismatch", err)
 	}
 }
 
