@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"fpint/internal/bench"
 	"fpint/internal/codegen"
 	"fpint/internal/obs"
 	"fpint/internal/sim"
@@ -180,6 +181,36 @@ func TestJournalStringEmpty(t *testing.T) {
 	}
 	if strings.Count(s, "\n") != 1 {
 		t.Errorf("empty journal should render exactly the header line:\n%q", s)
+	}
+}
+
+// A bpred-recovery cycle is charged to the mispredicted branch even in the
+// cycle the branch commits: the blame is recorded when fetch blocks, not
+// looked up in the ROB, so no recovery cycle lands on UnknownPC.
+func TestBpredRecoveryBlamesBranch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiles named workloads")
+	}
+	s := bench.NewSuite()
+	for _, w := range bench.IntWorkloads() {
+		if w.Name != "li" && w.Name != "compress" {
+			continue
+		}
+		for _, scheme := range []codegen.Scheme{codegen.SchemeNone, codegen.SchemeBasic} {
+			res, err := s.Compile(&w, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := uarch.NewMachine(uarch.Config4Way())
+			m.SetProfiling(true)
+			if _, _, err := m.Run(res.Prog); err != nil {
+				t.Fatal(err)
+			}
+			if u := m.Profile().Samples[uarch.UnknownPC]; u != nil && u.Stall[uarch.StallBpredRecovery] != 0 {
+				t.Errorf("%s/%v: %d bpred-recovery cycles charged to UnknownPC, want 0",
+					w.Name, scheme, u.Stall[uarch.StallBpredRecovery])
+			}
+		}
 	}
 }
 
