@@ -1,9 +1,11 @@
 package uarch_test
 
 import (
+	"reflect"
 	"testing"
 
 	"fpint/internal/codegen"
+	"fpint/internal/faultinject"
 	"fpint/internal/uarch"
 )
 
@@ -40,9 +42,8 @@ func TestPipelineZeroSteadyStateAllocs(t *testing.T) {
 					m.SetRunHook(func(int64) error { return nil }, 256)
 					m.SetStepLimit(1 << 40)
 				}
-				// Warm up: first run grows the ROB columns, pending buffer,
-				// stats map, and timeline columns to their steady-state
-				// capacity.
+				// Warm up: first run grows the pending buffer, stats map,
+				// and timeline columns to their steady-state capacity.
 				if _, _, err := m.Run(res.Prog); err != nil {
 					t.Fatalf("warm-up run: %v", err)
 				}
@@ -60,9 +61,13 @@ func TestPipelineZeroSteadyStateAllocs(t *testing.T) {
 }
 
 // TestWarmMachineMatchesFreshRun pins that reuse is behavior-neutral: a
-// machine that has already run other programs must produce bit-identical
-// cycles, stats, and functional output on its next run compared to a
-// fresh machine — i.e. Reset leaks no state between runs.
+// machine that has already run must produce bit-identical functional output
+// and the whole Stats, histograms included, on its next run compared to a
+// fresh machine — i.e. Reset leaks no state between runs. The dirtying runs
+// leave different scheduler state behind: a plain run of another program, a
+// fault-flushed run (squashes mid-flight, then the plan is disarmed), a run
+// aborted by the step limit with the pipeline still full, and a fast-mode
+// run (resetCore between detailed windows).
 func TestWarmMachineMatchesFreshRun(t *testing.T) {
 	progA, _, err := codegen.CompileSource(loopSrc, codegen.Options{Scheme: codegen.SchemeAdvanced, Analysis: true})
 	if err != nil {
@@ -78,33 +83,64 @@ int main() {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
+	dirtiers := []struct {
+		name string
+		run  func(m *uarch.Machine) error
+	}{
+		{"plain", func(m *uarch.Machine) error {
+			_, _, err := m.Run(progB.Prog)
+			return err
+		}},
+		{"fault-flushed", func(m *uarch.Machine) error {
+			plan := faultinject.NewPlan(faultinject.Config{Seed: 5, Kind: faultinject.KindWrongDispatch, Rate: 0.01})
+			m.SetFaultPlan(plan)
+			defer m.SetFaultPlan(nil)
+			if _, _, err := m.Run(progA.Prog); err != nil {
+				return err
+			}
+			if len(plan.Trace()) == 0 {
+				t.Error("fault plan injected nothing")
+			}
+			return nil
+		}},
+		{"step-limit trap", func(m *uarch.Machine) error {
+			// Aborted mid-run: past Feed's first 16384-event batch, so the
+			// pipeline has stepped and is left full, never drained.
+			m.SetStepLimit(50000)
+			defer m.SetStepLimit(0)
+			if _, _, err := m.Run(progA.Prog); err == nil {
+				t.Error("step limit did not abort the run")
+			}
+			return nil
+		}},
+		{"sampled", func(m *uarch.Machine) error {
+			_, ss, err := m.RunSampled(progA.Prog, uarch.DefaultSampleConfig())
+			if err == nil && ss.Exact {
+				t.Error("sampled run fell back to the detailed model")
+			}
+			return err
+		}},
+	}
 	for _, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
 		fresh, freshSt, err := uarch.Run(progA.Prog, cfg)
 		if err != nil {
 			t.Fatalf("fresh run: %v", err)
 		}
-		freshRet, freshOut := fresh.Ret, fresh.Output
-
-		m := uarch.NewMachine(cfg)
-		// Dirty the machine with a different program first.
-		if _, _, err := m.Run(progB.Prog); err != nil {
-			t.Fatalf("dirtying run: %v", err)
-		}
-		warm, warmSt, err := m.Run(progA.Prog)
-		if err != nil {
-			t.Fatalf("warm run: %v", err)
-		}
-		if warm.Ret != freshRet || warm.Output != freshOut {
-			t.Errorf("%s: warm functional result differs: ret %d vs %d", cfg.Name, warm.Ret, freshRet)
-		}
-		if warmSt.Cycles != freshSt.Cycles || warmSt.Instructions != freshSt.Instructions {
-			t.Errorf("%s: warm timing differs: %d cycles vs %d", cfg.Name, warmSt.Cycles, freshSt.Cycles)
-		}
-		if warmSt.IssueActiveCycles != freshSt.IssueActiveCycles || warmSt.StallBySub != freshSt.StallBySub {
-			t.Errorf("%s: warm stall ledger differs from fresh run", cfg.Name)
-		}
-		if err := warmSt.StallAccountingError(); err != 0 {
-			t.Errorf("%s: warm ledger not closed: error %d", cfg.Name, err)
+		for _, d := range dirtiers {
+			m := uarch.NewMachine(cfg)
+			if err := d.run(m); err != nil {
+				t.Fatalf("%s/%s: dirtying run: %v", cfg.Name, d.name, err)
+			}
+			warm, warmSt, err := m.Run(progA.Prog)
+			if err != nil {
+				t.Fatalf("%s/%s: warm run: %v", cfg.Name, d.name, err)
+			}
+			if warm.Ret != fresh.Ret || warm.Output != fresh.Output {
+				t.Errorf("%s/%s: warm functional result differs: ret %d vs %d", cfg.Name, d.name, warm.Ret, fresh.Ret)
+			}
+			if !reflect.DeepEqual(warmSt, freshSt) {
+				t.Errorf("%s/%s: warm Stats differ from a fresh run\n warm: %+v\nfresh: %+v", cfg.Name, d.name, warmSt, freshSt)
+			}
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // Machine couples a reusable functional simulator with a reusable timing
 // pipeline for one machine configuration. Build one with NewMachine and
-// call Run repeatedly: the memory arena, ROB columns, cache and predictor
+// call Run repeatedly: the memory arena, ROB ring, cache and predictor
 // tables, statistics buffers, and trace plumbing are all allocated once,
 // so a warm machine simulates without heap traffic — the property
 // TestPipelineZeroSteadyStateAllocs pins.
