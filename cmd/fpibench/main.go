@@ -174,7 +174,7 @@ func fpibenchMain() error {
 			return printCalibration(c, *calibOut)
 		})
 	}
-	if all || *faultsw {
+	if (all && !*fastMode) || *faultsw {
 		fc := faultinject.Config{Seed: *faultSeed, Kind: faultinject.KindAny, Rate: *faultRate}
 		run("Fault sensitivity (robustness sweep)", func(c *ctx) error {
 			return printFaultSweep(c, fc)
