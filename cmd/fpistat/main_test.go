@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -257,6 +259,68 @@ func TestRecordHashStability(t *testing.T) {
 		}
 		if a[i].Host == nil || len(a[i].Host.Samples) != 1 {
 			t.Errorf("record %d: want exactly 1 host sample, got %+v", i, a[i].Host)
+		}
+	}
+}
+
+// TestRecordSameBasename records two programs that share a basename but
+// not a body in one invocation. The measuring Suite caches frontends, so a
+// cache keyed by name would time b/x.c with a/x.c's module; each record
+// must carry its own SourceSHA and its own guest block.
+func TestRecordSameBasename(t *testing.T) {
+	dir := t.TempDir()
+	var files []string
+	for _, limit := range []int{200, 300} {
+		sub := filepath.Join(dir, fmt.Sprint(limit))
+		if err := os.Mkdir(sub, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		src := fmt.Sprintf(`int composite[%[1]d];
+int main() {
+	int count = 0;
+	for (int i = 2; i < %[1]d; i++) {
+		if (composite[i] == 0) {
+			count++;
+			for (int j = i + i; j < %[1]d; j += i) composite[j] = 1;
+		}
+	}
+	return count;
+}
+`, limit)
+		file := filepath.Join(sub, "x.c")
+		if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, file)
+	}
+	storePath := filepath.Join(dir, "runs.jsonl")
+	var buf bytes.Buffer
+	args := append([]string{"record", "-store", storePath, "-repeat", "1", "-rev", "feedfacecafe"}, files...)
+	if err := fpistatMain(args, &buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := runstore.Open(storePath).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 4 {
+		t.Fatalf("want 4 records (2 files × 2 configs), got %d", len(recs))
+	}
+	// Records come per file, then per config.
+	for k := 0; k < 2; k++ {
+		a, b := recs[k], recs[k+2]
+		if a.Program != "x" || b.Program != "x" || a.Config != b.Config {
+			t.Fatalf("unexpected record order: %s, %s", a.Key(), b.Key())
+		}
+		if a.SourceSHA == b.SourceSHA {
+			t.Errorf("%s: both files recorded with source hash %s", a.Config, a.SourceSHA)
+		}
+		if reflect.DeepEqual(a.Guest, b.Guest) {
+			t.Errorf("%s: both files recorded the same guest block", a.Config)
+		}
+		// 46 primes below 200, 62 below 300.
+		if a.Guest.Ret != 46 || b.Guest.Ret != 62 {
+			t.Errorf("%s: returned %d and %d, want 46 and 62", a.Config, a.Guest.Ret, b.Guest.Ret)
 		}
 	}
 }

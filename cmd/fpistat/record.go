@@ -29,13 +29,15 @@ import (
 //     -repeat times, so every record carries repeated host samples for the
 //     gate's noise estimators;
 //   - -suite: the cycle-bearing job set (bench.CycleJobs — every run behind
-//     Figures 9/10 and §7.5, under none, basic and advanced), through the
-//     same Suite machinery fpibench uses. This is the set
-//     BASELINE_RUNS.jsonl pins; -scheme and -analysis apply to source
+//     Figures 9/10 and §7.5, under none, basic and advanced). This is the
+//     set BASELINE_RUNS.jsonl pins; -scheme and -analysis apply to source
 //     files only;
 //   - -gobench FILE: `go test -bench -benchmem` output, imported as
 //     host-metrics-only records (the testing.B benchmarks in
 //     internal/uarch and internal/codegen are the intended feed).
+//
+// Source files and -suite jobs are measured by one bench.Suite, the one
+// fpibench uses, put in fast mode by -fast.
 func cmdRecord(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("fpistat record", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
@@ -78,48 +80,43 @@ func cmdRecord(args []string, stdout io.Writer) error {
 		timingMode = runstore.TimingFast
 	}
 	var recs []runstore.Record
+	s := bench.NewSuite()
+	if *fast {
+		s.SetFast(uarch.DefaultSampleConfig())
+	}
+	record := func(w *bench.Workload, sch codegen.Scheme, analysis bool, cfg uarch.Config) error {
+		guest, host, err := s.Record(w, sch, analysis, cfg, *repeat)
+		if err != nil {
+			return err
+		}
+		recs = append(recs, runstore.Record{
+			Kind: runstore.KindSim, Rev: *rev, Program: w.Name,
+			SourceSHA: runstore.SourceHash([]byte(w.Src)),
+			Config:    cfg.Name, Scheme: sch.String(), Analysis: analysis,
+			TimingMode: timingMode,
+			Guest:      guest, Host: host, CreatedAt: now, Label: *label,
+		})
+		return nil
+	}
 
 	for _, file := range fs.Args() {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			return fperr.Wrap(fperr.ClassInput, err)
 		}
-		name := strings.TrimSuffix(filepath.Base(file), ".c")
+		w := &bench.Workload{Name: strings.TrimSuffix(filepath.Base(file), ".c"), Src: string(src)}
 		for _, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
-			var guest runstore.Guest
-			var host *runstore.Host
-			var err error
-			if *fast {
-				guest, host, err = bench.MeasureSourceFast(name, string(src), sch, useAnalysis, cfg, uarch.DefaultSampleConfig(), *repeat)
-			} else {
-				guest, host, err = bench.MeasureSource(name, string(src), sch, useAnalysis, cfg, *repeat)
-			}
-			if err != nil {
+			if err := record(w, sch, useAnalysis, cfg); err != nil {
 				return fperr.Wrap(fperr.ClassInput, err)
 			}
-			recs = append(recs, runstore.Record{
-				Kind: runstore.KindSim, Rev: *rev, Program: name,
-				SourceSHA: runstore.SourceHash(src),
-				Config:    cfg.Name, Scheme: sch.String(), Analysis: useAnalysis,
-				TimingMode: timingMode,
-				Guest:      guest, Host: host, CreatedAt: now, Label: *label,
-			})
 		}
 	}
 
 	if *suite {
-		s := bench.NewSuite()
-		if *fast {
-			s.SetFast(uarch.DefaultSampleConfig())
-		}
 		for _, j := range bench.CycleJobs() {
-			rec, err := recordCycleJob(s, j, *repeat)
-			if err != nil {
+			if err := record(&j.Workload, j.Scheme, false, j.Config); err != nil {
 				return fperr.Wrap(fperr.ClassInternal, err)
 			}
-			rec.Rev, rec.CreatedAt, rec.Label = *rev, now, *label
-			rec.TimingMode = timingMode
-			recs = append(recs, rec)
 		}
 	}
 
@@ -156,38 +153,6 @@ func cmdRecord(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "%d record(s) appended to %s\n", len(recs), *storePath)
 	return nil
-}
-
-// recordCycleJob measures one cycle job repeat times, collecting the
-// per-run host sample Suite.Measure captures around the timed run. The
-// guest block must be identical across repeats — the simulator is
-// deterministic — and a disagreement is an internal error.
-func recordCycleJob(s *bench.Suite, j bench.CycleJob, repeat int) (runstore.Record, error) {
-	w, sch, cfg := &j.Workload, j.Scheme, j.Config
-	host := &runstore.Host{Env: hostmetrics.CurrentEnv()}
-	var guest runstore.Guest
-	for i := 0; i < repeat; i++ {
-		m, err := s.Measure(w, sch, cfg)
-		if err != nil {
-			return runstore.Record{}, err
-		}
-		g := bench.GuestFromMeasurement(m)
-		if i == 0 {
-			guest = g
-		} else if g.Cycles != guest.Cycles || g.DynInstrs != guest.DynInstrs {
-			return runstore.Record{}, fmt.Errorf("%s/%s/%s: nondeterministic run: repeat %d gave %d cycles, first gave %d",
-				w.Name, sch, cfg.Name, i+1, g.Cycles, guest.Cycles)
-		}
-		if m.Host != nil {
-			host.Samples = append(host.Samples, *m.Host)
-		}
-	}
-	return runstore.Record{
-		Kind: runstore.KindSim, Program: w.Name,
-		SourceSHA: runstore.SourceHash([]byte(w.Src)),
-		Config:    cfg.Name, Scheme: sch.String(),
-		Guest: guest, Host: host,
-	}, nil
 }
 
 // goBenchLine matches one `go test -bench` result line, e.g.

@@ -24,20 +24,6 @@ type AnalysisDeltaRow struct {
 	Cycles8On    int64
 }
 
-// CompileAnalysis builds the workload under the scheme with explicit
-// control of the static-analysis address oracle.
-func (s *Suite) CompileAnalysis(w *Workload, scheme codegen.Scheme, analysis bool) (*codegen.Result, error) {
-	fr, err := s.frontend(w)
-	if err != nil {
-		return nil, err
-	}
-	res, err := codegen.Compile(fr.mod, codegen.Options{Scheme: scheme, Profile: fr.prof, Analysis: analysis})
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", w.Name, scheme, err)
-	}
-	return res, nil
-}
-
 // staticOffload is the profile-weighted FPa share of the partitionable
 // weight, summed over functions, as a percentage.
 func staticOffload(res *codegen.Result) float64 {
@@ -69,46 +55,33 @@ func countUnpins(res *codegen.Result) int {
 
 // AnalysisDelta measures the analysis-off vs analysis-on deltas for each
 // workload under the scheme, cross-checking every run's functional result
-// against the IR interpreter on both machine configurations.
+// against the IR interpreter on both machine configurations. On a
+// fast-mode Suite the cycle counts are sampled estimates.
 func (s *Suite) AnalysisDelta(ws []Workload, scheme codegen.Scheme) ([]AnalysisDeltaRow, error) {
-	cfg4, cfg8 := uarch.Config4Way(), uarch.Config8Way()
 	var rows []AnalysisDeltaRow
 	for i := range ws {
 		w := &ws[i]
-		fr, err := s.frontend(w)
-		if err != nil {
-			return nil, err
-		}
 		row := AnalysisDeltaRow{Workload: w.Name, Scheme: scheme}
 		for _, analysis := range []bool{false, true} {
-			res, err := s.CompileAnalysis(w, scheme, analysis)
+			res, err := s.compile(w, codegen.Options{Scheme: scheme, Analysis: analysis})
 			if err != nil {
 				return nil, err
 			}
-			off := staticOffload(res)
-			var c4, c8 int64
-			for _, cfg := range []uarch.Config{cfg4, cfg8} {
-				out, st, err := uarch.Run(res.Prog, cfg)
+			var cycles [2]int64
+			for k, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
+				m, _, err := s.run(w, scheme, res, cfg, nil)
 				if err != nil {
-					return nil, fmt.Errorf("%s/%s/analysis=%v: %w", w.Name, scheme, analysis, err)
+					return nil, fmt.Errorf("analysis=%v: %w", analysis, err)
 				}
-				if out.Ret != fr.ref.Ret || out.Output != fr.ref.Output {
-					return nil, fmt.Errorf("%s/%s/analysis=%v/%s: functional mismatch: got %d want %d",
-						w.Name, scheme, analysis, cfg.Name, out.Ret, fr.ref.Ret)
-				}
-				if cfg.Name == cfg4.Name {
-					c4 = st.Cycles
-				} else {
-					c8 = st.Cycles
-				}
+				cycles[k] = m.Cycles
 			}
 			if analysis {
-				row.StaticOnPct = off
+				row.StaticOnPct = staticOffload(res)
 				row.Unpins = countUnpins(res)
-				row.Cycles4On, row.Cycles8On = c4, c8
+				row.Cycles4On, row.Cycles8On = cycles[0], cycles[1]
 			} else {
-				row.StaticOffPct = off
-				row.Cycles4Off, row.Cycles8Off = c4, c8
+				row.StaticOffPct = staticOffload(res)
+				row.Cycles4Off, row.Cycles8Off = cycles[0], cycles[1]
 			}
 		}
 		rows = append(rows, row)

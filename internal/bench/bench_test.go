@@ -1,6 +1,8 @@
 package bench_test
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"fpint/internal/bench"
@@ -8,13 +10,35 @@ import (
 	"fpint/internal/uarch"
 )
 
+// figureRows holds the Figure 9 (4-way) and Figure 10 (8-way) speedup rows,
+// measured once for every test that reads them. The two configurations are
+// measured concurrently: a test waiting on the fixture holds a parallel
+// test slot, so a serial fixture would leave a CPU idle.
+var figureRows = sync.OnceValues(func() ([2][]bench.SpeedupRow, error) {
+	s := bench.NewSuite()
+	var rows [2][]bench.SpeedupRow
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows[i], errs[i] = s.FigureSpeedups(bench.IntWorkloads(), cfg)
+		}()
+	}
+	wg.Wait()
+	return rows, errors.Join(errs[:]...)
+})
+
 // TestWorkloadsCompileAndAgree compiles every workload under every scheme
 // and cross-checks the functional results against the IR interpreter.
 func TestWorkloadsCompileAndAgree(t *testing.T) {
+	t.Parallel()
 	s := bench.NewSuite()
 	for _, w := range bench.Workloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
 			cfg := uarch.Config4Way()
 			for _, scheme := range []codegen.Scheme{codegen.SchemeNone, codegen.SchemeBasic, codegen.SchemeAdvanced} {
 				m, err := s.Measure(&w, scheme, cfg)
@@ -36,6 +60,7 @@ func TestFigure8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite measurement")
 	}
+	t.Parallel()
 	s := bench.NewSuite()
 	rows, err := s.FigurePartitionSizes(bench.IntWorkloads())
 	if err != nil {
@@ -59,6 +84,7 @@ func TestOverheadsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite measurement")
 	}
+	t.Parallel()
 	s := bench.NewSuite()
 	rows, err := s.Overheads(bench.IntWorkloads())
 	if err != nil {
@@ -82,11 +108,12 @@ func TestFigure9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite measurement")
 	}
-	s := bench.NewSuite()
-	rows, err := s.FigureSpeedups(bench.IntWorkloads(), uarch.Config4Way())
+	t.Parallel()
+	figs, err := figureRows()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := figs[0]
 	var liAdv float64
 	maxAdv := -1e9
 	for _, r := range rows {
@@ -117,15 +144,12 @@ func TestFig10SmallerThanFig9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite measurement")
 	}
-	s := bench.NewSuite()
-	r4, err := s.FigureSpeedups(bench.IntWorkloads(), uarch.Config4Way())
+	t.Parallel()
+	figs, err := figureRows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := s.FigureSpeedups(bench.IntWorkloads(), uarch.Config8Way())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r4, r8 := figs[0], figs[1]
 	var sum4, sum8 float64
 	for i := range r4 {
 		sum4 += r4[i].AdvancedPct

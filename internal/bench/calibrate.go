@@ -136,15 +136,9 @@ func (s *Suite) Calibrate(ws []Workload, cfgs []uarch.Config) (*Calibration, err
 	for ci, cand := range cands {
 		for i := range ws {
 			w := &ws[i]
-			fr, err := s.frontend(w)
+			res, err := s.compile(w, codegen.Options{Scheme: codegen.SchemeAdvanced, Cost: cand})
 			if err != nil {
-				return nil, err
-			}
-			res, err := codegen.Compile(fr.mod, codegen.Options{
-				Scheme: codegen.SchemeAdvanced, Profile: fr.prof, Cost: cand,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s (o_copy=%g o_dupl=%g): %w", w.Name, cand.OCopy, cand.ODupl, err)
+				return nil, fmt.Errorf("o_copy=%g o_dupl=%g: %w", cand.OCopy, cand.ODupl, err)
 			}
 			var profit float64
 			for _, p := range res.Partitions {
@@ -182,19 +176,12 @@ func (s *Suite) Calibrate(ws []Workload, cfgs []uarch.Config) (*Calibration, err
 			if cyc, ok := cycleCache[c.hash]; ok {
 				return cyc, nil
 			}
-			fr, err := s.frontend(w)
+			m, _, err := s.run(w, codegen.SchemeAdvanced, c.res, cfg, nil)
 			if err != nil {
-				return 0, err
+				return 0, fmt.Errorf("calibration run: %w", err)
 			}
-			out, st, err := uarch.Run(c.res.Prog, cfg)
-			if err != nil {
-				return 0, fmt.Errorf("%s/%s: %w", w.Name, cfg.Name, err)
-			}
-			if out.Ret != fr.ref.Ret || out.Output != fr.ref.Output {
-				return 0, fmt.Errorf("%s/%s: calibration run diverged from the interpreter", w.Name, cfg.Name)
-			}
-			cycleCache[c.hash] = st.Cycles
-			return st.Cycles, nil
+			cycleCache[c.hash] = m.Cycles
+			return m.Cycles, nil
 		}
 
 		best := -1

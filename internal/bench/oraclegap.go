@@ -48,11 +48,11 @@ func (s *Suite) OracleGaps(ws []Workload, cfg uarch.Config) ([]OracleGapRow, err
 		if err != nil {
 			return nil, err
 		}
-		opt, err := s.Measure(w, codegen.SchemeOptimal, cfg)
+		res, err := s.Compile(w, codegen.SchemeOptimal)
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.Compile(w, codegen.SchemeOptimal)
+		opt, _, err := s.run(w, codegen.SchemeOptimal, res, cfg, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -42,6 +42,7 @@ func TestOracleGapGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite measurement")
 	}
+	t.Parallel()
 	s := bench.NewSuite()
 	var buf bytes.Buffer
 	var all []bench.OracleGapRow
@@ -92,6 +93,7 @@ func TestCalibrationFitAndFeedback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("detailed-model measurement")
 	}
+	t.Parallel()
 	s := bench.NewSuite()
 	var ws []bench.Workload
 	for _, name := range []string{"compress", "go", "perl"} {

@@ -2,122 +2,54 @@ package bench
 
 import (
 	"fmt"
+	"reflect"
 
 	"fpint/internal/codegen"
-	"fpint/internal/interp"
 	"fpint/internal/obs/hostmetrics"
 	"fpint/internal/obs/runstore"
-	"fpint/internal/sim"
 	"fpint/internal/uarch"
 )
 
 // Run-record production: the bridge between the measurement machinery in
-// this package and the append-only store in internal/obs/runstore.
-// MeasureSource is what `fpistat record` (and the CI record-and-gate stage)
-// drives for every program; GuestFromMeasurement converts suite
-// measurements so recorded bench workloads share the same record shape.
+// this package and the append-only store in internal/obs/runstore. Record
+// is what `fpistat record` (and the CI record-and-gate stage) drives for
+// every program, named workload and source file alike.
 
-// MeasureSource compiles src under scheme (with or without the
-// alias/value-range analyses) and runs it on cfg `repeat` times. It returns
-// the guest block — identical across repeats by construction, which is
-// verified — and a host block carrying one cost sample per repeat, the raw
-// material for the gate's min/median noise estimators. The functional
-// result is cross-checked against the IR interpreter on every repeat.
-func MeasureSource(name, src string, scheme codegen.Scheme, useAnalysis bool, cfg uarch.Config, repeat int) (runstore.Guest, *runstore.Host, error) {
-	return measureSource(name, src, scheme, useAnalysis, cfg, nil, repeat)
-}
-
-// MeasureSourceFast is MeasureSource under the sampled-timing fast mode:
-// guest cycles and the stall ledger are extrapolated from periodic detailed
-// windows (bounded-error estimates) while the functional result stays exact
-// and interpreter-checked. Records built from it must be stamped
-// runstore.TimingFast so the gate never compares them against detailed
-// records.
-func MeasureSourceFast(name, src string, scheme codegen.Scheme, useAnalysis bool, cfg uarch.Config, sc uarch.SampleConfig, repeat int) (runstore.Guest, *runstore.Host, error) {
-	return measureSource(name, src, scheme, useAnalysis, cfg, &sc, repeat)
-}
-
-func measureSource(name, src string, scheme codegen.Scheme, useAnalysis bool, cfg uarch.Config, fast *uarch.SampleConfig, repeat int) (runstore.Guest, *runstore.Host, error) {
-	if repeat < 1 {
-		repeat = 1
-	}
-	mod, prof, err := codegen.FrontendPipeline(src)
+// Record measures the workload under scheme, with the alias/value-range
+// analyses on or off, on cfg `repeat` times (at least once), through the
+// same run as Measure. It returns the guest block, which must be identical
+// across repeats (the simulator is deterministic, so a difference means
+// state leaked between runs), and a host block with one cost sample per
+// repeat, the raw material for the gate's min/median noise estimators. On a
+// fast-mode Suite the guest block holds sampled estimates; records built
+// from it must be stamped runstore.TimingFast so the gate never compares
+// them against detailed records.
+func (s *Suite) Record(w *Workload, scheme codegen.Scheme, analysis bool, cfg uarch.Config, repeat int) (runstore.Guest, *runstore.Host, error) {
+	res, err := s.compile(w, codegen.Options{Scheme: scheme, Analysis: analysis})
 	if err != nil {
-		return runstore.Guest{}, nil, fmt.Errorf("%s: %w", name, err)
+		return runstore.Guest{}, nil, err
 	}
-	ref, err := interp.New(mod).Run()
-	if err != nil {
-		return runstore.Guest{}, nil, fmt.Errorf("%s: reference run: %w", name, err)
-	}
-	res, err := codegen.Compile(mod, codegen.Options{Scheme: scheme, Profile: prof, Analysis: useAnalysis})
-	if err != nil {
-		return runstore.Guest{}, nil, fmt.Errorf("%s/%s: %w", name, scheme, err)
-	}
-
 	var guest runstore.Guest
 	host := &runstore.Host{Env: hostmetrics.CurrentEnv()}
-	for i := 0; i < repeat; i++ {
-		var out *sim.Result
-		var st uarch.Stats
-		var runErr error
-		sample := hostmetrics.Measure(func() {
-			if fast != nil {
-				var sst uarch.SampledStats
-				out, sst, runErr = uarch.RunSampled(res.Prog, cfg, *fast)
-				st = sst.Stats
-			} else {
-				out, st, runErr = uarch.Run(res.Prog, cfg)
-			}
-		})
-		if runErr != nil {
-			return runstore.Guest{}, nil, fmt.Errorf("%s/%s: %w", name, scheme, runErr)
+	for i := 0; i < max(repeat, 1); i++ {
+		m, _, err := s.run(w, scheme, res, cfg, nil)
+		if err != nil {
+			return runstore.Guest{}, nil, err
 		}
-		if out.Ret != ref.Ret || out.Output != ref.Output {
-			return runstore.Guest{}, nil, fmt.Errorf("%s/%s: functional mismatch: got %d want %d", name, scheme, out.Ret, ref.Ret)
-		}
-		g := guestFromRun(out, st)
+		g := GuestFromMeasurement(m)
 		if i == 0 {
 			guest = g
-		} else if guest.Cycles != g.Cycles || guest.DynInstrs != g.DynInstrs || guest.IssueActive != g.IssueActive {
-			// The simulator is deterministic; two repeats that disagree
-			// mean hidden state leaked between runs.
-			return runstore.Guest{}, nil, fmt.Errorf("%s/%s: nondeterministic run: repeat %d gave %d cycles, first gave %d",
-				name, scheme, i+1, g.Cycles, guest.Cycles)
+		} else if !reflect.DeepEqual(g, guest) {
+			return runstore.Guest{}, nil, fmt.Errorf("%s/%s/%s: nondeterministic run: repeat %d's guest block differs from the first's (cycles %d vs %d)",
+				w.Name, scheme, cfg.Name, i+1, g.Cycles, guest.Cycles)
 		}
-		host.Samples = append(host.Samples, sample)
+		host.Samples = append(host.Samples, *m.Host)
 	}
 	return guest, host, nil
 }
 
-// guestFromRun folds a functional result and the timing stats into the
-// record's guest block, summing the per-subsystem stall ledger by cause
-// (the same projection Suite.Measure uses).
-func guestFromRun(out *sim.Result, st uarch.Stats) runstore.Guest {
-	g := runstore.Guest{
-		Ret:         out.Ret,
-		DynInstrs:   out.Stats.Total,
-		Cycles:      st.Cycles,
-		IssueActive: st.IssueActiveCycles,
-		OffloadPct:  100 * out.Stats.OffloadFraction(),
-		Copies:      out.Stats.Copies,
-		Dups:        out.Stats.Dups,
-		Loads:       out.Stats.Loads,
-		Stores:      out.Stats.Stores,
-	}
-	g.Stalls = make(map[string]int64)
-	for sub := 0; sub < 3; sub++ {
-		for cause := 0; cause < uarch.NumStallCauses; cause++ {
-			if n := st.StallBySub[sub][cause]; n != 0 {
-				g.Stalls[uarch.StallCause(cause).String()] += n
-			}
-		}
-	}
-	return g
-}
-
 // GuestFromMeasurement converts a suite measurement into a record guest
-// block, so bench workloads recorded via -suite and source files recorded
-// via MeasureSource land in the store with the same shape.
+// block.
 func GuestFromMeasurement(m *Measurement) runstore.Guest {
 	g := runstore.Guest{
 		Ret:         m.Ret,

@@ -83,6 +83,7 @@ func TestReportJSONEmpty(t *testing.T) {
 // Measurement must carry the complete stall breakdown: per-cause cycles sum
 // with issue-active cycles back to the total cycle count.
 func TestMeasurementStallBreakdown(t *testing.T) {
+	t.Parallel()
 	s := bench.NewSuite()
 	ws := bench.IntWorkloads()
 	var w *bench.Workload

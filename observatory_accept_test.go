@@ -26,6 +26,7 @@ func TestObservatoryRecordsCloseAndHashStably(t *testing.T) {
 	}
 	sort.Strings(files)
 	const repeat = 2
+	s := bench.NewSuite()
 	for _, file := range files {
 		src, err := os.ReadFile(file)
 		if err != nil {
@@ -35,7 +36,8 @@ func TestObservatoryRecordsCloseAndHashStably(t *testing.T) {
 		for _, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
 			cfg := cfg
 			t.Run(name+"/"+cfg.Name, func(t *testing.T) {
-				guest, host, err := bench.MeasureSource(name, string(src), codegen.SchemeAdvanced, true, cfg, repeat)
+				w := &bench.Workload{Name: name, Src: string(src)}
+				guest, host, err := s.Record(w, codegen.SchemeAdvanced, true, cfg, repeat)
 				if err != nil {
 					t.Fatalf("measure: %v", err)
 				}
