@@ -327,7 +327,8 @@ int main() {
 
 // TestGoBenchImport pins the -gobench parser against a realistic
 // -benchmem transcript, including repeated -count lines that must merge
-// into one record.
+// into one record and a line whose custom metric sits between ns/op and
+// B/op.
 func TestGoBenchImport(t *testing.T) {
 	benchFile := filepath.Join(t.TempDir(), "bench.txt")
 	transcript := `goos: linux
@@ -336,6 +337,8 @@ pkg: fpint/internal/uarch
 BenchmarkPipelineLoop/4-way-8   	      18	  62848819 ns/op	28170553 B/op	    3148 allocs/op
 BenchmarkPipelineLoop/4-way-8   	      19	  60148819 ns/op	28170553 B/op	    3148 allocs/op
 BenchmarkPipelineLoop/8-way-8   	      22	  51944477 ns/op	24789720 B/op	    3146 allocs/op
+pkg: fpint
+BenchmarkTimingSimulator-2   	       8	 134233627 ns/op	   5963774 sim-insts/s	20019144 B/op	      55 allocs/op
 PASS
 `
 	if err := os.WriteFile(benchFile, []byte(transcript), 0o644); err != nil {
@@ -351,8 +354,8 @@ PASS
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("want 2 merged records, got %d", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("want 3 merged records, got %d", len(recs))
 	}
 	r := recs[0]
 	if r.Kind != runstore.KindGoBench || r.Program != "BenchmarkPipelineLoop/4-way" {
@@ -366,6 +369,13 @@ PASS
 	}
 	if got := r.Host.MinAllocs(); got != 3148 {
 		t.Fatalf("min allocs = %d, want 3148", got)
+	}
+	ts := recs[2]
+	if ts.Program != "BenchmarkTimingSimulator" || len(ts.Host.Samples) != 1 {
+		t.Fatalf("unexpected custom-metric record: %+v", ts)
+	}
+	if s := ts.Host.Samples[0]; s.WallNS != 134233627 || s.Bytes != 20019144 || s.Allocs != 55 {
+		t.Fatalf("custom-metric line read as wall %d, bytes %d, allocs %d; want 134233627, 20019144, 55", s.WallNS, s.Bytes, s.Allocs)
 	}
 }
 

@@ -157,11 +157,13 @@ func cmdRecord(args []string, stdout io.Writer) error {
 
 // goBenchLine matches one `go test -bench` result line, e.g.
 //
-//	BenchmarkPipelineLoop/4way-8   12   98765432 ns/op   120 B/op   3 allocs/op
+//	BenchmarkTimingSimulator-8   20   61234567 ns/op   6211077 sim-insts/s   20019144 B/op   55 allocs/op
 //
-// The -8 GOMAXPROCS suffix is stripped from the name; B/op and allocs/op
-// are optional (-benchmem).
-var goBenchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9]+) B/op)?(?:\s+([0-9]+) allocs/op)?`)
+// The -8 GOMAXPROCS suffix is stripped from the name. The measurements
+// after the iteration count are value/unit pairs in any order: ns/op is
+// required, B/op and allocs/op are optional (-benchmem), and custom
+// metrics (b.ReportMetric) may sit anywhere among them.
+var goBenchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
 // readGoBench parses benchmark result lines into host-metrics-only records.
 func readGoBench(path string) ([]runstore.Record, error) {
@@ -199,18 +201,28 @@ func parseGoBench(r io.Reader) ([]runstore.Record, error) {
 			continue
 		}
 		name := m[1]
-		nsOp, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
+		var sample hostmetrics.Sample
+		hasNs := false
+		fields := strings.Fields(m[2])
+		for i := 0; i+1 < len(fields); i += 2 {
+			v, unit := fields[i], fields[i+1]
+			var err error
+			switch unit {
+			case "ns/op":
+				var ns float64
+				ns, err = strconv.ParseFloat(v, 64)
+				sample.WallNS, hasNs = int64(ns), true
+			case "B/op":
+				sample.Bytes, err = strconv.ParseUint(v, 10, 64)
+			case "allocs/op":
+				sample.Allocs, err = strconv.ParseUint(v, 10, 64)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("bad %s in %q: %w", unit, sc.Text(), err)
+			}
 		}
-		sample := hostmetrics.Sample{WallNS: int64(nsOp)}
-		if m[3] != "" {
-			b, _ := strconv.ParseUint(m[3], 10, 64)
-			sample.Bytes = b
-		}
-		if m[4] != "" {
-			a, _ := strconv.ParseUint(m[4], 10, 64)
-			sample.Allocs = a
+		if !hasNs {
+			continue
 		}
 		rec, ok := byName[name]
 		if !ok {
