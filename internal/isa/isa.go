@@ -104,7 +104,8 @@ const (
 	LWFA   // Fd = mem[Rs+Imm] (integer load into FP register)   (21)
 	SWFA   // mem[Rt+Imm] = Fs (store integer from FP register)  (22)
 
-	numOpcodes
+	// NumOpcodes is one past the last opcode.
+	NumOpcodes
 )
 
 var opNames = [...]string{
@@ -229,6 +230,67 @@ const (
 	IntReg RegClass = iota
 	FpReg
 )
+
+// NoReg marks an absent operand in Operands' results.
+const NoReg = int16(-1)
+
+// EncodeReg packs a register reference into one number space shared by
+// both files: class·32+num, so integer registers are 0–31 and FP registers
+// 32–63.
+func EncodeReg(class RegClass, n uint8) int16 {
+	return int16(class)*32 + int16(n)
+}
+
+// Operands decodes the registers an instruction writes (dst) and reads
+// (src1, src2), encoded with EncodeReg; NoReg marks an absent one. Sources
+// fill src1 first. A store reads its value register (Rs) as src1 and its
+// base (Rt) as src2; the immediate ALU forms have no src2; JAL writes RA;
+// a write to R0 still names register 0. HALT, NOP and J name no register.
+func Operands(in *Inst) (dst, src1, src2 int16) {
+	i := func(n uint8) int16 { return EncodeReg(IntReg, n) }
+	f := func(n uint8) int16 { return EncodeReg(FpReg, n) }
+	rt := func(reg func(uint8) int16) int16 {
+		if in.UseImm {
+			return NoReg
+		}
+		return reg(in.Rt)
+	}
+	switch in.Op {
+	case LI:
+		return i(in.Rd), NoReg, NoReg
+	case MOV, LW:
+		return i(in.Rd), i(in.Rs), NoReg
+	case ADD, SUB, MUL, DIV, REM, AND, OR, XOR, NOR, SLL, SRA, SRL,
+		SEQ, SNE, SLT, SLE, SGT, SGE:
+		return i(in.Rd), i(in.Rs), rt(i)
+	case SW:
+		return NoReg, i(in.Rs), i(in.Rt)
+	case BNEZ, BEQZ, JR, PRNI:
+		return NoReg, i(in.Rs), NoReg
+	case JAL:
+		return i(RegRA), NoReg, NoReg
+	case LID, LIA:
+		return f(in.Rd), NoReg, NoReg
+	case FMOV, FNEG, MOVA:
+		return f(in.Rd), f(in.Rs), NoReg
+	case FADD, FSUB, FMUL, FDIV:
+		return f(in.Rd), f(in.Rs), f(in.Rt)
+	case FSEQ, FSNE, FSLT, FSLE, FSGT, FSGE:
+		return i(in.Rd), f(in.Rs), f(in.Rt)
+	case CVTIF, LD, CP2FP, LWFA:
+		return f(in.Rd), i(in.Rs), NoReg
+	case CVTFI, CP2INT:
+		return i(in.Rd), f(in.Rs), NoReg
+	case SD, SWFA:
+		return NoReg, f(in.Rs), i(in.Rt)
+	case PRNF, BNEZA:
+		return NoReg, f(in.Rs), NoReg
+	case ADDA, SUBA, ANDA, ORA, XORA, NORA, SLLA, SRAA, SRLA,
+		SEQA, SNEA, SLTA, SLEA, SGTA, SGEA:
+		return f(in.Rd), f(in.Rs), rt(f)
+	}
+	return NoReg, NoReg, NoReg
+}
 
 // Distinguished integer registers.
 const (

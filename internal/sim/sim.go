@@ -1,8 +1,10 @@
 // Package sim implements the ISA-level functional simulator. It executes
 // assembled programs, collects dynamic instruction statistics per subsystem
-// (the data behind Figure 8 and the §7.2 overhead numbers), and streams the
-// dynamic instruction sequence to the timing model through a callback —
-// the classic SimpleScalar-style functional-first organization.
+// (the data behind Figure 8 and the §7.2 overhead numbers), and hands the
+// dynamic instruction sequence to the timing model in batches of slim
+// records (Machine.Step) — the classic SimpleScalar-style functional-first
+// organization. A record carries only what varies between executions of
+// one static instruction; the timing model decodes the rest once per PC.
 package sim
 
 import (
@@ -18,22 +20,14 @@ import (
 // stack at the top growing down.
 const MemSize = 16 << 20
 
-// Event describes one committed dynamic instruction for the timing model.
-type Event struct {
-	PC      int
-	Op      isa.Opcode
-	IsDup   bool
-	Dst     int16 // encoded register: class*32+num, -1 when none
-	Src1    int16
-	Src2    int16
-	MemAddr int64 // effective address for loads/stores
+// Record describes one committed dynamic instruction for the timing model:
+// its PC, the effective address of a load or store, and the outcome of a
+// conditional branch. Everything else about the instruction is fixed per
+// PC and read from the program.
+type Record struct {
+	PC      int32
 	Taken   bool  // conditional branch outcome
-	NextPC  int   // PC of the next dynamic instruction
-}
-
-// EncodeReg packs a register reference for Event fields.
-func EncodeReg(class isa.RegClass, n uint8) int16 {
-	return int16(class)*32 + int16(n)
+	MemAddr int64 // effective address for loads/stores, 0 otherwise
 }
 
 // Stats aggregates a run.
@@ -88,26 +82,26 @@ type Machine struct {
 	dirty []bool // per-page store tracking for cheap Reset
 	out   []byte
 
-	// byOp counts executed opcodes during a run, indexed by opcode; Run
+	// byOp counts executed opcodes during a run, indexed by opcode; Step
 	// copies the nonzero entries into Stats.ByOp at HALT, keeping the map
 	// out of the per-instruction path.
 	byOp [256]int64
 
+	steps    int64 // dynamic instructions started this run
 	maxSteps int64
 
-	// Cooperative cancellation (see SetRunHook). Reset preserves the hook,
-	// like Trace; hookLeft is the per-run countdown to the next check.
+	// Cooperative cancellation (see SetRunHook). Reset preserves the hook;
+	// hookLeft is the per-run countdown to the next check.
 	hook      func(steps int64) error
 	hookEvery int64
 	hookLeft  int64
 
-	// res is the machine-owned Result returned by Run; it is overwritten by
-	// the next Reset/Run of this machine.
+	// res is the machine-owned Result returned at HALT; it is overwritten
+	// by the next Reset/Run of this machine.
 	res *Result
 
-	// Trace receives every committed instruction when non-nil. Reset
-	// preserves the callback.
-	Trace func(Event)
+	// runBuf receives the records Run steps through and discards.
+	runBuf [256]Record
 }
 
 // DefaultHookInterval is the step cadence used by SetRunHook when the
@@ -136,7 +130,7 @@ func New(prog *isa.Program) *Machine {
 // Reset rebinds the machine to prog and restores the power-on state:
 // dirtied memory pages are zeroed, registers and statistics cleared, the
 // data segment re-initialized, and the step limit restored to its default.
-// The Trace callback is preserved. The Result returned by a previous Run
+// The run hook is preserved. The Result returned by a previous run
 // (including its Stats.ByOp map and Output) is invalidated.
 func (m *Machine) Reset(prog *isa.Program) {
 	for page, d := range m.dirty {
@@ -151,6 +145,7 @@ func (m *Machine) Reset(prog *isa.Program) {
 	m.F = [32]uint64{}
 	m.PC = 0
 	m.out = m.out[:0]
+	m.steps = 0
 	m.maxSteps = 4_000_000_000
 	m.hookLeft = m.hookEvery
 	m.byOp = [256]int64{}
@@ -171,7 +166,7 @@ func (m *Machine) SetStepLimit(n int64) { m.maxSteps = n }
 // with the current step count, and a non-nil return aborts the run with
 // that error — conventionally a trap.KindCancelled trap, so deadline aborts
 // travel the same structured-trap path as the step-limit watchdog. The hook
-// is preserved across Reset (like Trace); a nil hook clears it. The check
+// is preserved across Reset; a nil hook clears it. The check
 // itself allocates nothing, keeping a warm machine's steady state
 // allocation-free even with a hook armed.
 func (m *Machine) SetRunHook(hook func(steps int64) error, every int64) {
@@ -204,22 +199,32 @@ func (m *Machine) ReadGlobalInt(name string, idx int64) int64 {
 	return int64(m.loadWord(m.prog.GlobalAddr[name] + idx*8))
 }
 
-const noRegEnc = int16(-1)
-
 // Run executes the program from the start stub until HALT.
 //
 // The returned Result is owned by the machine and remains valid only until
 // the machine's next Reset (fresh machines built with New are unaffected).
 func (m *Machine) Run() (*Result, error) {
+	for {
+		_, res, err := m.Step(m.runBuf[:])
+		if res != nil || err != nil {
+			return res, err
+		}
+	}
+}
+
+// Step executes at most len(buf) instructions from the current PC and
+// writes one record per committed instruction into buf[:n]. It returns the
+// machine-owned Result once the machine reaches HALT (HALT itself commits
+// no record), or the error of a trap; in both cases buf[:n] holds the
+// records committed before it. A nil Result and nil error mean the buffer
+// filled before HALT: call Step again to continue. The step limit and the
+// run hook count instructions across calls, exactly as in Run.
+func (m *Machine) Step(buf []Record) (n int, res *Result, err error) {
 	st := &m.res.Stats
 	insts := m.prog.Insts
-	var steps int64
 
 	// Helpers are hoisted out of the interpreter loop so the steady state
-	// performs no per-instruction work beyond the dispatch itself; they
-	// close over ev/in, which the loop re-points each iteration.
-	var ev Event
-	var in *isa.Inst
+	// performs no per-instruction work beyond the dispatch itself.
 	ir := func(n uint8) int64 { return m.R[n] }
 	fr := func(n uint8) uint64 { return m.F[n] }
 	fi := func(n uint8) int64 { return int64(m.F[n]) }
@@ -228,115 +233,76 @@ func (m *Machine) Run() (*Result, error) {
 		if n != isa.RegZero {
 			m.R[n] = v
 		}
-		ev.Dst = EncodeReg(isa.IntReg, n)
 	}
-	setF := func(n uint8, v uint64) {
-		m.F[n] = v
-		ev.Dst = EncodeReg(isa.FpReg, n)
-	}
+	setF := func(n uint8, v uint64) { m.F[n] = v }
 	setFf := func(n uint8, v float64) { setF(n, math.Float64bits(v)) }
-	srcI := func(n uint8) {
-		if ev.Src1 == noRegEnc {
-			ev.Src1 = EncodeReg(isa.IntReg, n)
-		} else {
-			ev.Src2 = EncodeReg(isa.IntReg, n)
-		}
-	}
-	srcF := func(n uint8) {
-		if ev.Src1 == noRegEnc {
-			ev.Src1 = EncodeReg(isa.FpReg, n)
-		} else {
-			ev.Src2 = EncodeReg(isa.FpReg, n)
-		}
-	}
-	memAccess := func(addr int64) error {
-		if addr < 0 || addr+8 > MemSize {
-			return trap.New(trap.KindOutOfBounds, "sim", "memory access %#x out of range at PC %d (%s)", addr, m.PC, in)
-		}
-		ev.MemAddr = addr
-		return nil
-	}
 
-	for {
-		if m.PC < 0 || m.PC >= len(insts) {
-			return nil, fmt.Errorf("sim: PC %d out of range", m.PC)
+	for ; n < len(buf); n++ {
+		pc := m.PC
+		if pc < 0 || pc >= len(insts) {
+			return n, nil, fmt.Errorf("sim: PC %d out of range", pc)
 		}
-		in = &insts[m.PC]
+		in := &insts[pc]
 		if in.Op == isa.HALT {
-			m.res.Ret = m.R[isa.RegV0]
-			m.res.Output = string(m.out)
-			for op, n := range m.byOp {
-				if n != 0 {
-					st.ByOp[isa.Opcode(op)] = n
-				}
-			}
-			return m.res, nil
+			return n, m.halt(), nil
 		}
-		steps++
-		if steps > m.maxSteps {
-			return nil, trap.New(trap.KindStepLimit, "sim", "step limit exceeded at PC %d", m.PC)
+		m.steps++
+		if m.steps > m.maxSteps {
+			return n, nil, trap.New(trap.KindStepLimit, "sim", "step limit exceeded at PC %d", pc)
 		}
 		if m.hook != nil {
 			m.hookLeft--
 			if m.hookLeft <= 0 {
 				m.hookLeft = m.hookEvery
-				if err := m.hook(steps); err != nil {
-					return nil, err
+				if err := m.hook(m.steps); err != nil {
+					return n, nil, err
 				}
 			}
 		}
 
-		ev = Event{PC: m.PC, Op: in.Op, IsDup: in.IsDup, Dst: noRegEnc, Src1: noRegEnc, Src2: noRegEnc}
-		nextPC := m.PC + 1
+		nextPC := pc + 1
 		taken := false
+		var addr int64
 
 		switch in.Op {
 		case isa.NOP:
 		case isa.LI:
 			setR(in.Rd, in.Imm)
 		case isa.MOV:
-			srcI(in.Rs)
 			setR(in.Rd, ir(in.Rs))
 		case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.OR,
 			isa.XOR, isa.NOR, isa.SLL, isa.SRA, isa.SRL,
 			isa.SEQ, isa.SNE, isa.SLT, isa.SLE, isa.SGT, isa.SGE:
-			srcI(in.Rs)
 			b := in.Imm
 			if !in.UseImm {
-				srcI(in.Rt)
 				b = ir(in.Rt)
 			}
-			v, err := intALU(in.Op, ir(in.Rs), b, m.PC)
+			v, err := intALU(in.Op, ir(in.Rs), b, pc)
 			if err != nil {
-				return nil, err
+				return n, nil, err
 			}
 			setR(in.Rd, v)
 		case isa.LW:
-			srcI(in.Rs)
-			addr := ir(in.Rs) + in.Imm
-			if err := memAccess(addr); err != nil {
-				return nil, err
+			addr = ir(in.Rs) + in.Imm
+			if err := m.checkAddr(addr, in); err != nil {
+				return n, nil, err
 			}
 			setR(in.Rd, int64(m.loadWord(addr)))
 			st.Loads++
 		case isa.SW:
-			srcI(in.Rs)
-			srcI(in.Rt)
-			addr := ir(in.Rt) + in.Imm
-			if err := memAccess(addr); err != nil {
-				return nil, err
+			addr = ir(in.Rt) + in.Imm
+			if err := m.checkAddr(addr, in); err != nil {
+				return n, nil, err
 			}
 			m.storeWord(addr, uint64(ir(in.Rs)))
 			st.Stores++
 		case isa.BNEZ:
-			srcI(in.Rs)
 			taken = ir(in.Rs) != 0
 			if taken {
 				nextPC = in.Target
 			}
 			st.Branches++
 		case isa.BEQZ:
-			srcI(in.Rs)
 			taken = ir(in.Rs) == 0
 			if taken {
 				nextPC = in.Target
@@ -345,68 +311,48 @@ func (m *Machine) Run() (*Result, error) {
 		case isa.J:
 			nextPC = in.Target
 		case isa.JAL:
-			setR(isa.RegRA, int64(m.PC+1))
+			setR(isa.RegRA, int64(pc+1))
 			nextPC = in.Target
 		case isa.JR:
-			srcI(in.Rs)
 			nextPC = int(ir(in.Rs))
 		case isa.PRNI:
-			srcI(in.Rs)
 			m.out = strconv.AppendInt(m.out, ir(in.Rs), 10)
 			m.out = append(m.out, '\n')
 		case isa.PRNF:
-			srcF(in.Rs)
 			m.out = strconv.AppendFloat(m.out, ff(in.Rs), 'g', 6, 64)
 			m.out = append(m.out, '\n')
 
 		case isa.LID:
 			setFf(in.Rd, in.FImm)
 		case isa.FMOV:
-			srcF(in.Rs)
 			setF(in.Rd, fr(in.Rs))
 		case isa.FADD:
-			srcF(in.Rs)
-			srcF(in.Rt)
 			setFf(in.Rd, ff(in.Rs)+ff(in.Rt))
 		case isa.FSUB:
-			srcF(in.Rs)
-			srcF(in.Rt)
 			setFf(in.Rd, ff(in.Rs)-ff(in.Rt))
 		case isa.FMUL:
-			srcF(in.Rs)
-			srcF(in.Rt)
 			setFf(in.Rd, ff(in.Rs)*ff(in.Rt))
 		case isa.FDIV:
-			srcF(in.Rs)
-			srcF(in.Rt)
 			setFf(in.Rd, ff(in.Rs)/ff(in.Rt))
 		case isa.FNEG:
-			srcF(in.Rs)
 			setFf(in.Rd, -ff(in.Rs))
 		case isa.FSEQ, isa.FSNE, isa.FSLT, isa.FSLE, isa.FSGT, isa.FSGE:
-			srcF(in.Rs)
-			srcF(in.Rt)
 			setR(in.Rd, fcmp(in.Op, ff(in.Rs), ff(in.Rt)))
 		case isa.CVTIF:
-			srcI(in.Rs)
 			setFf(in.Rd, float64(ir(in.Rs)))
 		case isa.CVTFI:
-			srcF(in.Rs)
 			setR(in.Rd, int64(ff(in.Rs)))
 		case isa.LD:
-			srcI(in.Rs)
-			addr := ir(in.Rs) + in.Imm
-			if err := memAccess(addr); err != nil {
-				return nil, err
+			addr = ir(in.Rs) + in.Imm
+			if err := m.checkAddr(addr, in); err != nil {
+				return n, nil, err
 			}
 			setF(in.Rd, m.loadWord(addr))
 			st.Loads++
 		case isa.SD:
-			srcF(in.Rs)
-			srcI(in.Rt)
-			addr := ir(in.Rt) + in.Imm
-			if err := memAccess(addr); err != nil {
-				return nil, err
+			addr = ir(in.Rt) + in.Imm
+			if err := m.checkAddr(addr, in); err != nil {
+				return n, nil, err
 			}
 			m.storeWord(addr, fr(in.Rs))
 			st.Stores++
@@ -414,54 +360,45 @@ func (m *Machine) Run() (*Result, error) {
 		case isa.LIA:
 			setF(in.Rd, uint64(in.Imm))
 		case isa.MOVA:
-			srcF(in.Rs)
 			setF(in.Rd, fr(in.Rs))
 		case isa.ADDA, isa.SUBA, isa.ANDA, isa.ORA, isa.XORA, isa.NORA,
 			isa.SLLA, isa.SRAA, isa.SRLA,
 			isa.SEQA, isa.SNEA, isa.SLTA, isa.SLEA, isa.SGTA, isa.SGEA:
-			srcF(in.Rs)
 			b := in.Imm
 			if !in.UseImm {
-				srcF(in.Rt)
 				b = fi(in.Rt)
 			}
-			v, err := intALU(fpaToInt[in.Op], fi(in.Rs), b, m.PC)
+			v, err := intALU(fpaToInt[in.Op], fi(in.Rs), b, pc)
 			if err != nil {
-				return nil, err
+				return n, nil, err
 			}
 			setF(in.Rd, uint64(v))
 		case isa.BNEZA:
-			srcF(in.Rs)
 			taken = fi(in.Rs) != 0
 			if taken {
 				nextPC = in.Target
 			}
 			st.Branches++
 		case isa.CP2FP:
-			srcI(in.Rs)
 			setF(in.Rd, uint64(ir(in.Rs)))
 		case isa.CP2INT:
-			srcF(in.Rs)
 			setR(in.Rd, fi(in.Rs))
 		case isa.LWFA:
-			srcI(in.Rs)
-			addr := ir(in.Rs) + in.Imm
-			if err := memAccess(addr); err != nil {
-				return nil, err
+			addr = ir(in.Rs) + in.Imm
+			if err := m.checkAddr(addr, in); err != nil {
+				return n, nil, err
 			}
 			setF(in.Rd, m.loadWord(addr))
 			st.Loads++
 		case isa.SWFA:
-			srcF(in.Rs)
-			srcI(in.Rt)
-			addr := ir(in.Rt) + in.Imm
-			if err := memAccess(addr); err != nil {
-				return nil, err
+			addr = ir(in.Rt) + in.Imm
+			if err := m.checkAddr(addr, in); err != nil {
+				return n, nil, err
 			}
 			m.storeWord(addr, fr(in.Rs))
 			st.Stores++
 		default:
-			return nil, fmt.Errorf("sim: unimplemented opcode %s at PC %d", in.Op, m.PC)
+			return n, nil, fmt.Errorf("sim: unimplemented opcode %s at PC %d", in.Op, pc)
 		}
 
 		st.Total++
@@ -473,13 +410,31 @@ func (m *Machine) Run() (*Result, error) {
 		if in.IsDup {
 			st.Dups++
 		}
-		ev.Taken = taken
-		ev.NextPC = nextPC
-		if m.Trace != nil {
-			m.Trace(ev)
-		}
+		buf[n] = Record{PC: int32(pc), Taken: taken, MemAddr: addr}
 		m.PC = nextPC
 	}
+	return n, nil, nil
+}
+
+// checkAddr traps a memory access outside the arena.
+func (m *Machine) checkAddr(addr int64, in *isa.Inst) error {
+	if addr < 0 || addr+8 > MemSize {
+		return trap.New(trap.KindOutOfBounds, "sim", "memory access %#x out of range at PC %d (%s)", addr, m.PC, in)
+	}
+	return nil
+}
+
+// halt completes the machine-owned Result at HALT.
+func (m *Machine) halt() *Result {
+	st := &m.res.Stats
+	m.res.Ret = m.R[isa.RegV0]
+	m.res.Output = string(m.out)
+	for op, n := range m.byOp {
+		if n != 0 {
+			st.ByOp[isa.Opcode(op)] = n
+		}
+	}
+	return m.res
 }
 
 func intALU(op isa.Opcode, a, b int64, pc int) (int64, error) {

@@ -1,10 +1,13 @@
 package sim_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"fpint/internal/isa"
 	"fpint/internal/sim"
+	"fpint/internal/trap"
 )
 
 // prog assembles a raw instruction sequence with a standard start stub:
@@ -155,7 +158,24 @@ func TestZeroRegisterImmutable(t *testing.T) {
 	}
 }
 
-func TestTraceEvents(t *testing.T) {
+// stepAll runs m to completion through Step with a buffer of size records
+// and returns every record, the Result and the error.
+func stepAll(m *sim.Machine, size int) ([]sim.Record, *sim.Result, error) {
+	buf := make([]sim.Record, size)
+	var recs []sim.Record
+	for {
+		n, res, err := m.Step(buf)
+		recs = append(recs, buf[:n]...)
+		if res != nil || err != nil {
+			return recs, res, err
+		}
+		if n != size {
+			return recs, nil, fmt.Errorf("Step filled %d of %d records without HALT or trap", n, size)
+		}
+	}
+}
+
+func TestStepRecords(t *testing.T) {
 	p := prog(
 		isa.Inst{Op: isa.LI, Rd: 9, Imm: 512},
 		isa.Inst{Op: isa.LI, Rd: 8, Imm: 3},
@@ -165,31 +185,132 @@ func TestTraceEvents(t *testing.T) {
 		isa.Inst{Op: isa.NOP},                    // skipped
 		isa.Inst{Op: isa.JR, Rs: 31},
 	)
-	m := sim.New(p)
-	var events []sim.Event
-	m.Trace = func(ev sim.Event) { events = append(events, ev) }
-	if _, err := m.Run(); err != nil {
+	recs, res, err := stepAll(sim.New(p), 16)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Find the store and load events and the taken branch.
+	if res.Ret != 3 || int64(len(recs)) != res.Stats.Total {
+		t.Fatalf("ret %d, %d records for %d instructions", res.Ret, len(recs), res.Stats.Total)
+	}
 	var sawStore, sawLoad, sawTaken bool
-	for _, ev := range events {
-		switch ev.Op {
+	for i, r := range recs {
+		switch p.Insts[r.PC].Op {
 		case isa.SW:
-			sawStore = ev.MemAddr == 512
+			sawStore = r.MemAddr == 512
 		case isa.LW:
-			sawLoad = ev.MemAddr == 512 && ev.Dst == sim.EncodeReg(isa.IntReg, 2)
+			sawLoad = r.MemAddr == 512
 		case isa.BEQZ:
-			sawTaken = ev.Taken && ev.NextPC == 8
+			sawTaken = r.Taken && recs[i+1].PC == 8
 		}
 	}
 	if !sawStore || !sawLoad || !sawTaken {
-		t.Fatalf("trace events wrong: store=%v load=%v taken=%v", sawStore, sawLoad, sawTaken)
+		t.Fatalf("records wrong: store=%v load=%v taken=%v", sawStore, sawLoad, sawTaken)
 	}
-	// Events arrive in program order with consistent NextPC chaining.
-	for i := 1; i < len(events); i++ {
-		if events[i].PC != events[i-1].NextPC {
-			t.Fatalf("event %d PC=%d but previous NextPC=%d", i, events[i].PC, events[i-1].NextPC)
+}
+
+// loopProg sums a 600-word array it first writes, calling a leaf function
+// on every iteration, then prints the sum — 5,408 dynamic
+// instructions with loads, stores, taken and untaken branches, calls and
+// returns. last replaces the PRNI that follows the loop.
+func loopProg(last isa.Inst) *isa.Program {
+	return prog(
+		isa.Inst{Op: isa.LI, Rd: 8, Imm: 0},                         // 2: i
+		isa.Inst{Op: isa.LI, Rd: 9, Imm: 600},                       // 3: n
+		isa.Inst{Op: isa.LI, Rd: 10, Imm: 4096},                     // 4: p
+		isa.Inst{Op: isa.MOV, Rd: 16, Rs: 31},                       // 5: save RA
+		isa.Inst{Op: isa.SW, Rs: 8, Rt: 10, Imm: 0},                 // 6: loop: *p = i
+		isa.Inst{Op: isa.LW, Rd: 11, Rs: 10, Imm: 0},                // 7
+		isa.Inst{Op: isa.JAL, Target: 17},                           // 8: call acc
+		isa.Inst{Op: isa.ADD, Rd: 10, Rs: 10, Imm: 8, UseImm: true}, // 9
+		isa.Inst{Op: isa.ADD, Rd: 8, Rs: 8, Imm: 1, UseImm: true},   // 10
+		isa.Inst{Op: isa.SLT, Rd: 12, Rs: 8, Rt: 9},                 // 11
+		isa.Inst{Op: isa.BNEZ, Rs: 12, Target: 6},                   // 12
+		last,                                  // 13
+		isa.Inst{Op: isa.MOV, Rd: 31, Rs: 16}, // 14
+		isa.Inst{Op: isa.JR, Rs: 31},          // 15
+		isa.Inst{Op: isa.NOP},                 // 16
+		isa.Inst{Op: isa.ADD, Rd: 2, Rs: 2, Rt: 11}, // 17: acc
+		isa.Inst{Op: isa.JR, Rs: 31},                // 18
+	)
+}
+
+// TestStepContract pins Step against Run: any buffer size yields the same
+// record stream and the same Result, a trap mid-batch returns exactly the
+// records committed before it along with Run's error, and record PCs chain
+// along the control flow.
+func TestStepContract(t *testing.T) {
+	clean := loopProg(isa.Inst{Op: isa.PRNI, Rs: 2})
+	want, err := sim.New(clean).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, err := stepAll(sim.New(clean), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(ref)) != want.Stats.Total || len(ref) <= 4096 {
+		t.Fatalf("%d records for %d instructions", len(ref), want.Stats.Total)
+	}
+	for i := 0; i+1 < len(ref); i++ {
+		r, in := ref[i], clean.Insts[ref[i].PC]
+		next := int(r.PC) + 1
+		switch {
+		case in.Op == isa.JR:
+			continue // the target is a register value
+		case in.Op == isa.J || in.Op == isa.JAL || r.Taken:
+			next = in.Target
+		}
+		if r.Taken && !isa.IsCondBranch(in.Op) {
+			t.Fatalf("record %d: %s marked taken", i, in.Op)
+		}
+		if int(ref[i+1].PC) != next {
+			t.Fatalf("record %d (%s at PC %d, taken %v) is followed by PC %d, want %d", i, in.Op, r.PC, r.Taken, ref[i+1].PC, next)
+		}
+	}
+
+	cancelAt := func(m *sim.Machine) {
+		m.SetRunHook(func(steps int64) error {
+			if steps >= 2500 {
+				return trap.New(trap.KindCancelled, "sim", "cancelled at %d", steps)
+			}
+			return nil
+		}, 100)
+	}
+	cases := []struct {
+		name  string
+		prog  *isa.Program
+		arm   func(*sim.Machine)
+		count int // records committed before the trap; -1 runs to HALT
+	}{
+		{"clean", clean, func(*sim.Machine) {}, -1},
+		{"divide-by-zero", loopProg(isa.Inst{Op: isa.DIV, Rd: 2, Rs: 2, Rt: 0}), func(*sim.Machine) {}, len(ref) - 3},
+		{"step-limit", clean, func(m *sim.Machine) { m.SetStepLimit(1000) }, 1000},
+		{"cancel-hook", clean, cancelAt, 2499},
+	}
+	for _, c := range cases {
+		rm := sim.New(c.prog)
+		c.arm(rm)
+		runRes, runErr := rm.Run()
+		for _, size := range []int{1, 3, 4096} {
+			m := sim.New(c.prog)
+			c.arm(m)
+			recs, res, err := stepAll(m, size)
+			name := fmt.Sprintf("%s/buffer %d", c.name, size)
+			if c.count < 0 {
+				if err != nil || !reflect.DeepEqual(res, runRes) {
+					t.Errorf("%s: Step gave result %+v, error %v; Run gave %+v", name, res, err, runRes)
+				}
+				if !reflect.DeepEqual(recs, ref) {
+					t.Errorf("%s: record stream differs from the 4096-record reference", name)
+				}
+				continue
+			}
+			if runErr == nil || err == nil || err.Error() != runErr.Error() || res != nil {
+				t.Errorf("%s: Step error %v, Run error %v", name, err, runErr)
+			}
+			if !reflect.DeepEqual(recs, ref[:c.count]) {
+				t.Errorf("%s: %d records before the trap, want the first %d of the clean stream", name, len(recs), c.count)
+			}
 		}
 	}
 }

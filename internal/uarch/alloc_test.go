@@ -2,6 +2,7 @@ package uarch_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"fpint/internal/codegen"
@@ -42,7 +43,7 @@ func TestPipelineZeroSteadyStateAllocs(t *testing.T) {
 					m.SetRunHook(func(int64) error { return nil }, 256)
 					m.SetStepLimit(1 << 40)
 				}
-				// Warm up: first run grows the pending buffer, stats map,
+				// Warm up: first run grows the static table, stats map,
 				// and timeline columns to their steady-state capacity.
 				if _, _, err := m.Run(res.Prog); err != nil {
 					t.Fatalf("warm-up run: %v", err)
@@ -56,6 +57,44 @@ func TestPipelineZeroSteadyStateAllocs(t *testing.T) {
 					t.Errorf("%s: warm machine allocated %.1f times per run, want 0", name, allocs)
 				}
 			})
+		}
+	}
+}
+
+// TestRunSampledAllocsIndependentOfLength pins the fast mode's allocation
+// profile on a warm machine: a run allocates a fixed set (the sampler, its
+// strata and the estimate's histograms), so a program four times longer —
+// more warming batches, more windows — allocates exactly as often. A
+// per-batch or per-window allocation fails it.
+func TestRunSampledAllocsIndependentOfLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; AllocsPerRun is only meaningful without -race")
+	}
+	long := strings.Replace(loopSrc, "rep < 30", "rep < 120", 1)
+	if long == loopSrc {
+		t.Fatal("loop kernel has no trip count to lengthen")
+	}
+	sc := uarch.DefaultSampleConfig()
+	for _, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
+		var allocs [2]float64
+		for i, src := range []string{loopSrc, long} {
+			res, _, err := codegen.CompileSource(src, codegen.Options{Scheme: codegen.SchemeAdvanced, Analysis: true})
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			m := uarch.NewMachine(cfg)
+			_, ss, err := m.RunSampled(res.Prog, sc)
+			if err != nil || ss.Exact {
+				t.Fatalf("%s: warm-up run: exact %v, err %v", cfg.Name, ss.Exact, err)
+			}
+			allocs[i] = testing.AllocsPerRun(3, func() {
+				if _, _, err := m.RunSampled(res.Prog, sc); err != nil {
+					t.Fatalf("run: %v", err)
+				}
+			})
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s: %v allocations per run on the loop kernel, %v on one 4x longer", cfg.Name, allocs[0], allocs[1])
 		}
 	}
 }
@@ -104,8 +143,8 @@ int main() {
 			return nil
 		}},
 		{"step-limit trap", func(m *uarch.Machine) error {
-			// Aborted mid-run: past Feed's first 16384-event batch, so the
-			// pipeline has stepped and is left full, never drained.
+			// Aborted mid-run: many record batches in, so the pipeline
+			// has stepped and is left full, never drained.
 			m.SetStepLimit(50000)
 			defer m.SetStepLimit(0)
 			if _, _, err := m.Run(progA.Prog); err == nil {

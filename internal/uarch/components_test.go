@@ -5,11 +5,8 @@ import (
 	"testing/quick"
 
 	"fpint/internal/codegen"
-	"fpint/internal/sim"
 	"fpint/internal/uarch"
 )
-
-func simNew(res *codegen.Result) *sim.Machine { return sim.New(res.Prog) }
 
 func TestCacheHitAfterFill(t *testing.T) {
 	c := uarch.NewCache(1024, 2, 32)
@@ -189,14 +186,12 @@ func TestJournalRecordsPipelineOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := simNew(res)
-	p := uarch.NewPipeline(uarch.Config4Way())
-	j := p.AttachJournal(200)
-	m.Trace = p.Feed
-	if _, err := m.Run(); err != nil {
+	m := uarch.NewMachine(uarch.Config4Way())
+	m.SetJournalLimit(200)
+	if _, _, err := m.Run(res.Prog); err != nil {
 		t.Fatal(err)
 	}
-	p.Finish()
+	j := m.Journal()
 	if len(j.Entries) != 200 {
 		t.Fatalf("journal has %d entries, want 200", len(j.Entries))
 	}

@@ -35,17 +35,17 @@ func TestParseConfig(t *testing.T) {
 
 // TestNewPipelineRingLimit pins the ROB ring's capacity: a config may hold
 // at most 128 uncommitted instructions (MaxInFlight dispatched plus the
-// 2·FetchWidth fetch buffer), and NewPipeline refuses one that holds more.
+// 2·FetchWidth fetch buffer), and NewMachine refuses one that holds more.
 // TestSchedulerLegality runs a config at exactly the limit.
 func TestNewPipelineRingLimit(t *testing.T) {
 	cfg := uarch.Config8Way()
 	cfg.MaxInFlight = 128 - 2*cfg.FetchWidth
-	uarch.NewPipeline(cfg)
+	uarch.NewMachine(cfg)
 	cfg.MaxInFlight++
 	defer func() {
 		if recover() == nil {
-			t.Errorf("NewPipeline accepted %d in flight + %d fetch buffer > 128", cfg.MaxInFlight, 2*cfg.FetchWidth)
+			t.Errorf("NewMachine accepted %d in flight + %d fetch buffer > 128", cfg.MaxInFlight, 2*cfg.FetchWidth)
 		}
 	}()
-	uarch.NewPipeline(cfg)
+	uarch.NewMachine(cfg)
 }

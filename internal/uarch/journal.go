@@ -24,17 +24,17 @@ type JournalEntry struct {
 	Misp     bool // mispredicted conditional branch
 }
 
-// Journal collects the first N committed instructions' timings when
-// attached to a pipeline with AttachJournal.
+// Journal collects the first N committed instructions' timings of a
+// detailed run armed with Machine.SetJournalLimit.
 type Journal struct {
 	Limit   int
 	Entries []JournalEntry
 }
 
-// AttachJournal starts recording the first limit committed instructions.
+// attachJournal starts recording the first limit committed instructions.
 // The entry buffer is preallocated to the limit, so recording itself does
 // not allocate.
-func (p *Pipeline) AttachJournal(limit int) *Journal {
+func (p *pipeline) attachJournal(limit int) *Journal {
 	p.journal = &Journal{Limit: limit, Entries: make([]JournalEntry, 0, limit)}
 	return p.journal
 }

@@ -9,16 +9,16 @@ import (
 // Machine couples a reusable functional simulator with a reusable timing
 // pipeline for one machine configuration. Build one with NewMachine and
 // call Run repeatedly: the memory arena, ROB ring, cache and predictor
-// tables, statistics buffers, and trace plumbing are all allocated once,
-// so a warm machine simulates without heap traffic — the property
-// TestPipelineZeroSteadyStateAllocs pins.
+// tables, statistics buffers, static instruction table and record buffer
+// are all allocated once, so a warm machine simulates without heap
+// traffic — the property TestPipelineZeroSteadyStateAllocs pins.
 //
 // The returned sim.Result and the slices inside Stats are machine-owned
 // and valid only until the machine's next Run; copy them to keep them.
 // Results are cycle-identical to the fresh-machine Run helpers below.
 type Machine struct {
 	cfg  Config
-	pipe *Pipeline
+	pipe *pipeline
 	fm   *sim.Machine
 
 	// Flight recorder (see SetTimelineWidth): machine-owned and recycled
@@ -39,9 +39,7 @@ type Machine struct {
 
 // NewMachine builds a reusable functional+timing machine for cfg.
 func NewMachine(cfg Config) *Machine {
-	m := &Machine{cfg: cfg, pipe: NewPipeline(cfg), fm: sim.NewMachine()}
-	m.fm.Trace = m.pipe.Feed
-	return m
+	return &Machine{cfg: cfg, pipe: newPipeline(cfg), fm: sim.NewMachine()}
 }
 
 // Config returns the machine configuration.
@@ -89,12 +87,14 @@ func (m *Machine) Journal() *Journal { return m.journal }
 // remains valid across later runs.
 func (m *Machine) Profile() *CycleProfile { return m.profile }
 
-// reset readies the pipeline, the flight recorder, and the functional
-// simulator for a run of prog, dropping the previous run's journal and
-// profile. The step budget is re-applied after the functional Reset, which
-// restores the simulator's default; the run hook survives Reset.
+// reset readies the pipeline, its static table, the flight recorder, and
+// the functional simulator for a run of prog, dropping the previous run's
+// journal and profile. The step budget is re-applied after the functional
+// Reset, which restores the simulator's default; the run hook survives
+// Reset.
 func (m *Machine) reset(prog *isa.Program) {
-	m.pipe.Reset()
+	m.pipe.reset()
+	m.pipe.decode(prog)
 	if m.tlWidth > 0 {
 		m.rec.reset(m.tlWidth)
 		m.pipe.rec = m.rec
@@ -111,18 +111,28 @@ func (m *Machine) reset(prog *isa.Program) {
 // statistics.
 func (m *Machine) Run(prog *isa.Program) (*sim.Result, Stats, error) {
 	m.reset(prog)
+	p := m.pipe
 	if m.journalLimit > 0 {
-		m.journal = m.pipe.AttachJournal(m.journalLimit)
+		m.journal = p.attachJournal(m.journalLimit)
 	}
 	if m.profiling {
 		m.profile = NewCycleProfile()
 	}
-	m.pipe.profile, m.pipe.faults = m.profile, m.faults
-	res, err := m.fm.Run()
-	if err != nil {
-		return nil, Stats{}, err
+	p.profile, p.faults = m.profile, m.faults
+	for {
+		n, res, err := m.fm.Step(p.pending[len(p.pending) : len(p.pending)+batchSize])
+		p.pending = p.pending[:len(p.pending)+n]
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		if res != nil {
+			return res, p.finish(), nil
+		}
+		for len(p.pending)-p.pendHead > lookahead {
+			p.step()
+		}
+		p.compact()
 	}
-	return res, m.pipe.Finish(), nil
 }
 
 // Run executes prog functionally while driving the timing model on a fresh

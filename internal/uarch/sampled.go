@@ -50,9 +50,9 @@ func DefaultSampleConfig() SampleConfig {
 	return SampleConfig{Period: 4, Width: 500, Warmup: 200, Seed: 1}
 }
 
-// windowCap bounds Warmup+Width so a detailed window always fits the
-// pipeline's pending buffer without triggering mid-window stepping that
-// would skip the warmup/measure boundary snapshot.
+// windowCap bounds Warmup+Width: the sampler steps a whole detailed window
+// into the pipeline's pending buffer, whose capacity is fixed when the
+// machine is built, before timing it.
 const windowCap = 8000
 
 // The stratum precision target. A stratum converges, and the period
@@ -192,24 +192,23 @@ func (st *stratum) converged() bool {
 	return halfWidth <= relCITarget*st.cpiMean
 }
 
-// sampler drives the stratified detailed-window state machine from the
-// functional simulator's trace callback.
+// sampler drives the stratified detailed-window state machine over the
+// functional simulator's record stream.
 type sampler struct {
-	pipe *Pipeline
+	pipe *pipeline
 	sc   SampleConfig
 
 	n int64 // next dynamic instruction index
 
-	inWindow  bool
 	winStart  int64  // first instruction of the current/next window
 	measStart int64  // first measured instruction of that window
 	winEnd    int64  // first instruction past the window
 	phaseHash uint64 // seed-derived; reduced modulo each stratum's period
 	group     int64  // next period-group of the current stratum
 	groups    int64  // period-groups scheduled so far, across strata
-	winFed    int64  // events fed to the pipeline in the current window
+	winFed    int64  // records stepped into the current window
 	instrBase int64  // pipeline committed-instruction count at window entry
-	detailed  int64  // events fed to the pipeline over all windows
+	detailed  int64  // records timed in detail over all windows
 
 	lastLine int64 // functional I-cache warming: last line probed
 
@@ -217,7 +216,7 @@ type sampler struct {
 	strata []stratum
 }
 
-func newSampler(p *Pipeline, sc SampleConfig) *sampler {
+func newSampler(p *pipeline, sc SampleConfig) *sampler {
 	s := &sampler{pipe: p, sc: sc, lastLine: -1, phaseHash: splitmix64(sc.Seed)}
 	s.strata = append(make([]stratum, 0, 4), stratum{period: int64(sc.Period)})
 	s.schedule()
@@ -268,57 +267,67 @@ func (s *sampler) maybeDouble() {
 	s.group = 0
 }
 
-// feed is the sim.Machine trace callback in fast mode.
-func (s *sampler) feed(ev sim.Event) {
-	n := s.n
-	s.n++
-	if !s.inWindow {
-		if n < s.winStart {
-			s.warm(&ev)
-			return
+// run drives a fast-mode run to HALT. Up to each window's start the
+// functional machine steps into the idle pending buffer and the records
+// only warm the predictor and caches; the window's records are then
+// stepped straight into pending, whole, and timed by closeWindow.
+func (s *sampler) run(fm *sim.Machine) (*sim.Result, error) {
+	p := s.pipe
+	for {
+		for s.n < s.winStart {
+			buf := p.pending[:min(s.winStart-s.n, batchSize)]
+			n, res, err := fm.Step(buf)
+			s.warm(buf[:n])
+			s.n += int64(n)
+			if res != nil || err != nil {
+				return res, err
+			}
 		}
-		s.enterWindow()
-	}
-	s.pipe.Feed(ev)
-	s.winFed++
-	if s.n == s.winEnd {
+		s.instrBase = p.stats.Instructions
+		p.resetCore()
+		n, res, err := fm.Step(p.pending[:s.winEnd-s.n])
+		if err != nil {
+			return nil, err
+		}
+		p.pending = p.pending[:n]
+		s.n += int64(n)
+		s.winFed = int64(n)
 		s.closeWindow()
+		if res != nil {
+			return res, nil
+		}
 	}
 }
 
 // warm trains the long-lived microarchitectural state — branch predictor,
-// D-cache, I-cache — on a functionally executed instruction, mirroring
+// D-cache, I-cache — on functionally executed instructions, mirroring
 // what the detailed front end and load/store unit would have done.
-func (s *sampler) warm(ev *sim.Event) {
+func (s *sampler) warm(recs []sim.Record) {
 	p := s.pipe
-	line := (int64(ev.PC) * 8) / int64(p.cfg.ICacheLine)
-	if line != s.lastLine {
-		s.lastLine = line
-		p.icache.Access(int64(ev.PC)*8, false)
-	}
-	if isa.IsCondBranch(ev.Op) {
-		p.bpred.PredictAndUpdate(ev.PC, ev.Taken)
-	} else if isa.IsLoad(ev.Op) {
-		p.dcache.Access(ev.MemAddr, false)
-	} else if isa.IsStore(ev.Op) {
-		p.dcache.Access(ev.MemAddr, true)
+	for i := range recs {
+		r := &recs[i]
+		si := &p.static[r.PC]
+		if si.line != s.lastLine {
+			s.lastLine = si.line
+			p.icache.Access(int64(r.PC)*8, false)
+		}
+		switch {
+		case si.flags&fCondBranch != 0:
+			p.bpred.PredictAndUpdate(int(r.PC), r.Taken)
+		case si.flags&fIsLoad != 0:
+			p.dcache.Access(r.MemAddr, false)
+		case si.flags&fIsStore != 0:
+			p.dcache.Access(r.MemAddr, true)
+		}
 	}
 }
 
-// enterWindow resets the pipeline's structural state (keeping predictor
-// and cache contents) and starts feeding it detailed events.
-func (s *sampler) enterWindow() {
-	s.inWindow = true
-	s.winFed = 0
-	s.instrBase = s.pipe.stats.Instructions
-	s.pipe.resetCore()
-}
-
-// closeWindow drains the pipeline, snapshotting the ledger and the fetch
-// stall counters at the warmup/measure boundary so only the measured
-// instructions' cycles are accumulated into the current stratum, then
-// doubles the period if the stratum has converged and schedules the next
-// window.
+// closeWindow times the window buffered in pending, snapshotting the
+// ledger and the fetch stall counters at the warmup/measure boundary so
+// only the measured instructions' cycles are accumulated into the current
+// stratum, then doubles the period if the stratum has converged and
+// schedules the next window. A window cut short by HALT measures what it
+// holds.
 func (s *sampler) closeWindow() {
 	p := s.pipe
 	warmCount := s.measStart - s.winStart
@@ -358,25 +367,16 @@ func (s *sampler) closeWindow() {
 		}
 		s.maybeDouble()
 	}
-	s.inWindow = false
 	s.lastLine = -1
 	s.schedule()
-}
-
-// finish closes a window left open when the program halted mid-window.
-func (s *sampler) finish() {
-	if s.inWindow {
-		s.winEnd = s.n
-		s.closeWindow()
-	}
 }
 
 // resetCore restores the pipeline's structural state (ROB, ready set,
 // store queue, pending queue, rename table, fetch/fault state, occupancy
 // counters) for a new detailed window while preserving the clock, the
-// branch predictor, the caches, and the accumulated statistics. Reset
+// branch predictor, the caches, and the accumulated statistics. reset
 // calls it as part of the full reset.
-func (p *Pipeline) resetCore() {
+func (p *pipeline) resetCore() {
 	p.pending = p.pending[:0]
 	p.pendHead = 0
 	p.head, p.tail, p.dispatch, p.unissued = 0, 0, 0, 0
@@ -412,15 +412,12 @@ func (m *Machine) RunSampled(prog *isa.Program, sc SampleConfig) (*sim.Result, S
 	}
 	m.reset(prog)
 	s := newSampler(m.pipe, sc)
-	m.fm.Trace = s.feed
-	res, err := m.fm.Run()
-	m.fm.Trace = m.pipe.Feed
+	res, err := s.run(m.fm)
 	if err != nil {
 		return nil, SampledStats{}, err
 	}
-	s.finish()
 	if m.pipe.rec != nil {
-		// Fast mode never calls Pipeline.Finish; close the recorder's
+		// Fast mode never calls pipeline.finish; close the recorder's
 		// final partial window here. The recorded windows cover the
 		// detailed (warmup+measured) cycles only — the caller flags the
 		// built timeline as estimated.

@@ -65,7 +65,7 @@ func (c StallCause) String() string {
 
 // accountIssue records the issue-slot utilization of the cycle and, when
 // nothing issued, attributes the cycle to a stall cause.
-func (p *Pipeline) accountIssue(issued int) {
+func (p *pipeline) accountIssue(issued int) {
 	if issued >= len(p.stats.IssueSlotCycles) {
 		issued = len(p.stats.IssueSlotCycles) - 1
 	}
@@ -109,7 +109,7 @@ func (p *Pipeline) accountIssue(issued int) {
 // dispatch-stuck instruction (rule 4), or the draining commit head (rule
 // 5). Fill/drain cycles (rule 6) have no responsible instruction and
 // return UnknownPC.
-func (p *Pipeline) classifyStall() (StallCause, isa.Subsystem, int) {
+func (p *pipeline) classifyStall() (StallCause, isa.Subsystem, int) {
 	// 0. Fault recovery: the front end is squashed behind a parity flush,
 	// waiting for the faulted instruction to finish replaying. Charged to
 	// the faulted instruction.
@@ -159,7 +159,7 @@ func (p *Pipeline) classifyStall() (StallCause, isa.Subsystem, int) {
 	if p.icacheStallUntil > p.cycle {
 		pc := UnknownPC
 		if p.pendHead < len(p.pending) {
-			pc = p.pending[p.pendHead].PC // the fetch that missed
+			pc = int(p.pending[p.pendHead].PC) // the fetch that missed
 		}
 		return StallICache, isa.SubINT, pc
 	}
@@ -204,7 +204,7 @@ func (p *Pipeline) classifyStall() (StallCause, isa.Subsystem, int) {
 
 // sampleOccupancy records the end-of-cycle occupancy of the issue windows
 // and the in-flight (ROB) count.
-func (p *Pipeline) sampleOccupancy() {
+func (p *pipeline) sampleOccupancy() {
 	clamp := func(n, hi int) int {
 		if n < 0 {
 			return 0

@@ -12,22 +12,21 @@ import (
 	"fpint/internal/uarch"
 )
 
-// timeWithJournal compiles src, attaches a journal, and runs the timing
-// model, returning both the stats and the journal.
+// timeWithJournal compiles src and runs the timing model with a journal
+// armed, returning both the stats and the journal.
 func timeWithJournal(t *testing.T, src string, scheme codegen.Scheme, cfg uarch.Config, limit int) (uarch.Stats, *uarch.Journal) {
 	t.Helper()
 	res, _, err := codegen.CompileSource(src, codegen.Options{Scheme: scheme})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	p := uarch.NewPipeline(cfg)
-	j := p.AttachJournal(limit)
-	m := simNew(res)
-	m.Trace = p.Feed
-	if _, err := m.Run(); err != nil {
+	m := uarch.NewMachine(cfg)
+	m.SetJournalLimit(limit)
+	_, st, err := m.Run(res.Prog)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return p.Finish(), j
+	return st, m.Journal()
 }
 
 // Every non-issuing cycle must be attributed to exactly one stall cause:

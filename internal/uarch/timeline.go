@@ -31,7 +31,7 @@ type tlSnapshot struct {
 	stalls       [3][NumStallCauses]int64
 }
 
-func (s *tlSnapshot) capture(p *Pipeline) {
+func (s *tlSnapshot) capture(p *pipeline) {
 	s.cycle = p.cycle
 	s.instructions = p.stats.Instructions
 	s.issueActive = p.stats.IssueActiveCycles
@@ -135,7 +135,7 @@ func (r *TimelineRecorder) reset(width int64) {
 // one window, and advances the boundary. Called from the pipeline's
 // per-cycle step when the clock reaches nextBoundary, and from flush for
 // the final partial window.
-func (r *TimelineRecorder) roll(p *Pipeline) {
+func (r *TimelineRecorder) roll(p *pipeline) {
 	var now tlSnapshot
 	now.capture(p)
 	b := &r.base
@@ -170,7 +170,7 @@ func (r *TimelineRecorder) roll(p *Pipeline) {
 
 // flush closes the final partial window, if any cycles have elapsed since
 // the last boundary. Idempotent; called when the pipeline drains.
-func (r *TimelineRecorder) flush(p *Pipeline) {
+func (r *TimelineRecorder) flush(p *pipeline) {
 	if r.closed {
 		return
 	}

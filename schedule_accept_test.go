@@ -14,9 +14,11 @@ import (
 )
 
 // TestSchedulerLegality checks the out-of-order schedule itself, not only
-// its totals. A full-length journal is zipped with the functional event
-// stream, which names each instruction's registers, and every committed
-// instruction must respect:
+// its totals. A full-length journal is zipped with the functional record
+// stream (the same PCs in the same order), each instruction's registers
+// come from isa.Operands — whose agreement with the functional simulator
+// TestOperandSoundness checks — and every committed instruction must
+// respect:
 //   - register dataflow: it issues no earlier than the DoneAt of the last
 //     older writer of each source;
 //   - memory ordering: a load issues no earlier than every older store;
@@ -51,20 +53,29 @@ func TestSchedulerLegality(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			var events []sim.Event
+			var pcs []int32
 			fm := sim.New(res.Prog)
-			fm.Trace = func(ev sim.Event) { events = append(events, ev) }
-			if _, err := fm.Run(); err != nil {
-				t.Fatalf("functional run: %v", err)
+			buf := make([]sim.Record, 4096)
+			for {
+				n, halted, err := fm.Step(buf)
+				if err != nil {
+					t.Fatalf("functional run: %v", err)
+				}
+				for _, r := range buf[:n] {
+					pcs = append(pcs, r.PC)
+				}
+				if halted != nil {
+					break
+				}
 			}
 			for _, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
-				checkSchedule(t, cfg, res.Prog, events, nil)
+				checkSchedule(t, cfg, res.Prog, pcs, nil)
 			}
 			if name != "sort" {
 				return
 			}
 			plan := faultinject.NewPlan(faultinject.Config{Seed: 3, Rate: 0.01})
-			checkSchedule(t, uarch.Config4Way(), res.Prog, events, plan)
+			checkSchedule(t, uarch.Config4Way(), res.Prog, pcs, plan)
 			flushes := 0
 			for _, f := range plan.Trace() {
 				if f.Kind.Flushes() {
@@ -74,27 +85,27 @@ func TestSchedulerLegality(t *testing.T) {
 			if flushes == 0 {
 				t.Error("fault plan injected no flush: the squash path went unchecked")
 			}
-			checkSchedule(t, small, res.Prog, events, nil)
-			checkSchedule(t, fullRing, res.Prog, events, nil)
+			checkSchedule(t, small, res.Prog, pcs, nil)
+			checkSchedule(t, fullRing, res.Prog, pcs, nil)
 		})
 	}
 }
 
 // checkSchedule runs prog on cfg with a journal covering every instruction
-// and checks the schedule against the functional events (see
+// and checks the schedule against the functional PC stream (see
 // TestSchedulerLegality).
-func checkSchedule(t *testing.T, cfg uarch.Config, prog *isa.Program, events []sim.Event, plan *faultinject.Plan) {
+func checkSchedule(t *testing.T, cfg uarch.Config, prog *isa.Program, pcs []int32, plan *faultinject.Plan) {
 	t.Helper()
 	m := uarch.NewMachine(cfg)
-	m.SetJournalLimit(len(events))
+	m.SetJournalLimit(len(pcs))
 	m.SetFaultPlan(plan)
 	_, st, err := m.Run(prog)
 	if err != nil {
 		t.Fatalf("%s: %v", cfg.Name, err)
 	}
 	j := m.Journal().Entries
-	if len(j) != len(events) || st.Instructions != int64(len(events)) {
-		t.Fatalf("%s: journal %d entries, %d committed, want %d", cfg.Name, len(j), st.Instructions, len(events))
+	if len(j) != len(pcs) || st.Instructions != int64(len(pcs)) {
+		t.Fatalf("%s: journal %d entries, %d committed, want %d", cfg.Name, len(j), st.Instructions, len(pcs))
 	}
 	// Per-cycle issue counts: total, INT ALUs, FP ALUs, load/store ports.
 	issued := make([][4]int, st.Cycles+1)
@@ -111,11 +122,11 @@ func checkSchedule(t *testing.T, cfg uarch.Config, prog *isa.Program, events []s
 		}
 	}
 	for i, e := range j {
-		ev := events[i]
-		if e.PC != ev.PC || e.Op != ev.Op {
-			t.Fatalf("%s: journal entry %d (pc %d %v) is not trace event pc %d %v", cfg.Name, i, e.PC, e.Op, ev.PC, ev.Op)
+		if e.PC != int(pcs[i]) || e.Op != prog.Insts[e.PC].Op {
+			t.Fatalf("%s: journal entry %d (pc %d %v) is not functional record pc %d %v", cfg.Name, i, e.PC, e.Op, pcs[i], prog.Insts[pcs[i]].Op)
 		}
-		for _, src := range [2]int16{ev.Src1, ev.Src2} {
+		dst, src1, src2 := isa.Operands(&prog.Insts[e.PC])
+		for _, src := range [2]int16{src1, src2} {
 			if src < 0 || lastWriter[src] < 0 {
 				continue
 			}
@@ -123,19 +134,19 @@ func checkSchedule(t *testing.T, cfg uarch.Config, prog *isa.Program, events []s
 				fail("seq %d issues at %d before its producer seq %d is done at %d", e.Seq, e.IssueAt, w.Seq, w.DoneAt)
 			}
 		}
-		if isa.IsLoad(ev.Op) && e.IssueAt < storeIssue {
+		if isa.IsLoad(e.Op) && e.IssueAt < storeIssue {
 			fail("load seq %d issues at %d before an older store issued at %d", e.Seq, e.IssueAt, storeIssue)
 		}
-		if isa.IsStore(ev.Op) {
+		if isa.IsStore(e.Op) {
 			storeIssue = max(storeIssue, e.IssueAt)
 		}
-		if ev.Dst >= 0 {
-			lastWriter[ev.Dst] = i
+		if dst >= 0 {
+			lastWriter[dst] = i
 		}
 		u := &issued[e.IssueAt]
 		u[0]++
 		switch {
-		case isa.IsMem(ev.Op):
+		case isa.IsMem(e.Op):
 			u[3]++
 		case e.Sub == isa.SubINT:
 			u[1]++
