@@ -44,7 +44,8 @@ func BenchmarkPipelineLoop(b *testing.B) {
 // comparison point for BenchmarkPipelineLoop (same workload, same configs;
 // the gap is what sampling buys). Also a steady-state allocation watch for
 // the fast path: allocs/op must stay a small constant (the sampler struct
-// and the estimate's rescaled histograms), independent of program length.
+// and the estimate's rescaled histograms), independent of program length,
+// as TestRunSampledAllocsIndependentOfLength checks.
 func BenchmarkRunSampled(b *testing.B) {
 	res, _, err := codegen.CompileSource(loopSrc, codegen.Options{Scheme: codegen.SchemeAdvanced, Analysis: true})
 	if err != nil {
