@@ -279,7 +279,7 @@ func (m *Machine) callFunc(fn *ir.Func, args []value) (value, error) {
 				regs[in.Dst] = value{i: int64(regs[in.Args[0]].f)}
 			case ir.OpLoad:
 				addr := regs[in.Args[0]].i + in.Imm
-				if addr < 0 || addr+8 > memSize {
+				if addr < 0 || addr > memSize-wordBytes {
 					return value{}, trap.New(trap.KindOutOfBounds, "interp", "load out of range at %#x in %s", addr, fn.Name)
 				}
 				m.loads++
@@ -290,7 +290,7 @@ func (m *Machine) callFunc(fn *ir.Func, args []value) (value, error) {
 				}
 			case ir.OpStore:
 				addr := regs[in.Args[1]].i + in.Imm
-				if addr < 0 || addr+8 > memSize {
+				if addr < 0 || addr > memSize-wordBytes {
 					return value{}, trap.New(trap.KindOutOfBounds, "interp", "store out of range at %#x in %s", addr, fn.Name)
 				}
 				m.stores++

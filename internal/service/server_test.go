@@ -29,6 +29,14 @@ int z;
 int main() { return 7 / z; }
 `
 
+// wrapSrc indexes a word 7 bytes below MaxInt64: a bounds check written
+// as addr+8 > size overflows there.
+const wrapSrc = `
+int a[4];
+int idx = 1152921504606846974;
+int main() { return a[idx]; }
+`
+
 const slowSrc = `
 int acc;
 int main() {
@@ -91,6 +99,7 @@ func TestJobStatuses(t *testing.T) {
 		{"source and workload", "/v1/compile", `{"source": "x", "workload": "compress"}`, 400, "usage"},
 		{"timing on compile", "/v1/compile", `{"source": "x", "timing": "fast"}`, 400, "usage"},
 		{"trap program", "/v1/simulate", `{"source": ` + jsonStr(trapSrc) + `, "timing": "functional"}`, 422, "input"},
+		{"address near MaxInt64", "/v1/compile", `{"source": ` + jsonStr(wrapSrc) + `}`, 422, "input"},
 		{"over budget", "/v1/simulate", `{"source": ` + jsonStr(slowSrc) + `, "timing": "functional", "stepBudget": 1000}`, 422, "input"},
 		{"deadline exceeded", "/v1/simulate", `{"source": ` + jsonStr(slowSrc) + `, "timing": "functional", "deadlineMs": 1}`, 422, "input"},
 		{"panic job", "/v1/compile", `{"panic": true}`, 500, "internal"},

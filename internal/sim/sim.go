@@ -416,9 +416,10 @@ func (m *Machine) Step(buf []Record) (n int, res *Result, err error) {
 	return n, nil, nil
 }
 
-// checkAddr traps a memory access outside the arena.
+// checkAddr traps a memory access outside the arena. The bound is written
+// so that no address, however large, can overflow it.
 func (m *Machine) checkAddr(addr int64, in *isa.Inst) error {
-	if addr < 0 || addr+8 > MemSize {
+	if addr < 0 || addr > MemSize-8 {
 		return trap.New(trap.KindOutOfBounds, "sim", "memory access %#x out of range at PC %d (%s)", addr, m.PC, in)
 	}
 	return nil

@@ -34,6 +34,15 @@ int main() { return a[idx]; }`},
 int a[4];
 int idx = 1073741824;
 int main() { a[idx] = 1; return 0; }`},
+	// a[idx] sits 7 bytes below MaxInt64, where addr+8 wraps negative.
+	{trap.KindOutOfBounds, "load-maxint", `
+int a[4];
+int idx = 1152921504606846974;
+int main() { return a[idx]; }`},
+	{trap.KindOutOfBounds, "store-maxint", `
+int a[4];
+int idx = 1152921504606846974;
+int main() { a[idx] = 1; return 0; }`},
 	{trap.KindStepLimit, "loop", `
 int main() {
 	int x = 0;
