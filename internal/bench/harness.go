@@ -90,10 +90,12 @@ type Suite struct {
 	fastSum FastSummary
 }
 
+// frontRes is one frontend's output. ref is the frontend's self-profile
+// run: its Profile feeds the cost model and its Ret and Output are the
+// interpreter reference every timed run is checked against.
 type frontRes struct {
-	mod  *ir.Module
-	prof *interp.Profile
-	ref  *interp.Result
+	mod *ir.Module
+	ref *interp.Result
 }
 
 // NewSuite returns an empty measurement cache.
@@ -125,15 +127,11 @@ func (s *Suite) frontend(w *Workload) (*frontRes, error) {
 	if fr, ok := s.front[w.Src]; ok {
 		return fr, nil
 	}
-	mod, prof, err := codegen.FrontendPipeline(w.Src)
+	mod, ref, err := codegen.FrontendPipelineBudgeted(w.Src, nil, codegen.FrontendBudget{})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	ref, err := interp.New(mod).Run()
-	if err != nil {
-		return nil, fmt.Errorf("%s: reference run: %w", w.Name, err)
-	}
-	fr := &frontRes{mod: mod, prof: prof, ref: ref}
+	fr := &frontRes{mod: mod, ref: ref}
 	s.front[w.Src] = fr
 	return fr, nil
 }
@@ -162,7 +160,7 @@ func (s *Suite) compile(w *Workload, opts codegen.Options) (*codegen.Result, err
 	if err != nil {
 		return nil, err
 	}
-	opts.Profile = fr.prof
+	opts.Profile = fr.ref.Profile
 	res, err := codegen.Compile(fr.mod, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", w.Name, opts.Scheme, err)
@@ -456,7 +454,7 @@ func (s *Suite) SliceStats(ws []Workload) ([]SliceRow, error) {
 		}
 		var total, ldst, br, sv float64
 		for _, fn := range fr.mod.Funcs {
-			g := core.BuildGraph(fn, fr.prof)
+			g := core.BuildGraph(fn, fr.ref.Profile)
 			st := g.ComputeSliceStats()
 			total += st.TotalWeight
 			ldst += st.LdStWeight

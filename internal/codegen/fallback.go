@@ -123,12 +123,12 @@ func CompileWithFallback(mod *ir.Module, opts Options) (*Result, error) {
 // Frontend stages report to opts.PassLog when one is attached, so a traced
 // compile+simulate job carries the full frontend→backend span sequence.
 func CompileSourceWithFallback(src string, opts Options) (*Result, *ir.Module, error) {
-	mod, prof, err := FrontendPipelineBudgeted(src, opts.PassLog, opts.Frontend)
+	mod, run, err := FrontendPipelineBudgeted(src, opts.PassLog, opts.Frontend)
 	if err != nil {
 		return nil, nil, fperr.Wrap(fperr.ClassInput, err)
 	}
 	if opts.Profile == nil {
-		opts.Profile = prof
+		opts.Profile = run.Profile
 	}
 	r, err := CompileWithFallback(mod, opts)
 	return r, mod, err

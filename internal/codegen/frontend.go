@@ -41,12 +41,19 @@ type FrontendBudget struct {
 // record (name, unit, wall time, IR instruction delta) to plog. A nil plog
 // disables instrumentation.
 func FrontendPipelineObserved(src string, plog *obs.PassLog) (*ir.Module, *interp.Profile, error) {
-	return FrontendPipelineBudgeted(src, plog, FrontendBudget{})
+	mod, res, err := FrontendPipelineBudgeted(src, plog, FrontendBudget{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return mod, res.Profile, nil
 }
 
 // FrontendPipelineBudgeted is FrontendPipelineObserved with the
-// self-profile run bounded by budget.
-func FrontendPipelineBudgeted(src string, plog *obs.PassLog, budget FrontendBudget) (*ir.Module, *interp.Profile, error) {
+// self-profile run bounded by budget. It returns that run's whole result,
+// not just its Profile: with a zero budget the run is exactly
+// interp.New(mod).Run(), so Ret and Output serve as the interpreter
+// reference without a second run.
+func FrontendPipelineBudgeted(src string, plog *obs.PassLog, budget FrontendBudget) (*ir.Module, *interp.Result, error) {
 	stage := func(name string, mod *ir.Module, start time.Time, before int) {
 		if plog == nil {
 			return
@@ -99,7 +106,7 @@ func FrontendPipelineBudgeted(src string, plog *obs.PassLog, budget FrontendBudg
 		return nil, nil, fmt.Errorf("profile run: %w", err)
 	}
 	stage("profile", mod, start, before)
-	return mod, res.Profile, nil
+	return mod, res, nil
 }
 
 // moduleInstrs counts the module's IR instructions.

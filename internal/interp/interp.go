@@ -8,6 +8,7 @@
 package interp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -58,6 +59,9 @@ type value struct {
 type Machine struct {
 	mod *ir.Module
 
+	// mem is the low end of the arena, the bytes the run has touched: it
+	// starts at the globals' extent and grows when a store lands past its
+	// end. A byte past len(mem) has never been written and reads as 0.
 	mem        []byte
 	globalAddr map[string]int64
 	heapTop    int64 // next free byte after globals; used for frame slots
@@ -80,14 +84,17 @@ type Machine struct {
 // wordBytes is the size of every scalar value.
 const wordBytes = 8
 
-// memSize is the flat memory arena size (16 MiB), ample for all workloads.
+// memSize is the flat memory arena size (16 MiB), ample for all workloads:
+// an access outside [0, memSize-wordBytes] traps.
 const memSize = 16 << 20
+
+// minGrowth is the smallest arena a store past the end grows to.
+const minGrowth = 4 << 10
 
 // New creates a machine for mod with globals laid out and initialized.
 func New(mod *ir.Module) *Machine {
 	m := &Machine{
 		mod:        mod,
-		mem:        make([]byte, memSize),
 		globalAddr: make(map[string]int64),
 		maxStep:    2_000_000_000,
 		profile:    &Profile{Counts: make(map[string]map[int]int64)},
@@ -95,15 +102,19 @@ func New(mod *ir.Module) *Machine {
 	addr := int64(wordBytes) // keep address 0 unused
 	for _, g := range mod.Globals {
 		m.globalAddr[g.Name] = addr
-		for i, v := range g.InitInt {
-			m.storeInt(addr+int64(i)*wordBytes, v)
-		}
-		for i, v := range g.InitFlt {
-			m.storeFloat(addr+int64(i)*wordBytes, v)
-		}
 		addr += g.Words * wordBytes
 	}
 	m.heapTop = addr
+	m.mem = make([]byte, min(addr, memSize))
+	for _, g := range mod.Globals {
+		base := m.globalAddr[g.Name]
+		for i, v := range g.InitInt {
+			m.storeInt(base+int64(i)*wordBytes, v)
+		}
+		for i, v := range g.InitFlt {
+			m.storeFloat(base+int64(i)*wordBytes, v)
+		}
+	}
 	return m
 }
 
@@ -142,18 +153,39 @@ func (m *Machine) ReadGlobalFloat(name string, idx int64) float64 {
 	return m.loadFloat(m.globalAddr[name] + idx*wordBytes)
 }
 
+// storeInt writes a little-endian word, growing the arena to hold it.
+// addr must be in [0, memSize-wordBytes].
 func (m *Machine) storeInt(addr int64, v int64) {
-	for i := 0; i < 8; i++ {
-		m.mem[addr+int64(i)] = byte(v >> (8 * uint(i)))
+	if addr+wordBytes > int64(len(m.mem)) {
+		m.grow(addr + wordBytes)
 	}
+	binary.LittleEndian.PutUint64(m.mem[addr:], uint64(v))
 }
 
+// loadInt reads a little-endian word; bytes past the arena's end read 0.
+// addr must be in [0, memSize-wordBytes].
 func (m *Machine) loadInt(addr int64) int64 {
-	var v int64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | int64(m.mem[addr+int64(i)])
+	if addr+wordBytes <= int64(len(m.mem)) {
+		return int64(binary.LittleEndian.Uint64(m.mem[addr:]))
 	}
-	return v
+	var w [wordBytes]byte
+	if addr < int64(len(m.mem)) {
+		copy(w[:], m.mem[addr:])
+	}
+	return int64(binary.LittleEndian.Uint64(w[:]))
+}
+
+// grow extends the arena to at least n bytes, doubling its length and
+// capping it at memSize. The new bytes are zero, as never-written memory
+// reads.
+func (m *Machine) grow(n int64) {
+	size := max(int64(len(m.mem)), minGrowth)
+	for size < n {
+		size *= 2
+	}
+	mem := make([]byte, min(size, memSize))
+	copy(mem, m.mem)
+	m.mem = mem
 }
 
 func (m *Machine) storeFloat(addr int64, v float64) {
