@@ -167,6 +167,7 @@ func writeDiff(w io.Writer, labelA, labelB string, a, b []runstore.Record) error
 		if ra.Host != nil && rb.Host != nil && len(ra.Host.Samples) > 0 && len(rb.Host.Samples) > 0 {
 			row(obs.MetricHostMinWallNS, float64(ra.Host.MinWallNS()), float64(rb.Host.MinWallNS()), "%.0f")
 			row(obs.MetricHostMinAllocs, float64(ra.Host.MinAllocs()), float64(rb.Host.MinAllocs()), "%.0f")
+			row(obs.MetricHostMinBytes, float64(ra.Host.MinBytes()), float64(rb.Host.MinBytes()), "%.0f")
 			if k.Kind == runstore.KindSim {
 				row(obs.PrefixHost+obs.MetricHostSimsPerSec, ra.Host.SimsPerSec(ra.Guest.Cycles), rb.Host.SimsPerSec(rb.Guest.Cycles), "%.0f")
 			}
@@ -203,6 +204,7 @@ func writeDiffPair(w io.Writer, labelA, labelB string, ra, rb runstore.Record) e
 	if ra.Host != nil && rb.Host != nil && len(ra.Host.Samples) > 0 && len(rb.Host.Samples) > 0 {
 		row(obs.MetricHostMinWallNS, float64(ra.Host.MinWallNS()), float64(rb.Host.MinWallNS()), "%.0f")
 		row(obs.MetricHostMinAllocs, float64(ra.Host.MinAllocs()), float64(rb.Host.MinAllocs()), "%.0f")
+		row(obs.MetricHostMinBytes, float64(ra.Host.MinBytes()), float64(rb.Host.MinBytes()), "%.0f")
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err

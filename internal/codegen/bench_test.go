@@ -68,3 +68,15 @@ func BenchmarkCodegenHotPath(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFrontendPipeline times the whole frontend — parse, check,
+// lower, optimize and the self-profile interpreter run — on benchSrc. Its
+// bytes/op show what the interpreter's arena costs a compile.
+func BenchmarkFrontendPipeline(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := codegen.FrontendPipeline(benchSrc); err != nil {
+			b.Fatalf("frontend: %v", err)
+		}
+	}
+}

@@ -120,4 +120,5 @@ const (
 	MetricGuestCycles   = "guest.cycles"
 	MetricHostMinWallNS = PrefixHost + "min_wall_ns"
 	MetricHostMinAllocs = PrefixHost + "min_allocs"
+	MetricHostMinBytes  = PrefixHost + "min_bytes"
 )

@@ -24,8 +24,8 @@ type GateOptions struct {
 	// (exact) is the honest setting; a nonzero value is for intentionally
 	// loose gates.
 	GuestTolerancePct float64
-	// HostTolerancePct is the maximum tolerated increase in min wall time
-	// or min allocations, in percent. Host numbers are noisy; the default
+	// HostTolerancePct is the maximum tolerated increase in min wall time,
+	// min allocations or min allocated bytes, in percent. Host numbers are noisy; the default
 	// (when 0 is passed, DefaultHostTolerancePct) absorbs scheduler and GC
 	// jitter while still catching order-of-magnitude regressions.
 	HostTolerancePct float64
@@ -54,7 +54,7 @@ func (o GateOptions) withDefaults() GateOptions {
 // Delta is one compared metric of one trend line.
 type Delta struct {
 	Key       Key
-	Metric    string // obs.MetricGuestCycles, obs.MetricHostMinWallNS, obs.MetricHostMinAllocs
+	Metric    string // obs.MetricGuestCycles or one of the obs.MetricHostMin* names
 	Old, New  float64
 	Tolerance float64 // percent allowed before Regressed
 	Regressed bool
@@ -141,12 +141,21 @@ func Gate(baseline, current []Record, opts GateOptions) *GateReport {
 				(bw >= opts.MinHostWallNS || cw >= opts.MinHostWallNS)
 			rep.Deltas = append(rep.Deltas, d)
 		}
-		ba, ca := b.Host.MinAllocs(), c.Host.MinAllocs()
-		if ba > 0 || ca > 0 {
-			d := Delta{Key: k, Metric: obs.MetricHostMinAllocs,
-				Old: float64(ba), New: float64(ca), Tolerance: opts.HostTolerancePct}
-			d.Regressed = d.Pct() > d.Tolerance
-			rep.Deltas = append(rep.Deltas, d)
+		// Counts and bytes are judged apart: one large allocation barely
+		// moves the count.
+		for _, h := range []struct {
+			metric   string
+			old, new uint64
+		}{
+			{obs.MetricHostMinAllocs, b.Host.MinAllocs(), c.Host.MinAllocs()},
+			{obs.MetricHostMinBytes, b.Host.MinBytes(), c.Host.MinBytes()},
+		} {
+			if h.old > 0 || h.new > 0 {
+				d := Delta{Key: k, Metric: h.metric,
+					Old: float64(h.old), New: float64(h.new), Tolerance: opts.HostTolerancePct}
+				d.Regressed = d.Pct() > d.Tolerance
+				rep.Deltas = append(rep.Deltas, d)
+			}
 		}
 	}
 	sort.SliceStable(rep.Deltas, func(i, j int) bool {

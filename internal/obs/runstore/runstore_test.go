@@ -280,6 +280,18 @@ func TestGateVerdicts(t *testing.T) {
 		t.Fatalf("3x alloc regression not caught: %+v", reg)
 	}
 
+	// One large allocation: bytes regress while the count does not move.
+	bloated := testRecord("bbbb33334444", 5000)
+	for i := range bloated.Host.Samples {
+		bloated.Host.Samples[i].Allocs++
+		bloated.Host.Samples[i].Bytes += 16 << 20
+	}
+	rep = Gate(base, []Record{bloated}, GateOptions{})
+	reg = rep.Regressions()
+	if len(reg) != 1 || reg[0].Metric != "host.min_bytes" {
+		t.Fatalf("16 MiB byte regression not caught: %+v", reg)
+	}
+
 	// Keys on one side only are skipped, not failed.
 	other := testRecord("bbbb33334444", 5000)
 	other.Program = "sieve"
