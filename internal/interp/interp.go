@@ -59,9 +59,9 @@ type value struct {
 type Machine struct {
 	mod *ir.Module
 
-	// mem is the low end of the arena, the bytes the run has touched: it
-	// starts at the globals' extent and grows when a store lands past its
-	// end. A byte past len(mem) has never been written and reads as 0.
+	// mem holds the low end of the arena: it starts at the globals' extent
+	// and grows when a store lands past its end. A byte past len(mem) has
+	// never been written and reads as 0.
 	mem        []byte
 	globalAddr map[string]int64
 	heapTop    int64 // next free byte after globals; used for frame slots
