@@ -1,8 +1,8 @@
 package interp_test
 
 import (
+	"fmt"
 	"runtime"
-	"strconv"
 	"testing"
 
 	"fpint/internal/interp"
@@ -12,7 +12,7 @@ import (
 // arenaSrc indexes a, the first global and so at address 8, with an index
 // read from a global, so no pass can fold the address.
 func arenaSrc(idx int64, body string) string {
-	return "int a[4];\nint idx = " + strconv.FormatInt(idx, 10) + ";\nint main() { " + body + " }"
+	return fmt.Sprintf("int a[4];\nint idx = %d;\nint main() { %s }", idx, body)
 }
 
 // TestArenaBoundary: the arena grows with the stores a run makes, but the
@@ -22,6 +22,8 @@ func arenaSrc(idx int64, body string) string {
 // the same space, so this boundary is the interpreter's alone.
 func TestArenaBoundary(t *testing.T) {
 	const last = 2097150 // 8 + 2097150*8 = memSize - 8
+	// a[idx - 1048574] is a[1048576], 8 MiB in and never written: it is
+	// read before the store to a[last] grows the arena past it, and after.
 	mod := compile(t, arenaSrc(last, "int before = a[idx - 1048574]; a[idx] = 12345; return before + a[idx - 1048574] + a[idx];"))
 	m := interp.New(mod)
 	if got := m.GlobalAddr("a"); got != 8 {

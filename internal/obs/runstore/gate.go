@@ -25,9 +25,10 @@ type GateOptions struct {
 	// loose gates.
 	GuestTolerancePct float64
 	// HostTolerancePct is the maximum tolerated increase in min wall time,
-	// min allocations or min allocated bytes, in percent. Host numbers are noisy; the default
-	// (when 0 is passed, DefaultHostTolerancePct) absorbs scheduler and GC
-	// jitter while still catching order-of-magnitude regressions.
+	// min allocations or min allocated bytes, in percent. Host numbers are
+	// noisy; the default (when 0 is passed, DefaultHostTolerancePct)
+	// absorbs scheduler and GC jitter while still catching
+	// order-of-magnitude regressions.
 	HostTolerancePct float64
 	// MinHostWallNS is the wall-time floor below which host wall
 	// regressions are ignored: a 2× slowdown of a 40µs run is measurement
