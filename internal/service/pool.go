@@ -93,7 +93,7 @@ func (p *pool) isDraining() bool {
 func (p *pool) submit(key string, t *task) error {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	shard := p.shards[int(h.Sum32())%len(p.shards)]
+	shard := p.shards[h.Sum32()%uint32(len(p.shards))]
 
 	p.mu.RLock()
 	defer p.mu.RUnlock()
