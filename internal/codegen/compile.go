@@ -104,10 +104,10 @@ type Options struct {
 	Frontend FrontendBudget
 
 	// PartitionHook, when non-nil, runs after each function's partition
-	// has been computed and validated and may mutate it in place. It
+	// has been computed and verified and may mutate it in place. It
 	// exists for the differential-testing subsystem to inject known-bad
-	// partitions (fault injection, bypassing Validate); production callers
-	// leave it nil.
+	// partitions (fault injection, bypassing the verifier); production
+	// callers leave it nil.
 	PartitionHook func(fn string, part *core.Partition)
 
 	// Oracle bounds SchemeOptimal's exact search per function (zero values
@@ -190,9 +190,6 @@ func Compile(mod *ir.Module, opts Options) (*Result, error) {
 		facts = analysis.AnalyzeModule(mod)
 	}
 	graphs := make(map[string]*core.Graph)
-	// oracleMemo caches solved components across the module's functions by
-	// structural signature (SchemeOptimal only).
-	var oracleMemo *core.OracleMemo
 	for _, fn := range mod.Funcs {
 		var part *core.Partition
 		if opts.Scheme != SchemeNone {
@@ -217,18 +214,15 @@ func Compile(mod *ir.Module, opts Options) (*Result, error) {
 				}
 				part = core.BalancedPartition(g, opts.Cost, frac)
 			case SchemeOptimal:
-				if oracleMemo == nil {
-					oracleMemo = core.NewOracleMemo()
-				}
 				var rep *core.OracleReport
-				part, rep = core.OptimalPartition(g, opts.Cost, opts.Oracle, oracleMemo)
+				part, rep = core.OptimalPartition(g, opts.Cost, opts.Oracle)
 				if res.Oracle == nil {
 					res.Oracle = make(map[string]*core.OracleReport)
 				}
 				res.Oracle[fn.Name] = rep
 			}
-			if err := part.Validate(); err != nil {
-				return nil, fmt.Errorf("codegen: partition invalid: %v", err)
+			if err := core.VerifyPartition(part); err != nil {
+				return nil, fmt.Errorf("codegen: %w", err)
 			}
 			if opts.PartitionHook != nil {
 				opts.PartitionHook(fn.Name, part)

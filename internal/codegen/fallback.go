@@ -50,9 +50,10 @@ func ladder(s Scheme) []Scheme {
 	return []Scheme{SchemeNone}
 }
 
-// compileVerified runs Compile with the static partition verifier armed
-// after every function's partition (and after any PartitionHook mutation),
-// converting partitioner panics into classified errors instead of crashes.
+// compileVerified runs Compile, which verifies every function's partition,
+// verifies each partition again after a caller's PartitionHook has mutated
+// it, and converts partitioner panics into classified errors instead of
+// crashes.
 func compileVerified(mod *ir.Module, opts Options) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -61,13 +62,12 @@ func compileVerified(mod *ir.Module, opts Options) (res *Result, err error) {
 		}
 	}()
 	var verifyErrs []error
-	userHook := opts.PartitionHook
-	opts.PartitionHook = func(fn string, part *core.Partition) {
-		if userHook != nil {
+	if userHook := opts.PartitionHook; userHook != nil {
+		opts.PartitionHook = func(fn string, part *core.Partition) {
 			userHook(fn, part)
-		}
-		if verr := core.VerifyPartition(part); verr != nil {
-			verifyErrs = append(verifyErrs, verr)
+			if verr := core.VerifyPartition(part); verr != nil {
+				verifyErrs = append(verifyErrs, verr)
+			}
 		}
 	}
 	res, err = Compile(mod, opts)

@@ -57,8 +57,8 @@ func TestBalancedCapsFPaFraction(t *testing.T) {
 	}
 
 	bal := core.BalancedPartition(g, core.DefaultCostParams(), 0.35)
-	if err := bal.Validate(); err != nil {
-		t.Fatalf("balanced validate: %v", err)
+	if err := core.VerifyPartition(bal); err != nil {
+		t.Fatalf("balanced verify: %v", err)
 	}
 	balFrac := fpaFraction(g, bal)
 	if balFrac > 0.35+1e-9 {
@@ -101,7 +101,7 @@ func TestBalancedStillValidAcrossWorkloads(t *testing.T) {
 		g := core.BuildGraph(fn, prof)
 		for _, cap := range []float64{0.1, 0.25, 0.5} {
 			p := core.BalancedPartition(g, core.DefaultCostParams(), cap)
-			if err := p.Validate(); err != nil {
+			if err := core.VerifyPartition(p); err != nil {
 				t.Errorf("%s cap=%.2f: %v", fn.Name, cap, err)
 			}
 		}

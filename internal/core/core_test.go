@@ -68,8 +68,8 @@ func TestBasicPartitionGccFragment(t *testing.T) {
 	}
 	g := core.BuildGraph(fn, prof)
 	p := core.BasicPartition(g)
-	if err := p.Validate(); err != nil {
-		t.Fatalf("validate: %v", err)
+	if err := core.VerifyPartition(p); err != nil {
+		t.Fatalf("verify: %v", err)
 	}
 	// No copies or duplicates in the basic scheme.
 	if len(p.CopyNodes)+len(p.DupNodes)+len(p.OutCopyNodes) != 0 {
@@ -107,8 +107,8 @@ func TestAdvancedOffloadsMoreThanBasic(t *testing.T) {
 	g := core.BuildGraph(fn, prof)
 	basic := core.BasicPartition(g)
 	adv := core.AdvancedPartition(g, core.DefaultCostParams())
-	if err := adv.Validate(); err != nil {
-		t.Fatalf("advanced validate: %v", err)
+	if err := core.VerifyPartition(adv); err != nil {
+		t.Fatalf("advanced verify: %v", err)
 	}
 	bs := basic.ComputeStats()
 	as := adv.ComputeStats()
@@ -147,8 +147,8 @@ int main() {
 	fn := mod.Lookup("rand20")
 	g := core.BuildGraph(fn, prof)
 	p := core.AdvancedPartition(g, core.DefaultCostParams())
-	if err := p.Validate(); err != nil {
-		t.Fatalf("validate: %v", err)
+	if err := core.VerifyPartition(p); err != nil {
+		t.Fatalf("verify: %v", err)
 	}
 	st := p.ComputeStats()
 	// The multiply-based LCG pins some nodes to INT (no integer multiply in
@@ -238,11 +238,11 @@ int main() { return walk(18) & 4095; }`,
 			for _, fn := range mod.Funcs {
 				g := core.BuildGraph(fn, prof)
 				basic := core.BasicPartition(g)
-				if err := basic.Validate(); err != nil {
+				if err := core.VerifyPartition(basic); err != nil {
 					t.Errorf("%s basic: %v", fn.Name, err)
 				}
 				adv := core.AdvancedPartition(g, core.DefaultCostParams())
-				if err := adv.Validate(); err != nil {
+				if err := core.VerifyPartition(adv); err != nil {
 					t.Errorf("%s advanced: %v", fn.Name, err)
 				}
 				bs, as := basic.ComputeStats(), adv.ComputeStats()
@@ -294,8 +294,8 @@ func TestCostParamsRespectDuplPreference(t *testing.T) {
 	fn := mod.Lookup("invalidate_for_call")
 	g := core.BuildGraph(fn, prof)
 	p := core.AdvancedPartition(g, core.CostParams{OCopy: 4, ODupl: 100})
-	if err := p.Validate(); err != nil {
-		t.Fatalf("validate: %v", err)
+	if err := core.VerifyPartition(p); err != nil {
+		t.Fatalf("verify: %v", err)
 	}
 	if len(p.DupNodes) != 0 {
 		t.Errorf("expected no duplications with o_dupl >> o_copy, got %d", len(p.DupNodes))

@@ -28,8 +28,8 @@ int main() {
 
 	// With a very expensive copy, duplication must win somewhere.
 	p := core.AdvancedPartition(g, core.CostParams{OCopy: 50, ODupl: 1.1})
-	if err := p.Validate(); err != nil {
-		t.Fatalf("validate: %v", err)
+	if err := core.VerifyPartition(p); err != nil {
+		t.Fatalf("verify: %v", err)
 	}
 	if len(p.DupNodes) == 0 && len(p.CopyNodes) > 0 {
 		t.Errorf("expensive copies chosen over cheap duplication: copies=%d dups=%d",
@@ -52,8 +52,8 @@ int main() { return f(7) & 65535; }
 	fn := mod.Lookup("f")
 	g := core.BuildGraph(fn, prof)
 	p := core.AdvancedPartition(g, core.CostParams{OCopy: 4, ODupl: 1.1})
-	if err := p.Validate(); err != nil {
-		t.Fatalf("validate: %v", err)
+	if err := core.VerifyPartition(p); err != nil {
+		t.Fatalf("verify: %v", err)
 	}
 	for id := range p.DupNodes {
 		if g.Nodes[id].Kind == core.KindParam {
@@ -82,8 +82,8 @@ int main() {
 	fn := mod.Lookup("main")
 	g := core.BuildGraph(fn, prof)
 	p := core.AdvancedPartition(g, core.DefaultCostParams())
-	if err := p.Validate(); err != nil {
-		t.Fatalf("validate: %v", err)
+	if err := core.VerifyPartition(p); err != nil {
+		t.Fatalf("verify: %v", err)
 	}
 	// All load/store address nodes stay INT regardless of any transfers.
 	for _, n := range g.Nodes {
@@ -112,7 +112,7 @@ int main() {
 	for _, fn := range mod.Funcs {
 		g := core.BuildGraph(fn, prof)
 		p := core.AdvancedPartition(g, core.DefaultCostParams())
-		if err := p.Validate(); err != nil {
+		if err := core.VerifyPartition(p); err != nil {
 			t.Fatalf("%s: %v", fn.Name, err)
 		}
 		for id := range p.OutCopyNodes {

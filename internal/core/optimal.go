@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"fpint/internal/fperr"
 )
@@ -80,7 +79,7 @@ type ComponentGap struct {
 	OptimalProfit float64 // profit of the oracle assignment
 	Exact         bool    // true if the search completed within the limits
 	Expansions    int64   // branch expansions spent on this component
-	Reason        string  // "exact", "memo", or the degradation cause
+	Reason        string  // "exact", or the degradation cause
 }
 
 // Gap is the profit the greedy scheme left on the table in this component.
@@ -116,40 +115,11 @@ func (r *OracleReport) Err() error {
 		r.Fn, r.Degraded)
 }
 
-// OracleMemo caches solved components across functions by structural
-// signature (member kinds/classes/counts, internal edges, eligibility
-// cut-set, cost parameters). Compiling a module re-solves many isomorphic
-// components — induction variables, loop counters, accumulators lowered
-// identically — and a hit replays the stored optimum without any search.
-// A nil memo disables caching. Not safe for concurrent use.
-type OracleMemo struct {
-	entries map[string]memoEntry
-	hits    int
-}
-
-type memoEntry struct {
-	localFPa []int // indices into the component's ID-sorted member list
-	profit   float64
-	exact    bool
-}
-
-// NewOracleMemo returns an empty component cache.
-func NewOracleMemo() *OracleMemo { return &OracleMemo{entries: make(map[string]memoEntry)} }
-
-// Hits reports how many components were answered from the cache.
-func (m *OracleMemo) Hits() int {
-	if m == nil {
-		return 0
-	}
-	return m.hits
-}
-
 // OptimalPartition computes the exact §6.1-optimal partition of g under
 // params, within limits (zero limits select DefaultOracleLimits). The
 // returned partition uses scheme name "optimal" and carries a full audit
 // trail; the report records the per-component greedy-vs-optimal gaps.
-// memo may be nil.
-func OptimalPartition(g *Graph, params CostParams, limits OracleLimits, memo *OracleMemo) (*Partition, *OracleReport) {
+func OptimalPartition(g *Graph, params CostParams, limits OracleLimits) (*Partition, *OracleReport) {
 	limits = limits.withDefaults()
 	cm := newCostModel(g, params)
 	adv := advancedPartition(cm)
@@ -208,7 +178,7 @@ func OptimalPartition(g *Graph, params CostParams, limits OracleLimits, memo *Or
 			GreedyProfit: greedy,
 		}
 
-		sol := solveComponent(cm, pricer, members[c], eligible, scratch, limits, &budget, memo, greedy, advFPa)
+		sol := runBB(cm, pricer, members[c], eligible, scratch, limits, &budget, greedy, advFPa)
 		gap.OptimalProfit = sol.profit
 		gap.Exact = sol.exact
 		gap.Expansions = sol.expansions
@@ -280,76 +250,6 @@ type solution struct {
 	reason     string
 }
 
-// solveComponent finds the best legal FPa subset of one component. The
-// incumbent starts at max(greedy, empty), so the result never falls below
-// the advanced scheme even when a cap degrades the search.
-func solveComponent(cm *costModel, pricer *compPricer, members []NodeID, eligible []bool,
-	scratch []bool, limits OracleLimits, budget *int64, memo *OracleMemo,
-	greedy float64, advFPa []NodeID) solution {
-
-	key := ""
-	if memo != nil {
-		key = componentSignature(cm, members, eligible)
-		if e, ok := memo.entries[key]; ok {
-			// Guard the dominance invariant: a budget-capped cached result
-			// could in principle trail this instance's greedy profit.
-			if e.exact || e.profit >= greedy {
-				memo.hits++
-				fpa := make([]NodeID, len(e.localFPa))
-				for i, li := range e.localFPa {
-					fpa[i] = members[li]
-				}
-				return solution{fpa: fpa, profit: e.profit, exact: e.exact, reason: "memo"}
-			}
-		}
-	}
-
-	sol := runBB(cm, pricer, members, eligible, scratch, limits, budget, greedy, advFPa)
-
-	if memo != nil {
-		local := make(map[NodeID]int, len(members))
-		for i, id := range members {
-			local[id] = i
-		}
-		e := memoEntry{profit: sol.profit, exact: sol.exact}
-		for _, id := range sol.fpa {
-			e.localFPa = append(e.localFPa, local[id])
-		}
-		memo.entries[key] = e
-	}
-	return sol
-}
-
-// componentSignature canonically encodes a component's partitioning
-// subproblem: cost parameters, member kind/class/count/actual-arg bits,
-// the eligibility cut-set, and the internal edges in local indices.
-// Members are ID-sorted, so structurally identical lowerings of the same
-// idiom map to the same key.
-func componentSignature(cm *costModel, members []NodeID, eligible []bool) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "p%x,%x", math.Float64bits(cm.params.OCopy), math.Float64bits(cm.params.ODupl))
-	local := make(map[NodeID]int, len(members))
-	for i, id := range members {
-		local[id] = i
-	}
-	for i, id := range members {
-		n := cm.g.Nodes[id]
-		fmt.Fprintf(&sb, ";%d:k%dc%dw%x", i, n.Kind, n.Class, math.Float64bits(n.Count))
-		if n.IsActualArg {
-			sb.WriteByte('a')
-		}
-		if eligible[id] {
-			sb.WriteByte('e')
-		}
-		for _, ch := range n.Children {
-			if j, ok := local[ch]; ok {
-				fmt.Fprintf(&sb, ">%d", j)
-			}
-		}
-	}
-	return sb.String()
-}
-
 // bbState is one component's branch-and-bound search.
 type bbState struct {
 	cm      *costModel
@@ -389,7 +289,9 @@ const (
 	stOut
 )
 
-// runBB performs the exact search over one component.
+// runBB finds the best legal FPa subset of one component. The incumbent
+// starts at max(greedy, empty), so the result never falls below the
+// advanced scheme even when a cap degrades the search.
 func runBB(cm *costModel, pricer *compPricer, members []NodeID, eligible []bool,
 	scratch []bool, limits OracleLimits, budget *int64, greedy float64, advFPa []NodeID) solution {
 

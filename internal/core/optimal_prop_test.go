@@ -145,7 +145,7 @@ func TestOracleMatchesBruteForce(t *testing.T) {
 		g := randomGraph(r, n)
 		params := randomParams(r)
 
-		p, report := OptimalPartition(g, params, OracleLimits{}, nil)
+		p, report := OptimalPartition(g, params, OracleLimits{})
 		if report.Degraded != 0 {
 			t.Fatalf("trial %d: oracle degraded on a %d-node graph", trial, n)
 		}
@@ -287,7 +287,7 @@ func TestOracleDegradedFallback(t *testing.T) {
 			g.Nodes[i].Parents = append(g.Nodes[i].Parents, NodeID(i-1))
 		}
 	}
-	p, report := OptimalPartition(g, DefaultCostParams(), OracleLimits{MaxFlexNodes: 30}, nil)
+	p, report := OptimalPartition(g, DefaultCostParams(), OracleLimits{MaxFlexNodes: 30})
 	if report.Degraded != 1 {
 		t.Fatalf("want 1 degraded component, got %d", report.Degraded)
 	}
@@ -305,7 +305,7 @@ func TestOracleDegradedFallback(t *testing.T) {
 	// verifier-clean, always flagged.
 	for trial := 0; trial < 50; trial++ {
 		g := randomGraph(r, 12)
-		p, report := OptimalPartition(g, DefaultCostParams(), OracleLimits{MaxExpansions: 2}, nil)
+		p, report := OptimalPartition(g, DefaultCostParams(), OracleLimits{MaxExpansions: 2})
 		if err := VerifyPartition(p); err != nil {
 			t.Fatalf("trial %d: budget-capped partition fails the verifier: %v", trial, err)
 		}
@@ -315,39 +315,6 @@ func TestOracleDegradedFallback(t *testing.T) {
 		}
 		if len(report.Components) > 0 && report.Degraded > 0 && report.Err() == nil {
 			t.Fatalf("trial %d: degraded report returned nil Err", trial)
-		}
-	}
-}
-
-// TestOracleMemo checks that the component-signature memo replays stored
-// optima: a second run over the same graph answers every component from
-// the cache with an identical partition and report.
-func TestOracleMemo(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		g := randomGraph(r, 3+r.Intn(10))
-		params := randomParams(r)
-		memo := NewOracleMemo()
-
-		p1, rep1 := OptimalPartition(g, params, OracleLimits{}, memo)
-		hitsAfterFirst := memo.Hits()
-		p2, rep2 := OptimalPartition(g, params, OracleLimits{}, memo)
-
-		if len(rep1.Components) > 0 && memo.Hits() <= hitsAfterFirst {
-			t.Fatalf("trial %d: second run hit the memo %d times (first-run hits %d)",
-				trial, memo.Hits()-hitsAfterFirst, hitsAfterFirst)
-		}
-		if rep1.OptimalProfit != rep2.OptimalProfit {
-			t.Fatalf("trial %d: memo changed the profit: %.12f vs %.12f",
-				trial, rep1.OptimalProfit, rep2.OptimalProfit)
-		}
-		for id := range p1.Assign {
-			if p1.Assign[id] != p2.Assign[id] {
-				t.Fatalf("trial %d: memo changed the assignment of n%d", trial, id)
-			}
-		}
-		if err := VerifyPartition(p2); err != nil {
-			t.Fatalf("trial %d: memo-replayed partition fails the verifier: %v", trial, err)
 		}
 	}
 }

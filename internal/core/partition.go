@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Subsystem identifies where a node executes after partitioning.
 type Subsystem uint8
 
@@ -69,72 +67,6 @@ func (p *Partition) InFPa(id NodeID) bool {
 // register file (it executes there, or is copied/duplicated into it).
 func (p *Partition) FPaAvailable(id NodeID) bool {
 	return p.InFPa(id) || p.CopyNodes[id] || p.DupNodes[id]
-}
-
-// Validate checks the structural invariants of the partition:
-//   - pinned-INT nodes are in INT; FixedFP nodes have no assignment demands;
-//   - every edge into an FPa node comes from an FPa-available value;
-//   - every edge into an INT node comes from an INT value, or from an FPa
-//     value with an FPa→INT out-copy (allowed only into call/ret nodes);
-//   - copies/dups only attach to INT-side definitions, out-copies only to
-//     FPa-side definitions.
-func (p *Partition) Validate() error {
-	g := p.G
-	for _, n := range g.Nodes {
-		if n.Class == ClassFixedFP {
-			continue
-		}
-		if n.Class == ClassPinInt && p.Assign[n.ID] != SubINT {
-			return fmt.Errorf("%s: node n%d (%s) pinned to INT but assigned FPa", g.Fn.Name, n.ID, n.Kind)
-		}
-		if p.CopyNodes[n.ID] && p.Assign[n.ID] != SubINT {
-			return fmt.Errorf("%s: copy attached to non-INT node n%d", g.Fn.Name, n.ID)
-		}
-		if p.DupNodes[n.ID] && p.Assign[n.ID] != SubINT {
-			return fmt.Errorf("%s: dup attached to non-INT node n%d", g.Fn.Name, n.ID)
-		}
-		if p.OutCopyNodes[n.ID] && p.Assign[n.ID] != SubFPa {
-			return fmt.Errorf("%s: out-copy attached to non-FPa node n%d", g.Fn.Name, n.ID)
-		}
-		for _, c := range n.Children {
-			child := g.Nodes[c]
-			if child.Class == ClassFixedFP {
-				continue
-			}
-			if p.Assign[c] == SubFPa {
-				if !p.FPaAvailable(n.ID) {
-					return fmt.Errorf("%s: FPa node n%d (%s) consumes n%d (%s) which is not FPa-available",
-						g.Fn.Name, c, child.Kind, n.ID, n.Kind)
-				}
-			} else {
-				if p.Assign[n.ID] == SubFPa {
-					if !p.OutCopyNodes[n.ID] {
-						return fmt.Errorf("%s: INT node n%d (%s) consumes FPa n%d (%s) without out-copy",
-							g.Fn.Name, c, child.Kind, n.ID, n.Kind)
-					}
-					if child.Kind != KindCall && child.Kind != KindRet {
-						return fmt.Errorf("%s: out-copy feeds non-call/ret node n%d (%s)",
-							g.Fn.Name, c, child.Kind)
-					}
-				}
-			}
-		}
-		// A duplicated node's parents must themselves be FPa-available,
-		// because the duplicate re-executes in FPa. Load values are exempt:
-		// their duplicate re-loads from memory using the INT-side address.
-		if p.DupNodes[n.ID] && n.Kind != KindLoadVal {
-			for _, par := range n.Parents {
-				if g.Nodes[par].Class == ClassFixedFP {
-					continue
-				}
-				if !p.FPaAvailable(par) {
-					return fmt.Errorf("%s: duplicated node n%d has parent n%d not FPa-available",
-						g.Fn.Name, n.ID, par)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Stats summarizes a partition statically, weighting nodes by the cost

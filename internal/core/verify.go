@@ -10,9 +10,7 @@ import (
 // the paper's partitioning invariants, run after every scheme (and, in the
 // degradation ladder, after any partition-mutating hook) as a safety net
 // against partitioner bugs. It deliberately re-derives everything from the
-// graph rather than trusting the partitioner's own bookkeeping, and is
-// stricter than Partition.Validate, which partitioner authors use as a
-// structural self-check during construction.
+// graph rather than trusting the partitioner's own bookkeeping.
 //
 // Invariants checked:
 //
@@ -28,6 +26,9 @@ import (
 //     explicit transfer — an INT-side producer feeding an FPa consumer
 //     carries an INT→FPa copy or duplicate; an FPa-side producer feeding an
 //     INT consumer carries an FPa→INT copy.
+//     2b. Every non-FixedFP parent of a duplicated node is FPa-available,
+//     because the duplicate re-executes in FPa (§6.2). A duplicated load
+//     value is exempt: it re-loads through the INT-side address.
 //  3. FPa→INT copies appear only at actual-parameter positions: producers
 //     of call arguments and return values (§6.4) — never as a general
 //     escape hatch — and every such copy feeds only call/ret consumers.
@@ -141,6 +142,15 @@ func (p *Partition) Violations() []string {
 				}
 				if basic {
 					bad(id, "cross-partition edge to n%d under the basic scheme", c)
+				}
+			}
+		}
+
+		// 2b. A duplicate's operands must already be in the FP file.
+		if p.DupNodes[id] && n.Kind != KindLoadVal {
+			for _, par := range n.Parents {
+				if g.Nodes[par].Class != ClassFixedFP && !p.FPaAvailable(par) {
+					bad(id, "duplicate's parent n%d is not FPa-available", par)
 				}
 			}
 		}

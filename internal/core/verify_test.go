@@ -135,6 +135,37 @@ func TestVerifyCatchesFlippedFlexNode(t *testing.T) {
 	t.Fatal("no flippable flex node found")
 }
 
+// TestVerifyCatchesDupWithUnavailableParent: a duplicate re-executes in FPa
+// on FPa copies of its operands, so marking an INT-side node duplicated
+// while one of its parents has no FPa copy must fail verification. Load
+// values are exempt (their duplicate re-loads through the INT address), so
+// the planted duplicate is any other flex node.
+func TestVerifyCatchesDupWithUnavailableParent(t *testing.T) {
+	for _, p := range partitionAll(t, gccFragment) {
+		for _, n := range p.G.Nodes {
+			if n.Class != core.ClassFlex || n.Kind == core.KindLoadVal ||
+				p.Assign[n.ID] != core.SubINT || p.DupNodes[n.ID] {
+				continue
+			}
+			for _, par := range n.Parents {
+				if p.G.Nodes[par].Class == core.ClassFixedFP || p.FPaAvailable(par) {
+					continue
+				}
+				p.DupNodes[n.ID] = true
+				err := core.VerifyPartition(p)
+				if err == nil {
+					t.Fatalf("%s: duplicated n%d with INT-only parent n%d not caught", p.G.Fn.Name, n.ID, par)
+				}
+				if !strings.Contains(err.Error(), "not FPa-available") {
+					t.Fatalf("unhelpful verifier message: %v", err)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no INT-side flex node with an INT-only parent found")
+}
+
 func TestVerifyCatchesOutCopyAtNonActualArg(t *testing.T) {
 	for _, p := range partitionAll(t, gccFragment) {
 		for _, n := range p.G.Nodes {

@@ -311,10 +311,6 @@ func checkPartitions(c schemeCase, res *codegen.Result, injected bool) error {
 		if injected {
 			continue
 		}
-		if err := p.Validate(); err != nil {
-			return &Mismatch{Stage: "partition", Scheme: c.name,
-				Detail: fmt.Sprintf("%s: %v", fn, err)}
-		}
 		if err := core.VerifyPartition(p); err != nil {
 			return &Mismatch{Stage: "partition", Scheme: c.name,
 				Detail: fmt.Sprintf("%s: %v", fn, err)}
