@@ -151,7 +151,7 @@ func fpicMain(args []string) error {
 		plog = &obs.PassLog{}
 	}
 
-	mod, prof, err := codegen.FrontendPipelineObserved(src, plog)
+	mod, run, err := codegen.FrontendPipelineBudgeted(src, plog, codegen.FrontendBudget{})
 	if err != nil {
 		return fperr.Wrap(fperr.ClassInput, err)
 	}
@@ -159,7 +159,7 @@ func fpicMain(args []string) error {
 		fmt.Println("==== optimized IR ====")
 		fmt.Print(mod.String())
 	}
-	res, err := codegen.CompileWithFallback(mod, codegen.Options{Scheme: scheme, Profile: prof,
+	res, err := codegen.CompileWithFallback(mod, codegen.Options{Scheme: scheme, Profile: run.Profile,
 		Cost: cost, PassLog: plog, Analysis: useAnalysis})
 	if err != nil {
 		return err
@@ -187,7 +187,7 @@ func fpicMain(args []string) error {
 						oracle = ff
 					}
 				}
-				g = core.BuildGraphWithOracle(fn, prof, oracle)
+				g = core.BuildGraphWithOracle(fn, run.Profile, oracle)
 			}
 			if *dumpRDG {
 				fmt.Print(g.String())

@@ -17,7 +17,11 @@ import (
 // model's input, standing in for the paper's training runs — the workloads
 // are deterministic, so self-profiling is faithful).
 func FrontendPipeline(src string) (*ir.Module, *interp.Profile, error) {
-	return FrontendPipelineObserved(src, nil)
+	mod, res, err := FrontendPipelineBudgeted(src, nil, FrontendBudget{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return mod, res.Profile, nil
 }
 
 // FrontendBudget bounds the frontend's self-profile interpreter run — the
@@ -36,63 +40,20 @@ type FrontendBudget struct {
 	HookEvery int64
 }
 
-// FrontendPipelineObserved is FrontendPipeline with per-stage and per-pass
-// instrumentation: every frontend stage and every optimizer pass appends a
-// record (name, unit, wall time, IR instruction delta) to plog. A nil plog
-// disables instrumentation.
-func FrontendPipelineObserved(src string, plog *obs.PassLog) (*ir.Module, *interp.Profile, error) {
-	mod, res, err := FrontendPipelineBudgeted(src, plog, FrontendBudget{})
+// FrontendPipelineBudgeted is FrontendPipeline with per-stage
+// instrumentation and the self-profile run bounded by budget: every
+// frontend stage and every optimizer pass appends a record (name, unit,
+// wall time, IR instruction delta) to plog, and a nil plog disables
+// instrumentation. It returns that run's whole result, not just its
+// Profile: with a zero budget the run is exactly interp.New(mod).Run(), so
+// Ret and Output serve as the interpreter reference without a second run.
+func FrontendPipelineBudgeted(src string, plog *obs.PassLog, budget FrontendBudget) (*ir.Module, *interp.Result, error) {
+	mod, err := Frontend(src, plog)
 	if err != nil {
 		return nil, nil, err
 	}
-	return mod, res.Profile, nil
-}
-
-// FrontendPipelineBudgeted is FrontendPipelineObserved with the
-// self-profile run bounded by budget. It returns that run's whole result,
-// not just its Profile: with a zero budget the run is exactly
-// interp.New(mod).Run(), so Ret and Output serve as the interpreter
-// reference without a second run.
-func FrontendPipelineBudgeted(src string, plog *obs.PassLog, budget FrontendBudget) (*ir.Module, *interp.Result, error) {
-	stage := func(name string, mod *ir.Module, start time.Time, before int) {
-		if plog == nil {
-			return
-		}
-		after := 0
-		if mod != nil {
-			after = moduleInstrs(mod)
-		}
-		plog.Add(name, "module", time.Since(start).Nanoseconds(), before, after)
-	}
 
 	start := time.Now()
-	prog, err := lang.Parse(src)
-	if err != nil {
-		return nil, nil, fmt.Errorf("parse: %w", err)
-	}
-	stage("parse", nil, start, 0)
-
-	start = time.Now()
-	if err := lang.Check(prog); err != nil {
-		return nil, nil, fmt.Errorf("check: %w", err)
-	}
-	stage("check", nil, start, 0)
-
-	start = time.Now()
-	mod, err := irgen.Lower(prog)
-	if err != nil {
-		return nil, nil, fmt.Errorf("lower: %w", err)
-	}
-	stage("lower", mod, start, 0)
-
-	opt.OptimizeObserved(mod, plog.Observer())
-	for _, fn := range mod.Funcs {
-		if err := fn.Verify(); err != nil {
-			return nil, nil, fmt.Errorf("verify: %w", err)
-		}
-	}
-
-	start = time.Now()
 	before := moduleInstrs(mod)
 	im := interp.New(mod)
 	if budget.StepLimit > 0 {
@@ -105,8 +66,54 @@ func FrontendPipelineBudgeted(src string, plog *obs.PassLog, budget FrontendBudg
 	if err != nil {
 		return nil, nil, fmt.Errorf("profile run: %w", err)
 	}
-	stage("profile", mod, start, before)
+	if plog != nil {
+		plog.Add("profile", "module", time.Since(start).Nanoseconds(), before, moduleInstrs(mod))
+	}
 	return mod, res, nil
+}
+
+// Frontend runs parse → check → lower → optimize → verify, the pipeline
+// without the self-profile run, so it accepts programs that trap at run
+// time. Stages report to plog as in FrontendPipelineBudgeted.
+func Frontend(src string, plog *obs.PassLog) (*ir.Module, error) {
+	stage := func(name string, mod *ir.Module, start time.Time) {
+		if plog == nil {
+			return
+		}
+		after := 0
+		if mod != nil {
+			after = moduleInstrs(mod)
+		}
+		plog.Add(name, "module", time.Since(start).Nanoseconds(), 0, after)
+	}
+
+	start := time.Now()
+	prog, err := lang.Parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("parse: %w", err)
+	}
+	stage("parse", nil, start)
+
+	start = time.Now()
+	if err := lang.Check(prog); err != nil {
+		return nil, fmt.Errorf("check: %w", err)
+	}
+	stage("check", nil, start)
+
+	start = time.Now()
+	mod, err := irgen.Lower(prog)
+	if err != nil {
+		return nil, fmt.Errorf("lower: %w", err)
+	}
+	stage("lower", mod, start)
+
+	opt.OptimizeObserved(mod, plog.Observer())
+	for _, fn := range mod.Funcs {
+		if err := fn.Verify(); err != nil {
+			return nil, fmt.Errorf("verify: %w", err)
+		}
+	}
+	return mod, nil
 }
 
 // moduleInstrs counts the module's IR instructions.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"fpint/internal/codegen"
 	"fpint/internal/lang"
 )
 
@@ -23,7 +24,7 @@ func TestGeneratorWellTyped(t *testing.T) {
 	for name, cfg := range cfgs {
 		for s := int64(1); s <= 100; s++ {
 			src := NewGenerator(s, cfg).Program()
-			if _, err := Frontend(src); err != nil {
+			if _, err := codegen.Frontend(src, nil); err != nil {
 				t.Fatalf("%s seed %d: %v\n%s", name, s, err, src)
 			}
 		}

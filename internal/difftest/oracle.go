@@ -9,11 +9,7 @@ import (
 	"fpint/internal/core"
 	"fpint/internal/faultinject"
 	"fpint/internal/interp"
-	"fpint/internal/ir"
-	"fpint/internal/irgen"
 	"fpint/internal/isa"
-	"fpint/internal/lang"
-	"fpint/internal/opt"
 	"fpint/internal/sim"
 	"fpint/internal/trap"
 	"fpint/internal/uarch"
@@ -107,30 +103,6 @@ func DefaultOptions() Options {
 	return Options{Timing: true, Interproc: true, CheckProfit: true, Analysis: true, Optimal: true}
 }
 
-// Frontend runs parse → check → lower → optimize → verify without the
-// profile pass (unlike codegen.FrontendPipeline, it accepts programs that
-// trap at run time, which the oracle still needs to cross-check).
-func Frontend(src string) (*ir.Module, error) {
-	prog, err := lang.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("%w: parse: %v", ErrFrontend, err)
-	}
-	if err := lang.Check(prog); err != nil {
-		return nil, fmt.Errorf("%w: check: %v", ErrFrontend, err)
-	}
-	mod, err := irgen.Lower(prog)
-	if err != nil {
-		return nil, fmt.Errorf("%w: lower: %v", ErrFrontend, err)
-	}
-	opt.Optimize(mod)
-	for _, fn := range mod.Funcs {
-		if err := fn.Verify(); err != nil {
-			return nil, fmt.Errorf("%w: verify %s: %v", ErrFrontend, fn.Name, err)
-		}
-	}
-	return mod, nil
-}
-
 // schemeCase is one column of the differential matrix.
 type schemeCase struct {
 	name string
@@ -180,9 +152,9 @@ func Check(src string, o Options) error {
 	if limit <= 0 {
 		limit = 2_000_000
 	}
-	mod, err := Frontend(src)
+	mod, err := codegen.Frontend(src, nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", ErrFrontend, err)
 	}
 
 	// Reference run. A trap is a legitimate outcome the compiled code must

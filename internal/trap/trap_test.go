@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fpint/internal/codegen"
-	"fpint/internal/difftest"
 	"fpint/internal/interp"
 	"fpint/internal/sim"
 	"fpint/internal/trap"
@@ -62,7 +61,7 @@ func TestTrapKindsRoundTrip(t *testing.T) {
 	schemes := []codegen.Scheme{codegen.SchemeNone, codegen.SchemeBasic, codegen.SchemeAdvanced}
 	for _, tc := range trapCases {
 		t.Run(fmt.Sprintf("%s-%s", tc.kind, tc.name), func(t *testing.T) {
-			mod, err := difftest.Frontend(tc.src)
+			mod, err := codegen.Frontend(tc.src, nil)
 			if err != nil {
 				t.Fatalf("frontend: %v", err)
 			}
