@@ -87,6 +87,11 @@ func TestLoopDepths(t *testing.T) {
 	if header.LoopDepth != 1 || body.LoopDepth != 1 {
 		t.Errorf("header/body depth = %d/%d, want 1/1", header.LoopDepth, body.LoopDepth)
 	}
+	loops := fn.NaturalLoops()
+	if len(loops) != 1 || loops[0].Header != header || len(loops[0].Blocks) != 2 ||
+		!loops[0].Blocks[header] || !loops[0].Blocks[body] {
+		t.Errorf("natural loops = %+v, want one loop {header, body} headed by header", loops)
+	}
 }
 
 func TestDominators(t *testing.T) {

@@ -272,40 +272,56 @@ func (f *Func) verifyInstr(in *Instr) error {
 	return fmt.Errorf("instr %q: unknown op", in)
 }
 
-// ComputeLoopDepths estimates loop nesting depth for every block using
-// back-edge detection on a DFS tree plus natural-loop membership.
-func (f *Func) ComputeLoopDepths() {
-	// Find back edges (edge b->h where h dominates b). Use a simple
-	// iterative dominator computation (fine at our function sizes).
+// Loop is the natural loop of one back edge.
+type Loop struct {
+	Header *Block
+	Blocks map[*Block]bool // every member block, the header included
+}
+
+// NaturalLoops returns the natural loop of every back edge b→h (an edge
+// whose target h dominates b) in discovery order: blocks in layout order,
+// each block's successors in order. A header with two back edges has two
+// loops.
+func (f *Func) NaturalLoops() []Loop {
 	dom := f.Dominators()
+	var loops []Loop
+	for _, b := range f.Blocks {
+		for _, h := range b.Succs {
+			if !dominates(dom, h, b) {
+				continue
+			}
+			// h plus every block that reaches b without passing through h.
+			blocks := map[*Block]bool{h: true}
+			var stack []*Block
+			if b != h {
+				blocks[b] = true
+				stack = append(stack, b)
+			}
+			for len(stack) > 0 {
+				n := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, p := range n.Preds {
+					if !blocks[p] {
+						blocks[p] = true
+						stack = append(stack, p)
+					}
+				}
+			}
+			loops = append(loops, Loop{Header: h, Blocks: blocks})
+		}
+	}
+	return loops
+}
+
+// ComputeLoopDepths sets every block's LoopDepth to the number of natural
+// loops containing it.
+func (f *Func) ComputeLoopDepths() {
 	for _, b := range f.Blocks {
 		b.LoopDepth = 0
 	}
-	for _, b := range f.Blocks {
-		for _, h := range b.Succs {
-			if dominates(dom, h, b) {
-				// Natural loop of back edge b->h: h plus all blocks that
-				// reach b without passing through h.
-				inLoop := map[*Block]bool{h: true}
-				var stack []*Block
-				if b != h {
-					inLoop[b] = true
-					stack = append(stack, b)
-				}
-				for len(stack) > 0 {
-					n := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					for _, p := range n.Preds {
-						if !inLoop[p] {
-							inLoop[p] = true
-							stack = append(stack, p)
-						}
-					}
-				}
-				for blk := range inLoop {
-					blk.LoopDepth++
-				}
-			}
+	for _, lp := range f.NaturalLoops() {
+		for blk := range lp.Blocks {
+			blk.LoopDepth++
 		}
 	}
 }
@@ -358,15 +374,15 @@ func (f *Func) Dominators() map[*Block]*Block {
 	return idom
 }
 
+// dominates reports whether a dominates b.
 func dominates(idom map[*Block]*Block, a, b *Block) bool {
-	// Does a dominate b?
 	for {
 		if b == a {
 			return true
 		}
 		next, ok := idom[b]
 		if !ok || next == b {
-			return b == a
+			return false
 		}
 		b = next
 	}

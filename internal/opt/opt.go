@@ -497,50 +497,18 @@ func blockLocalConst(b *ir.Block, v ir.VReg, idx int) (int64, bool) {
 // by single definitions located outside the loop (or are parameters).
 func licm(fn *ir.Func) {
 	fn.Renumber()
-	idom := fn.Dominators()
 	defs := singleDefs(fn)
 	paramSet := make(map[ir.VReg]bool)
 	for _, p := range fn.Params {
 		paramSet[p] = true
 	}
 
-	// Collect natural loops (header -> member set).
-	type loop struct {
-		header *ir.Block
-		blocks map[*ir.Block]bool
-	}
-	var loops []loop
-	for _, b := range fn.Blocks {
-		for _, h := range b.Succs {
-			if !domReaches(idom, h, b) {
-				continue
-			}
-			members := map[*ir.Block]bool{h: true}
-			var stack []*ir.Block
-			if b != h {
-				members[b] = true
-				stack = append(stack, b)
-			}
-			for len(stack) > 0 {
-				n := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for _, p := range n.Preds {
-					if !members[p] {
-						members[p] = true
-						stack = append(stack, p)
-					}
-				}
-			}
-			loops = append(loops, loop{header: h, blocks: members})
-		}
-	}
-
-	for _, lp := range loops {
+	for _, lp := range fn.NaturalLoops() {
 		// Find or create a preheader: the unique out-of-loop predecessor of
 		// the header.
 		var outsidePreds []*ir.Block
-		for _, p := range lp.header.Preds {
-			if !lp.blocks[p] {
+		for _, p := range lp.Header.Preds {
+			if !lp.Blocks[p] {
 				outsidePreds = append(outsidePreds, p)
 			}
 		}
@@ -560,7 +528,7 @@ func licm(fn *ir.Func) {
 			// candidates are found is the order they land in the preheader,
 			// and compilation must be deterministic.
 			for _, blk := range fn.Blocks {
-				if !lp.blocks[blk] {
+				if !lp.Blocks[blk] {
 					continue
 				}
 				for i := 0; i < len(blk.Instrs); i++ {
@@ -577,7 +545,7 @@ func licm(fn *ir.Func) {
 							continue
 						}
 						d, one := defs[a]
-						if !one || lp.blocks[d.Blk] {
+						if !one || lp.Blocks[d.Blk] {
 							ok = false
 							break
 						}
@@ -595,19 +563,6 @@ func licm(fn *ir.Func) {
 		}
 	}
 	fn.Renumber()
-}
-
-func domReaches(idom map[*ir.Block]*ir.Block, a, b *ir.Block) bool {
-	for {
-		if b == a {
-			return true
-		}
-		next, ok := idom[b]
-		if !ok || next == b {
-			return false
-		}
-		b = next
-	}
 }
 
 // commutativeInt reports whether the integer op allows swapping operands.
