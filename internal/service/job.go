@@ -22,6 +22,7 @@
 package service
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
@@ -272,18 +273,9 @@ func errorResponse(kind, key string, err error) *Response {
 
 // metricsJSON renders a registry to its deterministic JSON document.
 func metricsJSON(reg *obs.Registry) json.RawMessage {
-	var buf jsonBuffer
+	var buf bytes.Buffer
 	if err := reg.WriteJSON(&buf); err != nil {
 		return json.RawMessage(`{}`)
 	}
-	return json.RawMessage(buf.data)
-}
-
-// jsonBuffer is a minimal io.Writer; bytes.Buffer would also do, but this
-// keeps the RawMessage backing array unaliased.
-type jsonBuffer struct{ data []byte }
-
-func (b *jsonBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
+	return json.RawMessage(buf.Bytes())
 }

@@ -23,15 +23,16 @@ type Options struct {
 	QueueDepth int
 	// CacheCap bounds the artifact cache entry count (default 1024).
 	CacheCap int
-	// MaxBodyBytes bounds request bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// Chaos enables the fault-injection surface: requests carrying
 	// "panic": true are honored (and recovered). Off by default so a
 	// production daemon cannot be panicked by request.
 	Chaos bool
-	// RetryAfterSec is the Retry-After hint on shed responses (default 1).
-	RetryAfterSec int
 }
+
+const (
+	maxBodyBytes  = 1 << 20 // request body bound
+	retryAfterSec = 1       // Retry-After hint on shed responses
+)
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -43,12 +44,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.CacheCap <= 0 {
 		out.CacheCap = 1024
-	}
-	if out.MaxBodyBytes <= 0 {
-		out.MaxBodyBytes = 1 << 20
-	}
-	if out.RetryAfterSec <= 0 {
-		out.RetryAfterSec = 1
 	}
 	return out
 }
@@ -119,13 +114,13 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind string) 
 		s.writeError(w, kind, "", fperr.New(fperr.ClassUsage, "method %s not allowed; POST a job", r.Method))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		s.writeError(w, kind, "", fperr.New(fperr.ClassUsage, "read body: %v", err))
 		return
 	}
-	if int64(len(body)) > s.opts.MaxBodyBytes {
-		s.writeError(w, kind, "", fperr.New(fperr.ClassUsage, "request body exceeds %d bytes", s.opts.MaxBodyBytes))
+	if len(body) > maxBodyBytes {
+		s.writeError(w, kind, "", fperr.New(fperr.ClassUsage, "request body exceeds %d bytes", maxBodyBytes))
 		return
 	}
 	var req Request
@@ -174,7 +169,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind string) 
 // shed refuses a job with 503 + Retry-After.
 func (s *Server) shed(w http.ResponseWriter, kind, key string) {
 	s.stats.shed.Add(1)
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", s.opts.RetryAfterSec))
+	w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSec))
 	resp := errorResponse(kind, key, errShed)
 	s.writeResponse(w, fperr.ClassUnavailable.HTTPStatus(), resp, fperr.ClassUnavailable)
 }

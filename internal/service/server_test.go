@@ -91,6 +91,7 @@ func TestJobStatuses(t *testing.T) {
 		{"valid simulate functional", "/v1/simulate", `{"source": ` + jsonStr(okSrc) + `, "timing": "functional"}`, 200, "none"},
 		{"valid simulate detailed 8way", "/v1/simulate", `{"source": ` + jsonStr(okSrc) + `, "config": "8way"}`, 200, "none"},
 		{"malformed JSON", "/v1/compile", `{"source": "int main`, 400, "usage"},
+		{"body over the bound", "/v1/compile", `{"source": "` + strings.Repeat(" ", maxBodyBytes) + `"}`, 400, "usage"},
 		{"valid compile optimal", "/v1/compile", `{"source": ` + jsonStr(okSrc) + `, "scheme": "optimal"}`, 200, "none"},
 		{"unknown scheme", "/v1/compile", `{"source": "int main() { return 0; }", "scheme": "warp"}`, 400, "usage"},
 		{"unknown config", "/v1/simulate", `{"source": "int main() { return 0; }", "config": "16way"}`, 400, "usage"},
@@ -259,7 +260,7 @@ func TestSingleflightDedup(t *testing.T) {
 // TestLoadShedding: a one-worker pool whose only worker is wedged sheds
 // overflow with 503 + Retry-After once the queue fills.
 func TestLoadShedding(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, Chaos: true, RetryAfterSec: 7})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, Chaos: true})
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -297,8 +298,8 @@ func TestLoadShedding(t *testing.T) {
 	if status != 503 || doc.Class != "unavailable" {
 		t.Fatalf("overflow job: got %d %q, want 503 unavailable", status, doc.Class)
 	}
-	if got := hdr.Get("Retry-After"); got != "7" {
-		t.Errorf("Retry-After = %q, want %q", got, "7")
+	if got, want := hdr.Get("Retry-After"), fmt.Sprint(retryAfterSec); got != want {
+		t.Errorf("Retry-After = %q, want %q", got, want)
 	}
 	if s.stats.shed.Load() == 0 {
 		t.Error("shed counter did not move")
