@@ -82,8 +82,8 @@ func TestLintOracleGoldenText(t *testing.T) {
 
 // TestLintOracleGoldenJSON locks the -oracle SARIF-lite report and
 // verifies it is byte-for-byte deterministic across runs — the oracle's
-// branch-and-bound search and memoization must not leak iteration order
-// into the diagnostics.
+// branch-and-bound search must not leak iteration order into the
+// diagnostics.
 func TestLintOracleGoldenJSON(t *testing.T) {
 	files := testdataFiles(t)
 	var first bytes.Buffer

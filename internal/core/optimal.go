@@ -79,7 +79,7 @@ type ComponentGap struct {
 	OptimalProfit float64 // profit of the oracle assignment
 	Exact         bool    // true if the search completed within the limits
 	Expansions    int64   // branch expansions spent on this component
-	Reason        string  // "exact", or the degradation cause
+	Reason        string  // "exact" or the degradation cause
 }
 
 // Gap is the profit the greedy scheme left on the table in this component.
