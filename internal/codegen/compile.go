@@ -142,7 +142,9 @@ type Result struct {
 }
 
 // Compile lowers an optimized IR module to an executable program, applying
-// the selected partitioning scheme per function.
+// the selected partitioning scheme per function. Every partition must pass
+// core.VerifyPartition before PartitionHook sees it; a violation is an
+// error.
 func Compile(mod *ir.Module, opts Options) (*Result, error) {
 	res := &Result{
 		Partitions: make(map[string]*core.Partition),
