@@ -72,7 +72,7 @@ func fpibenchMain() error {
 		calibOut      = flag.String("calib-out", "", "with -calibrate: write the fpint-calib/v1 JSON document to the given file (\"-\" for stdout)")
 	)
 	flag.Parse()
-	if *faultRate <= 0 || *faultRate > 1 {
+	if !(*faultRate > 0 && *faultRate <= 1) { // NaN fails both comparisons
 		return fperr.New(fperr.ClassUsage, "-fault-rate %g outside (0,1]", *faultRate)
 	}
 	if *fastMode {

@@ -108,7 +108,7 @@ func fpifuzzMain() error {
 		if !*timing {
 			return fperr.New(fperr.ClassUsage, "-faults requires -timing")
 		}
-		if *faultRate <= 0 || *faultRate > 1 {
+		if !(*faultRate > 0 && *faultRate <= 1) { // NaN fails both comparisons
 			return fperr.New(fperr.ClassUsage, "-fault-rate %g outside (0,1]", *faultRate)
 		}
 		o.Faults = &faultinject.Config{Seed: *seed, Kind: faultinject.KindAny, Rate: *faultRate}

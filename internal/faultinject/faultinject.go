@@ -153,7 +153,7 @@ func ParseSpec(spec string) (Config, error) {
 			cfg.Kind = k
 		case "rate":
 			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || r < 0 || r > 1 {
+			if err != nil || !(r >= 0 && r <= 1) { // NaN fails both comparisons
 				return Config{}, fmt.Errorf("fault spec rate %q: want a probability in [0,1]", val)
 			}
 			cfg.Rate = r

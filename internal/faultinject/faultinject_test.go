@@ -111,6 +111,7 @@ func TestParseSpec(t *testing.T) {
 		"seed=1",            // rate missing
 		"rate=2",            // out of range
 		"rate=x",            // not a number
+		"rate=NaN",          // fails every comparison, so it must fail the range check
 		"kind=bogus,rate=1", // unknown kind
 		"kind=none,rate=1",  // none is not injectable
 		"speed=1,rate=1",    // unknown key
