@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -143,6 +144,12 @@ func fpicMain(args []string) error {
 			return fperr.New(fperr.ClassInput, "%s: no fit for configuration %q", *calib, calibCfg.Name)
 		}
 		cost = p
+	}
+	if err := checkCost(cost); err != nil {
+		if *calib != "" {
+			return fperr.Wrapf(fperr.ClassInput, err, "%s", *calib)
+		}
+		return fperr.Wrap(fperr.ClassUsage, err)
 	}
 
 	quiet := *jsonOut == "-"
@@ -279,4 +286,19 @@ func writeTo(path string, enc func(w io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// checkCost rejects cost constants the §6.1 model cannot price with:
+// transfer costs must be finite and positive, which the exact oracle's
+// pruning bound and every reported overhead assume.
+func checkCost(p core.CostParams) error {
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{{"o_copy", p.OCopy}, {"o_dupl", p.ODupl}} {
+		if !(c.v > 0) || math.IsInf(c.v, 1) {
+			return fmt.Errorf("cost constant %s = %g: want a finite value > 0", c.name, c.v)
+		}
+	}
+	return nil
 }
