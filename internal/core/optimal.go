@@ -49,10 +49,11 @@ type OracleLimits struct {
 
 // DefaultOracleLimits bounds the search to comfortably handle every
 // testdata program and benchmark workload exactly (the largest real
-// component, ijpeg's 50-variable DCT row kernel, solves within a few
-// hundred expansions — unit propagation and the profit bound do the work)
-// while the expansion budget keeps adversarial fuzzer graphs from
-// stalling a compile.
+// components, ijpeg's 50-variable DCT kernels, are settled by the bound at
+// the root, and the costliest, ijpeg main's 29-variable component, takes
+// 44 expansions — unit propagation and the profit bound do the work) while
+// the expansion budget keeps adversarial fuzzer graphs from stalling a
+// compile.
 func DefaultOracleLimits() OracleLimits {
 	return OracleLimits{MaxFlexNodes: 64, MaxExpansions: 1 << 20}
 }
@@ -268,7 +269,10 @@ type bbState struct {
 	// that are vars.
 	rootCands   []NodeID
 	varChildren [][]int
-	minCoef     []float64 // admissible per-root transfer cost floor
+	// charge[i] is what compPricer.price charges root candidate i once it
+	// is in the transfer set: o_dupl·n when it prefers duplication (the
+	// parents a duplicate needs are charged apart), copy_cost otherwise.
+	charge []float64
 
 	term  []float64 // per var: count − (actual-arg ? copyCost : 0)
 	bonus []float64 // per var: max(0, term)
@@ -397,10 +401,10 @@ func newBBState(cm *costModel, pricer *compPricer, scratch []bool, vars []NodeID
 				b.rootCands = append(b.rootCands, p)
 				b.varChildren = append(b.varChildren, nil)
 				coef := cm.copyCost[p]
-				if cm.duplicable(p) {
-					coef = math.Min(coef, cm.params.ODupl*cm.count(p))
+				if cm.preferDup(p) {
+					coef = cm.params.ODupl * cm.count(p)
 				}
-				b.minCoef = append(b.minCoef, coef)
+				b.charge = append(b.charge, coef)
 			}
 			b.varChildren[ri] = append(b.varChildren[ri], i)
 		}
@@ -494,13 +498,16 @@ func (b *bbState) undo(mark int) {
 // current partial assignment:
 //
 //	Σ_In (count − actArgCost) + Σ_Undec max(0, count − actArgCost)
-//	  − Σ_{u definitely-INT with an In child} min(copy_cost(u), o_dupl·n(u))
+//	  − Σ_{u definitely-INT with an In child} charge(u)
 //
-// The In term is exact; every undecided node contributes at most its bonus
-// (joining FPa adds count − actArgCost minus non-negative transfer costs;
-// staying INT adds at most 0); and every definitely-INT parent of an In
-// node is in the transfer set of every completion, each transfer member
-// costing at least min(copy, o_dupl·n) — so subtracting those is safe.
+// where charge(u) is o_dupl·n(u) if u prefers duplication and copy_cost(u)
+// otherwise, the price compPricer.price charges u. The In term is exact;
+// every undecided node contributes at most its bonus (joining FPa adds
+// count − actArgCost minus non-negative transfer costs; staying INT adds at
+// most 0). Every definitely-INT parent of an In node is in the transfer set
+// of every completion and is charged exactly charge(u) there, once; the
+// rest of the set costs ≥ 0. So subtracting those charges is safe, and at
+// a leaf whose transfer set holds no duplicate the bound equals the price.
 func (b *bbState) upperBound() float64 {
 	ub := 0.0
 	for i := range b.vars {
@@ -517,7 +524,7 @@ func (b *bbState) upperBound() float64 {
 		}
 		for _, ci := range b.varChildren[ri] {
 			if b.status[ci] == stIn {
-				ub -= b.minCoef[ri]
+				ub -= b.charge[ri]
 				break
 			}
 		}

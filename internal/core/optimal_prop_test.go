@@ -180,95 +180,163 @@ func TestOracleMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestOracleBoundAdmissible checks the pruning bound directly: for random
-// propagated partial assignments, the upper bound must dominate the profit
-// of every legal completion — i.e. the bound never prunes the optimum.
+// componentSearches builds one fresh branch-and-bound state per undirected
+// component of g that has an eligible node, as OptimalPartition does.
+func componentSearches(g *Graph, params CostParams) []*bbState {
+	cm := newCostModel(g, params)
+	eligible := oracleEligible(g)
+	comp := undirectedComponents(g)
+	nComp := 0
+	for _, c := range comp {
+		if c >= nComp {
+			nComp = c + 1
+		}
+	}
+	members := make([][]NodeID, nComp)
+	for _, nd := range g.Nodes {
+		if c := comp[nd.ID]; c >= 0 {
+			members[c] = append(members[c], nd.ID)
+		}
+	}
+	var out []*bbState
+	for c := 0; c < nComp; c++ {
+		var vars []NodeID
+		for _, id := range members[c] {
+			if eligible[id] {
+				vars = append(vars, id)
+			}
+		}
+		if len(vars) == 0 {
+			continue
+		}
+		budget := int64(1 << 30)
+		out = append(out, newBBState(cm, newCompPricer(cm, members[c]), make([]bool, len(g.Nodes)), vars, &budget))
+	}
+	return out
+}
+
+// walkSearch visits every node of b's search tree below pos without
+// pruning — a superset of the nodes dfs visits, whatever its incumbent —
+// and returns the best profit among the leaves below (-Inf if none). It
+// calls inner with the bound at each inner node and the best leaf below
+// it, and leaf with the bound and the priced profit at each leaf.
+func walkSearch(b *bbState, pos int, inner func(ub, best float64), leaf func(ub, profit float64)) float64 {
+	for pos < len(b.vars) && b.status[pos] != stUndec {
+		pos++
+	}
+	ub := b.upperBound()
+	if pos == len(b.vars) {
+		for i, id := range b.vars {
+			b.scratch[id] = b.status[i] == stIn
+		}
+		profit := b.pricer.price(b.scratch).Profit()
+		leaf(ub, profit)
+		for _, id := range b.vars {
+			b.scratch[id] = false
+		}
+		return profit
+	}
+	best := math.Inf(-1)
+	for _, val := range []uint8{stIn, stOut} {
+		mark := len(b.trail)
+		if b.propagate(pos, val) {
+			best = math.Max(best, walkSearch(b, pos+1, inner, leaf))
+		}
+		b.undo(mark)
+	}
+	inner(ub, best)
+	return best
+}
+
+// legalSubsets counts, by enumeration, the legal FPa sets drawn from vars.
+func legalSubsets(g *Graph, vars []NodeID) int {
+	inFPa := make([]bool, len(g.Nodes))
+	n := 0
+	for mask := 0; mask < 1<<len(vars); mask++ {
+		for i, id := range vars {
+			inFPa[id] = mask&(1<<i) != 0
+		}
+		if legalSet(g, inFPa) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOracleBoundAdmissible checks the pruning bound at every node of the
+// search tree on small random components: the bound must dominate the
+// profit of every legal completion below the node — i.e. the bound never
+// prunes the optimum. The tree's leaves must be exactly the legal FPa
+// sets, so the best leaf below a node is its best legal completion.
 func TestOracleBoundAdmissible(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
+	nodes := 0
+	for trial := 0; trial < 150; trial++ {
+		g := randomGraph(r, 3+r.Intn(10))
+		for c, b := range componentSearches(g, randomParams(r)) {
+			leaves := 0
+			walkSearch(b, 0, func(ub, best float64) {
+				nodes++
+				if !math.IsInf(best, -1) && ub < best-1e-9 {
+					t.Fatalf("trial %d comp %d: upper bound %.12f below a reachable completion %.12f",
+						trial, c, ub, best)
+				}
+			}, func(ub, profit float64) {
+				nodes++
+				leaves++
+				if !legalSet(g, b.scratch) {
+					t.Fatalf("trial %d comp %d: search reached an illegal FPa set", trial, c)
+				}
+				if ub < profit-1e-9 {
+					t.Fatalf("trial %d comp %d: upper bound %.12f below the leaf's profit %.12f",
+						trial, c, ub, profit)
+				}
+			})
+			if want := legalSubsets(g, b.vars); leaves != want {
+				t.Fatalf("trial %d comp %d: search tree has %d leaves, want the %d legal FPa sets",
+					trial, c, leaves, want)
+			}
+		}
+	}
+	if nodes < 1000 {
+		t.Fatalf("only %d search nodes checked", nodes)
+	}
+}
+
+// TestOracleBoundTightAtLeaves checks that the bound charges each
+// mandatory transfer what the pricer charges it: at every leaf whose
+// transfer set holds no duplicate, the bound equals the leaf's profit.
+// A bound that charged a copied root only o_dupl·n — the cheaper of the
+// two transfers — would exceed the price there and prune less.
+func TestOracleBoundTightAtLeaves(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	checked := 0
 	for trial := 0; trial < 150; trial++ {
 		g := randomGraph(r, 3+r.Intn(10))
 		params := randomParams(r)
 		cm := newCostModel(g, params)
-		eligible := oracleEligible(g)
-		comp := undirectedComponents(g)
-
-		nComp := 0
-		for _, c := range comp {
-			if c >= nComp {
-				nComp = c + 1
-			}
+		inINT := make([]bool, len(g.Nodes))
+		for c, b := range componentSearches(g, params) {
+			walkSearch(b, 0, func(float64, float64) {}, func(ub, profit float64) {
+				for _, nd := range g.Nodes {
+					inINT[nd.ID] = !b.scratch[nd.ID]
+				}
+				copies, dups := cm.transferSet(inINT)
+				if len(dups) > 0 {
+					return
+				}
+				if len(copies) > 0 {
+					checked++
+				}
+				if math.Abs(ub-profit) > 1e-9*(1+math.Abs(profit)) {
+					t.Fatalf("trial %d comp %d: bound %.12f at a leaf that prices to %.12f (copies only)",
+						trial, c, ub, profit)
+				}
+			})
 		}
-		members := make([][]NodeID, nComp)
-		for _, nd := range g.Nodes {
-			if c := comp[nd.ID]; c >= 0 {
-				members[c] = append(members[c], nd.ID)
-			}
-		}
-		for c := 0; c < nComp; c++ {
-			var vars []NodeID
-			for _, id := range members[c] {
-				if eligible[id] {
-					vars = append(vars, id)
-				}
-			}
-			if len(vars) == 0 {
-				continue
-			}
-			scratch := make([]bool, len(g.Nodes))
-			budget := int64(1 << 30)
-			pricer := newCompPricer(cm, members[c])
-			b := newBBState(cm, pricer, scratch, vars, &budget)
-
-			// Random partial assignment via the real propagation.
-			for i := range b.vars {
-				if b.status[i] != stUndec || r.Intn(3) == 0 {
-					continue
-				}
-				val := uint8(stIn)
-				if r.Intn(2) == 0 {
-					val = stOut
-				}
-				mark := len(b.trail)
-				if !b.propagate(i, val) {
-					b.undo(mark)
-				}
-			}
-			ub := b.upperBound()
-
-			// Enumerate every completion of the undecided variables and
-			// keep the best legal profit.
-			var undec []int
-			for i := range b.vars {
-				if b.status[i] == stUndec {
-					undec = append(undec, i)
-				}
-			}
-			if len(undec) > 16 {
-				t.Fatalf("trial %d: %d undecided vars", trial, len(undec))
-			}
-			inFPa := make([]bool, len(g.Nodes))
-			best := math.Inf(-1)
-			for mask := 0; mask < 1<<len(undec); mask++ {
-				for i := range b.vars {
-					inFPa[b.vars[i]] = b.status[i] == stIn
-				}
-				for k, i := range undec {
-					if mask&(1<<k) != 0 {
-						inFPa[b.vars[i]] = true
-					}
-				}
-				if !legalSet(g, inFPa) {
-					continue
-				}
-				if p := pricer.price(inFPa).Profit(); p > best {
-					best = p
-				}
-			}
-			if !math.IsInf(best, -1) && ub < best-1e-9 {
-				t.Fatalf("trial %d comp %d: upper bound %.12f below a reachable completion %.12f",
-					trial, c, ub, best)
-			}
-		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d leaves with copies and no duplicates checked", checked)
 	}
 }
 
