@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"fpint/internal/codegen"
+	"fpint/internal/core"
+	"fpint/internal/difftest"
 )
 
 // benchSrc exercises the backend's expensive paths: several functions, an
@@ -79,4 +81,38 @@ func BenchmarkFrontendPipeline(b *testing.B) {
 			b.Fatalf("frontend: %v", err)
 		}
 	}
+}
+
+// BenchmarkOptimalOracle times an optimal-scheme compile of one generated
+// program whose functions hold wide RDG components, at the 16K expansion
+// cap compile-mix uses, and reports the oracle's branch-and-bound
+// expansions per compile. A looser pruning bound shows as more expansions
+// and a longer compile here first.
+func BenchmarkOptimalOracle(b *testing.B) {
+	cfg := difftest.DefaultGenConfig()
+	cfg.MaxStmts = 384
+	mod, prof, err := codegen.FrontendPipeline(difftest.NewGenerator(14, cfg).Program())
+	if err != nil {
+		b.Fatalf("frontend: %v", err)
+	}
+	opts := codegen.Options{Scheme: codegen.SchemeOptimal, Profile: prof,
+		Oracle: core.OracleLimits{MaxExpansions: 1 << 14}}
+	// One untimed compile first, so that CI's single-iteration run times
+	// the search and not first-use set-up.
+	if _, err := codegen.Compile(mod, opts); err != nil {
+		b.Fatalf("compile: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var expansions int64
+	for i := 0; i < b.N; i++ {
+		res, err := codegen.Compile(mod, opts)
+		if err != nil {
+			b.Fatalf("compile: %v", err)
+		}
+		for _, r := range res.Oracle {
+			expansions += r.Expansions
+		}
+	}
+	b.ReportMetric(float64(expansions)/float64(b.N), "expansions/op")
 }
