@@ -306,8 +306,8 @@ func TestOracleBoundAdmissible(t *testing.T) {
 // TestOracleBoundTightAtLeaves checks that the bound charges each
 // mandatory transfer what the pricer charges it: at every leaf whose
 // transfer set holds no duplicate, the bound equals the leaf's profit.
-// A bound that charged a copied root only o_dupl·n — the cheaper of the
-// two transfers — would exceed the price there and prune less.
+// A bound that charged a copied root min(o_copy·n, o_dupl·n) would
+// exceed the price there and prune less.
 func TestOracleBoundTightAtLeaves(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	checked := 0
