@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"math"
 	"time"
 
 	"fpint/internal/fperr"
@@ -40,6 +41,16 @@ func cmdGate(args []string, stdout io.Writer) error {
 	}
 	if (*baseline == "") == (*baselineRev == "") {
 		return fperr.New(fperr.ClassUsage, "gate needs exactly one of -baseline FILE or -baseline-rev REV")
+	}
+	// A delta regresses when its change exceeds the tolerance, a test that
+	// is false for every delta against NaN: such a gate would pass anything.
+	for _, tol := range []struct {
+		name string
+		v    float64
+	}{{"guest-tolerance", *guestTol}, {"host-tolerance", *hostTol}} {
+		if !(tol.v >= 0) || math.IsInf(tol.v, 1) {
+			return fperr.New(fperr.ClassUsage, "-%s %g: want a finite percentage >= 0", tol.name, tol.v)
+		}
 	}
 
 	current, err := loadStore(*storePath)

@@ -392,3 +392,23 @@ func TestGateRefusesEmptyComparison(t *testing.T) {
 		t.Fatalf("class %v (err %v), want ClassInput", got, err)
 	}
 }
+
+// TestGateRejectsBadTolerance checks that a tolerance which is not a
+// finite percentage >= 0 is a usage error. Against NaN every "change >
+// tolerance" test is false, so such a gate would pass the fixture's
+// regressed beta line instead of exiting 5.
+func TestGateRejectsBadTolerance(t *testing.T) {
+	store := fixtureStore(t)
+	for _, args := range [][]string{
+		{"-host-tolerance", "NaN"},
+		{"-guest-tolerance", "NaN"},
+		{"-host-tolerance", "+Inf"},
+		{"-guest-tolerance", "-1"},
+	} {
+		var buf bytes.Buffer
+		err := fpistatMain(append([]string{"gate", "-store", store, "-baseline-rev", fixRev1}, args...), &buf)
+		if got := fperr.ExitCode(err); got != 1 {
+			t.Errorf("gate %v: exit %d (err %v), want 1\n%s", args, got, err, buf.String())
+		}
+	}
+}
