@@ -93,7 +93,9 @@ func fpicMain(args []string) error {
 		return fperr.Wrap(fperr.ClassUsage, err)
 	}
 
-	var src string
+	// Every flag is checked before any file is read, so a bad flag is a
+	// usage error whatever the state of the input file.
+	var src, path string
 	switch {
 	case *example:
 		src = exampleSrc
@@ -103,15 +105,10 @@ func fpicMain(args []string) error {
 			return fperr.New(fperr.ClassUsage, "unknown workload %q", *workload)
 		}
 		src = w.Src
+	case fs.NArg() != 1:
+		return fperr.New(fperr.ClassUsage, "usage: fpic [flags] file.c  (or -example / -workload NAME)")
 	default:
-		if fs.NArg() != 1 {
-			return fperr.New(fperr.ClassUsage, "usage: fpic [flags] file.c  (or -example / -workload NAME)")
-		}
-		data, err := os.ReadFile(fs.Arg(0))
-		if err != nil {
-			return fperr.Wrap(fperr.ClassInput, err)
-		}
-		src = string(data)
+		path = fs.Arg(0)
 	}
 
 	useAnalysis, err := analysis.ParseOnOff(*analysisMode)
@@ -129,6 +126,19 @@ func fpicMain(args []string) error {
 	}
 
 	cost := core.CostParams{OCopy: *ocopy, ODupl: *odupl}
+	if *calib == "" {
+		if err := checkCost(cost); err != nil {
+			return fperr.Wrap(fperr.ClassUsage, err)
+		}
+	}
+
+	if path != "" {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return fperr.Wrap(fperr.ClassInput, err)
+		}
+		src = string(data)
+	}
 	if *calib != "" {
 		f, err := os.Open(*calib)
 		if err != nil {
@@ -143,13 +153,10 @@ func fpicMain(args []string) error {
 		if !ok {
 			return fperr.New(fperr.ClassInput, "%s: no fit for configuration %q", *calib, calibCfg.Name)
 		}
-		cost = p
-	}
-	if err := checkCost(cost); err != nil {
-		if *calib != "" {
+		if err := checkCost(p); err != nil {
 			return fperr.Wrapf(fperr.ClassInput, err, "%s", *calib)
 		}
-		return fperr.Wrap(fperr.ClassUsage, err)
+		cost = p
 	}
 
 	quiet := *jsonOut == "-"

@@ -36,10 +36,16 @@ func TestNameExitCodes(t *testing.T) {
 		{"-ocopy", "0", src},
 		{"-ocopy", "NaN", src},
 		{"-odupl", "Inf", src},
+		// Flags are checked before the input file is read.
+		{"-scheme", "warp", "missing.c"},
+		{"-odupl", "-1", "missing.c"},
 	} {
 		if got := exitCode(t, args...); got != 1 {
 			t.Errorf("fpic %v: exit %d, want 1", args, got)
 		}
+	}
+	if got := exitCode(t, "missing.c"); got != 2 {
+		t.Errorf("fpic missing.c: exit %d, want 2", got)
 	}
 	badCalib := filepath.Join(t.TempDir(), "calib.json")
 	doc := `{"version": "fpint-calib/v1", "configs": [{"config": "4-way", "o_copy": 4, "o_dupl": -1}]}`
