@@ -1,6 +1,10 @@
 package analysis
 
-import "fpint/internal/ir"
+import (
+	"slices"
+
+	"fpint/internal/ir"
+)
 
 // Ranges is the result of the value-range analysis: one interval per
 // integer definition site, valid for the value that site produces on any
@@ -20,42 +24,25 @@ type Ranges struct {
 	DivisorIn map[int]Interval
 }
 
-// rangeEnv maps virtual registers to intervals. Absent means Top (the
-// analysis makes no claim), which keeps environments small.
-type rangeEnv map[ir.VReg]Interval
-
-func (e rangeEnv) get(v ir.VReg) Interval {
-	if iv, ok := e[v]; ok {
-		return iv
-	}
-	return Top()
-}
-
-func (e rangeEnv) clone() rangeEnv {
-	c := make(rangeEnv, len(e))
-	for k, v := range e {
-		c[k] = v
-	}
-	return c
-}
+// rangeEnv holds one interval per virtual register, indexed by VReg.
+// Top means the analysis makes no claim.
+type rangeEnv []Interval
 
 // joinInto joins src into dst in place, reporting whether dst changed.
-// Keys absent from either side are Top, so a key absent from src forces
-// the dst entry to Top (removal).
-func (dst rangeEnv) joinInto(src rangeEnv) bool {
+// With widen set, every entry that changed is widened against its old
+// value; widening an unchanged entry would leave it as it is.
+func (dst rangeEnv) joinInto(src rangeEnv, widen bool) bool {
 	changed := false
 	for k, dv := range dst {
-		sv, ok := src[k]
-		if !ok {
-			delete(dst, k)
-			changed = true
+		j := dv.Join(src[k])
+		if j == dv {
 			continue
 		}
-		j := dv.Join(sv)
-		if j != dv {
-			dst[k] = j
-			changed = true
+		if widen {
+			j = dv.Widen(j)
 		}
+		dst[k] = j
+		changed = true
 	}
 	return changed
 }
@@ -74,77 +61,93 @@ const wideningThreshold = 8
 // directly, so the precision that branch-edge refinement recovers at the
 // loop head (a widened counter flowing through an `i < n` guard
 // re-acquires its upper bound on the true edge) survives into the body.
+//
+// Blocks are numbered by their reverse-postorder position. The state is
+// allocated per function, not per visit: one environment per reached
+// block, joined and widened in place, plus two scratch environments for
+// the block being transferred and the edge being refined.
 func AnalyzeRanges(fn *ir.Func, cfg *CFG) *Ranges {
 	r := &Ranges{Fn: fn, ValOut: make(map[int]Interval), DivisorIn: make(map[int]Interval)}
+	nb, nv := len(cfg.Blocks), fn.NumVRegs()
 
-	// Widening points: targets of retreating edges (the successor is not
-	// later in reverse postorder than the block), including self-loops.
-	widenAt := make(map[*ir.Block]bool)
-	for _, b := range cfg.Blocks {
-		for _, s := range b.Succs {
-			if cfg.Reachable(s) && cfg.rpoIndex[s] <= cfg.rpoIndex[b] {
-				widenAt[s] = true
+	// Successor numbers, and the widening points: targets of retreating
+	// edges (the successor is not later in reverse postorder than the
+	// block), including self-loops. Successors of a reachable block are
+	// reachable.
+	succs := make([][]int, nb)
+	widenAt := make([]bool, nb)
+	for bi, b := range cfg.Blocks {
+		succs[bi] = make([]int, len(b.Succs))
+		for si, s := range b.Succs {
+			sj := cfg.rpoIndex[s]
+			succs[bi][si] = sj
+			if sj <= bi {
+				widenAt[sj] = true
 			}
 		}
 	}
 
-	in := make(map[*ir.Block]rangeEnv, len(cfg.Blocks))
-	visits := make(map[*ir.Block]int, len(cfg.Blocks))
-	inWork := make(map[*ir.Block]bool, len(cfg.Blocks))
-	var work []*ir.Block
-
-	push := func(b *ir.Block) {
+	in := make([]rangeEnv, nb) // nil until the block is first reached
+	visits := make([]int, nb)
+	// A FIFO ring of block numbers: a block is queued at most once at a
+	// time, so nb slots never overflow.
+	ring := make([]int, nb)
+	inWork := make([]bool, nb)
+	head, queued := 0, 0
+	push := func(b int) {
 		if !inWork[b] {
 			inWork[b] = true
-			work = append(work, b)
+			ring[(head+queued)%nb] = b
+			queued++
 		}
 	}
 
-	// Entry environment: every parameter (and any other register) is Top,
-	// which the empty environment already encodes.
-	in[fn.Entry] = rangeEnv{}
-	push(fn.Entry)
+	env := make(rangeEnv, nv)  // the block being transferred
+	edge := make(rangeEnv, nv) // one out-edge's refinement of env
 
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		inWork[b] = false
+	// Entry environment (the entry is first in reverse postorder): every
+	// parameter and every other register is Top. Every other block is
+	// reached through an edge from a reached one.
+	in[0] = make(rangeEnv, nv)
+	for k := range in[0] {
+		in[0][k] = Top()
+	}
+	push(0)
 
-		env := in[b].clone()
+	for queued > 0 {
+		bi := ring[head]
+		head = (head + 1) % nb
+		queued--
+		inWork[bi] = false
+
+		b := cfg.Blocks[bi]
+		copy(env, in[bi])
 		transferBlock(fn, b, env, nil)
 
 		// Propagate to successors with branch-edge refinement.
-		for si, s := range b.Succs {
-			succEnv := env.clone()
-			refineEdge(b, si, succEnv)
-			cur, seen := in[s]
-			if !seen {
-				in[s] = succEnv
-				push(s)
+		for si, sj := range succs[bi] {
+			copy(edge, env)
+			refineEdge(b, si, edge)
+			if in[sj] == nil {
+				in[sj] = slices.Clone(edge)
+				push(sj)
 				continue
 			}
 			// Monotone accumulation: join the edge environment into the
 			// stored one; widen once the block has changed often enough.
-			next := cur.clone()
-			changed := next.joinInto(succEnv)
-			if !changed {
+			widen := widenAt[sj] && visits[sj] >= wideningThreshold
+			if !in[sj].joinInto(edge, widen) {
 				continue
 			}
-			visits[s]++
-			if widenAt[s] && visits[s] > wideningThreshold {
-				for k, nv := range next {
-					next[k] = cur[k].Widen(nv)
-				}
-			}
-			in[s] = next
-			push(s)
+			visits[sj]++
+			push(sj)
 		}
 	}
 
 	// Final deterministic pass with the stable in-environments records the
 	// per-definition intervals and the per-division divisor intervals.
-	for _, b := range cfg.Blocks {
-		env := in[b].clone()
+	for bi, b := range cfg.Blocks {
+		copy(env, in[bi])
 		transferBlock(fn, b, env, r)
 	}
 	return r
@@ -159,13 +162,12 @@ func transferBlock(fn *ir.Func, b *ir.Block, env rangeEnv, rec *Ranges) {
 		}
 		out, hasOut := transferInstr(fn, instr, env)
 		if instr.Dst != 0 && fn.VRegType(instr.Dst) == ir.I64 {
-			if hasOut {
-				env[instr.Dst] = out
-			} else {
-				delete(env, instr.Dst) // Top
+			if !hasOut {
+				out = Top()
 			}
+			env[instr.Dst] = out
 			if rec != nil {
-				rec.ValOut[instr.ID] = env.get(instr.Dst)
+				rec.ValOut[instr.ID] = out
 			}
 		}
 	}
@@ -184,7 +186,7 @@ func argInterval(fn *ir.Func, instr *ir.Instr, k int, env rangeEnv) Interval {
 	if fn.VRegType(v) != ir.I64 {
 		return Top()
 	}
-	return env.get(v)
+	return env[v]
 }
 
 // transferInstr computes the interval of instr's integer result, reporting
@@ -273,7 +275,7 @@ func refineEdge(b *ir.Block, si int, env rangeEnv) {
 	}
 
 	a := cmp.Args[0]
-	av := env.get(a)
+	av := env[a]
 	var bReg ir.VReg
 	var bv Interval
 	if cmp.ImmArg {
@@ -283,7 +285,7 @@ func refineEdge(b *ir.Block, si int, env rangeEnv) {
 			return
 		}
 		bReg = cmp.Args[1]
-		bv = env.get(bReg)
+		bv = env[bReg]
 	}
 
 	na, nb := refineCmp(op, av, bv)

@@ -1,8 +1,12 @@
 package codegen
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 
+	"fpint/internal/dataflow"
 	"fpint/internal/isa"
 )
 
@@ -28,7 +32,7 @@ const (
 // interval is a live interval of one virtual register in linear position
 // space.
 type interval struct {
-	vreg       int
+	vreg       int // register number minus firstVirtual
 	start, end int
 	uses       int // static def/use occurrences (spill-cost proxy)
 	crossCall  bool
@@ -36,11 +40,13 @@ type interval struct {
 	slot       int // spill slot index when spilled
 }
 
-// allocResult is the outcome of allocation for one register class.
+// allocResult is the outcome of allocation for one register class. Its
+// tables are indexed by virtual register number minus firstVirtual.
 type allocResult struct {
-	assign     map[int]int   // virtual -> physical
-	spillSlot  map[int]int   // virtual -> spill slot index (within class-shared space)
-	remat      map[int]minst // virtual -> constant-materializing template
+	assign     []int   // physical register, or -1
+	spillSlot  []int   // spill slot index (within class-shared space), or -1
+	remat      []int   // index into consts of the template re-materialized at each use, or -1
+	consts     []minst // constant-materializing templates (rematCandidates)
 	usedCallee []int
 }
 
@@ -59,35 +65,26 @@ type regallocStats struct {
 func regalloc(f *mfunc) regallocStats {
 	nextSlot := 0
 	stats := regallocStats{}
+	succs := blockSuccs(f)
+	blockStart := make([]int, len(f.blocks)+1)
 	for _, class := range []isa.RegClass{isa.IntReg, isa.FpReg} {
-		// Linear positions: posAt[bi][ii] is the position of instruction
-		// ii of block bi. Recomputed per class because the previous class's
-		// spill rewrite may have inserted instructions.
-		posAt := make([][]int, len(f.blocks))
-		blockStart := make(map[int]int) // block id -> first position
-		blockEnd := make(map[int]int)
+		// Linear positions: instruction ii of block bi sits at
+		// blockStart[bi]+ii, and the block's last position is
+		// blockStart[bi+1]-1. Recomputed per class because the previous
+		// class's spill rewrite may have inserted instructions.
+		var callPositions []int
 		pos := 0
 		for bi, b := range f.blocks {
-			blockStart[b.id] = pos
-			posAt[bi] = make([]int, len(b.insts))
+			blockStart[bi] = pos
 			for ii := range b.insts {
-				posAt[bi][ii] = pos
-				pos++
-			}
-			if len(b.insts) == 0 {
-				pos++ // phantom position so empty blocks have a span
-			}
-			blockEnd[b.id] = pos - 1
-		}
-		var callPositions []int
-		for bi, b := range f.blocks {
-			for ii, m := range b.insts {
-				if m.op == isa.JAL {
-					callPositions = append(callPositions, posAt[bi][ii])
+				if b.insts[ii].op == isa.JAL {
+					callPositions = append(callPositions, pos+ii)
 				}
 			}
+			pos += max(len(b.insts), 1) // a phantom position gives empty blocks a span
 		}
-		res := allocateClass(f, class, posAt, blockStart, blockEnd, callPositions, &nextSlot)
+		blockStart[len(f.blocks)] = pos
+		res := allocateClass(f, class, succs, blockStart, callPositions, &nextSlot)
 		if class == isa.IntReg {
 			stats.UsedCalleeInt = res.usedCallee
 		} else {
@@ -102,196 +99,176 @@ func regalloc(f *mfunc) regallocStats {
 	return stats
 }
 
-// classOperands returns the (field, class, isDef) triples of an instruction
-// restricted to virtual registers of the wanted class.
+// blockSuccs maps each block's successor IDs to indices into f.blocks.
+// Successors are IR blocks, so the epilogue (a negative ID) is never one.
+func blockSuccs(f *mfunc) [][]int {
+	maxID := -1
+	for _, b := range f.blocks {
+		maxID = max(maxID, b.id)
+	}
+	index := make([]int, maxID+1) // block ID -> index into f.blocks
+	for bi, b := range f.blocks {
+		if b.id >= 0 {
+			index[b.id] = bi
+		}
+	}
+	succs := make([][]int, len(f.blocks))
+	for bi, b := range f.blocks {
+		succs[bi] = make([]int, len(b.succs))
+		for si, id := range b.succs {
+			succs[bi][si] = index[id]
+		}
+	}
+	return succs
+}
+
+// operandRef is one virtual-register operand field of an instruction.
 type operandRef struct {
 	val   *int
 	isDef bool
 }
 
-func virtOperands(m *minst, class isa.RegClass) []operandRef {
+// virtOperands returns the virtual-register operands of m in the wanted
+// class, uses (rs, rt) before the def (rd), in ops[:n].
+func virtOperands(m *minst, class isa.RegClass) (ops [3]operandRef, n int) {
 	rdC, rsC, rtC := regClasses(m.op)
 	dDef, sUse, tUse := defsUses(m.op)
-	var out []operandRef
 	if sUse && rsC == class && m.rs >= firstVirtual {
-		out = append(out, operandRef{&m.rs, false})
+		ops[n] = operandRef{&m.rs, false}
+		n++
 	}
 	if tUse && rtC == class && m.rt >= firstVirtual {
-		out = append(out, operandRef{&m.rt, false})
+		ops[n] = operandRef{&m.rt, false}
+		n++
 	}
 	if dDef && rdC == class && m.rd >= firstVirtual {
-		out = append(out, operandRef{&m.rd, true})
+		ops[n] = operandRef{&m.rd, true}
+		n++
 	}
-	return out
+	return ops, n
 }
 
 // rematCandidates finds virtual registers of the class whose single
 // definition materializes a constant (LI/LIA/LID): spilling them needs no
 // stack slot — the constant is re-materialized at each use, as production
-// register allocators do.
-func rematCandidates(f *mfunc, class isa.RegClass) map[int]minst {
-	defCount := make(map[int]int)
-	tmpl := make(map[int]minst)
+// register allocators do. tmpl[v-firstVirtual] indexes v's definition in
+// consts, or is -1 when v is not a candidate.
+func rematCandidates(f *mfunc, class isa.RegClass) (tmpl []int, consts []minst) {
+	nv := f.nextVirt[class] - firstVirtual
+	defs := make([]int, nv)
+	tmpl = make([]int, nv)
+	for v := range tmpl {
+		tmpl[v] = -1
+	}
 	for _, b := range f.blocks {
 		for ii := range b.insts {
 			m := &b.insts[ii]
-			for _, op := range virtOperands(m, class) {
+			ops, n := virtOperands(m, class)
+			for _, op := range ops[:n] {
 				if !op.isDef {
 					continue
 				}
-				defCount[*op.val]++
+				v := *op.val - firstVirtual
+				defs[v]++
 				switch m.op {
 				case isa.LI, isa.LIA, isa.LID:
-					tmpl[*op.val] = *m
-				default:
-					delete(tmpl, *op.val)
+					tmpl[v] = len(consts)
+					consts = append(consts, *m)
 				}
 			}
 		}
 	}
-	out := make(map[int]minst)
-	for v, t := range tmpl {
-		if defCount[v] == 1 {
-			out[v] = t
+	for v, d := range defs {
+		if d != 1 {
+			tmpl[v] = -1
 		}
 	}
-	return out
+	return tmpl, consts
 }
 
-func allocateClass(f *mfunc, class isa.RegClass, posAt [][]int,
-	blockStart, blockEnd map[int]int, callPositions []int, nextSlot *int) allocResult {
+func allocateClass(f *mfunc, class isa.RegClass, succs [][]int, blockStart, callPositions []int,
+	nextSlot *int) allocResult {
 
-	rematable := rematCandidates(f, class)
+	nv := f.nextVirt[class] - firstVirtual
+	tmpl, consts := rematCandidates(f, class)
 
-	// Block-level liveness of virtual registers.
-	use := make(map[int]map[int]bool)
-	def := make(map[int]map[int]bool)
-	liveIn := make(map[int]map[int]bool)
-	liveOut := make(map[int]map[int]bool)
-	blockByID := make(map[int]*mblock)
-	for _, b := range f.blocks {
-		blockByID[b.id] = b
-		u := make(map[int]bool)
-		d := make(map[int]bool)
-		for ii := range b.insts {
-			m := &b.insts[ii]
-			for _, op := range virtOperands(m, class) {
-				if op.isDef {
-					d[*op.val] = true
-				} else if !d[*op.val] {
-					u[*op.val] = true
-				}
-			}
-		}
-		use[b.id] = u
-		def[b.id] = d
-		liveIn[b.id] = make(map[int]bool)
-		liveOut[b.id] = make(map[int]bool)
+	// One pass over the instructions collects each block's use/def sets
+	// and each register's first and last position and occurrence count.
+	use := dataflow.NewBitSets(len(f.blocks), nv)
+	def := dataflow.NewBitSets(len(f.blocks), nv)
+	starts := make([]int, nv)
+	ends := make([]int, nv)
+	uses := make([]int, nv)
+	for v := range starts {
+		starts[v], ends[v] = math.MaxInt, -1
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := len(f.blocks) - 1; i >= 0; i-- {
-			b := f.blocks[i]
-			out := make(map[int]bool)
-			for _, sid := range b.succs {
-				for v := range liveIn[sid] {
-					out[v] = true
-				}
-			}
-			liveOut[b.id] = out
-			in := make(map[int]bool)
-			for v := range out {
-				if !def[b.id][v] {
-					in[v] = true
-				}
-			}
-			for v := range use[b.id] {
-				in[v] = true
-			}
-			if len(in) != len(liveIn[b.id]) {
-				liveIn[b.id] = in
-				changed = true
-				continue
-			}
-			for v := range in {
-				if !liveIn[b.id][v] {
-					liveIn[b.id] = in
-					changed = true
-					break
-				}
-			}
-		}
-	}
-
-	// Intervals.
-	starts := make(map[int]int)
-	ends := make(map[int]int)
-	useCount := make(map[int]int)
 	touch := func(v, p int) {
-		if s, ok := starts[v]; !ok || p < s {
-			starts[v] = p
-		}
-		if e, ok := ends[v]; !ok || p > e {
-			ends[v] = p
-		}
+		starts[v] = min(starts[v], p)
+		ends[v] = max(ends[v], p)
 	}
 	for bi, b := range f.blocks {
 		for ii := range b.insts {
-			m := &b.insts[ii]
-			p := posAt[bi][ii]
-			for _, op := range virtOperands(m, class) {
-				touch(*op.val, p)
-				useCount[*op.val]++
+			ops, n := virtOperands(&b.insts[ii], class)
+			for _, op := range ops[:n] {
+				v := *op.val - firstVirtual
+				if op.isDef {
+					def[bi].Set(v)
+				} else if !def[bi].Has(v) {
+					use[bi].Set(v)
+				}
+				touch(v, blockStart[bi]+ii)
+				uses[v]++
 			}
-		}
-		for v := range liveIn[b.id] {
-			touch(v, blockStart[b.id])
-		}
-		for v := range liveOut[b.id] {
-			touch(v, blockEnd[b.id])
 		}
 	}
-	var ivs []*interval
-	for v := range starts {
-		iv := &interval{vreg: v, start: starts[v], end: ends[v], uses: useCount[v], reg: -1, slot: -1}
-		for _, cp := range callPositions {
-			if iv.start < cp && iv.end > cp {
-				iv.crossCall = true
-				break
-			}
+	liveIn, liveOut := dataflow.SolveLiveness(succs, use, def)
+	for bi := range f.blocks {
+		first, last := blockStart[bi], blockStart[bi+1]-1
+		liveIn[bi].ForEach(func(v int) { touch(v, first) })
+		liveOut[bi].ForEach(func(v int) { touch(v, last) })
+	}
+
+	// Intervals, sorted by (start, vreg).
+	var ivs []interval
+	for v, e := range ends {
+		if e < 0 {
+			continue
 		}
+		iv := interval{vreg: v, start: starts[v], end: e, uses: uses[v], reg: -1, slot: -1}
+		// The first call after the start must come before the end.
+		i := sort.SearchInts(callPositions, iv.start+1)
+		iv.crossCall = i < len(callPositions) && callPositions[i] < iv.end
 		ivs = append(ivs, iv)
 	}
-	sort.Slice(ivs, func(a, b int) bool {
-		if ivs[a].start != ivs[b].start {
-			return ivs[a].start < ivs[b].start
+	slices.SortFunc(ivs, func(a, b interval) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		return ivs[a].vreg < ivs[b].vreg
+		return cmp.Compare(a.vreg, b.vreg)
 	})
 
 	caller, callee := intCallerSaved, intCalleeSaved
 	if class == isa.FpReg {
 		caller, callee = fpCallerSaved, fpCalleeSaved
 	}
-	isCallee := make(map[int]bool, len(callee))
+	var isCallee, free, usedCallee [32]bool
 	for _, r := range callee {
 		isCallee[r] = true
-	}
-
-	free := make(map[int]bool)
-	for _, r := range caller {
 		free[r] = true
 	}
-	for _, r := range callee {
+	for _, r := range caller {
 		free[r] = true
 	}
 	var active []*interval
 	res := allocResult{
-		assign:    make(map[int]int),
-		spillSlot: make(map[int]int),
-		remat:     make(map[int]minst),
+		assign:    make([]int, nv),
+		spillSlot: make([]int, nv),
+		remat:     make([]int, nv),
+		consts:    consts,
 	}
-	usedCallee := make(map[int]bool)
+	for v := range res.assign {
+		res.assign[v], res.spillSlot[v], res.remat[v] = -1, -1, -1
+	}
 
 	expire := func(pos int) {
 		kept := active[:0]
@@ -326,7 +303,7 @@ func allocateClass(f *mfunc, class isa.RegClass, posAt [][]int,
 		return -1
 	}
 	spill := func(iv *interval) {
-		if t, ok := rematable[iv.vreg]; ok {
+		if t := tmpl[iv.vreg]; t >= 0 {
 			res.remat[iv.vreg] = t
 			return
 		}
@@ -334,7 +311,8 @@ func allocateClass(f *mfunc, class isa.RegClass, posAt [][]int,
 		*nextSlot++
 		res.spillSlot[iv.vreg] = iv.slot
 	}
-	for _, iv := range ivs {
+	for i := range ivs {
+		iv := &ivs[i]
 		expire(iv.start)
 		r := pick(iv)
 		if r < 0 {
@@ -350,8 +328,7 @@ func allocateClass(f *mfunc, class isa.RegClass, posAt [][]int,
 				}
 				// Rematerializable intervals spill for free (no memory
 				// traffic), so they are always preferred victims.
-				_, aRemat := rematable[a.vreg]
-				_, bRemat := rematable[b.vreg]
+				aRemat, bRemat := tmpl[a.vreg] >= 0, tmpl[b.vreg] >= 0
 				if aRemat != bRemat {
 					return aRemat
 				}
@@ -371,7 +348,7 @@ func allocateClass(f *mfunc, class isa.RegClass, posAt [][]int,
 			if victim != nil && better(victim, iv) {
 				r = victim.reg
 				victim.reg = -1
-				delete(res.assign, victim.vreg)
+				res.assign[victim.vreg] = -1
 				spill(victim)
 				kept := active[:0]
 				for _, a := range active {
@@ -393,15 +370,11 @@ func allocateClass(f *mfunc, class isa.RegClass, posAt [][]int,
 		res.assign[iv.vreg] = r
 		active = append(active, iv)
 	}
-	for _, iv := range ivs {
-		if iv.reg >= 0 {
-			res.assign[iv.vreg] = iv.reg
+	for r, used := range usedCallee {
+		if used {
+			res.usedCallee = append(res.usedCallee, r)
 		}
 	}
-	for r := range usedCallee {
-		res.usedCallee = append(res.usedCallee, r)
-	}
-	sort.Ints(res.usedCallee)
 	return res
 }
 
@@ -420,64 +393,65 @@ func rewrite(f *mfunc, class isa.RegClass, res allocResult) (loads, stores int) 
 	slotOff := func(slot int) int64 { return (f.localWords + int64(slot)) * 8 }
 
 	for _, b := range f.blocks {
-		var out []minst
+		out := make([]minst, 0, len(b.insts))
 		for _, m := range b.insts {
-			ops := virtOperands(&m, class)
-			// Uses first.
-			usedScratch := make(map[int]int) // vreg -> scratch already loaded
+			ops, n := virtOperands(&m, class)
+			// Uses first. A register read by both operands is loaded once.
+			loadedV, loadedSc := -1, 0
 			nextScratch := s1
-			for _, op := range ops {
+			for _, op := range ops[:n] {
 				if op.isDef {
 					continue
 				}
-				v := *op.val
-				if r, ok := res.assign[v]; ok {
+				v := *op.val - firstVirtual
+				if r := res.assign[v]; r >= 0 {
 					*op.val = r
 					continue
 				}
-				if sc, done := usedScratch[v]; done {
-					*op.val = sc
+				if v == loadedV {
+					*op.val = loadedSc
 					continue
 				}
-				if t, ok := res.remat[v]; ok {
+				if t := res.remat[v]; t >= 0 {
 					sc := nextScratch
 					nextScratch = s2
-					t.rd = sc
-					out = append(out, t)
-					usedScratch[v] = sc
+					c := res.consts[t]
+					c.rd = sc
+					out = append(out, c)
+					loadedV, loadedSc = v, sc
 					*op.val = sc
 					continue
 				}
-				slot, ok := res.spillSlot[v]
-				if !ok {
+				slot := res.spillSlot[v]
+				if slot < 0 {
 					continue
 				}
 				sc := nextScratch
 				nextScratch = s2
 				out = append(out, minst{op: loadOp, rd: sc, rs: isa.RegSP, rt: noReg, imm: slotOff(slot), target: -1, line: m.line, irop: m.irop})
 				loads++
-				usedScratch[v] = sc
+				loadedV, loadedSc = v, sc
 				*op.val = sc
 			}
 			var defStore *minst
 			dropInst := false
-			for _, op := range ops {
+			for _, op := range ops[:n] {
 				if !op.isDef {
 					continue
 				}
-				v := *op.val
-				if r, ok := res.assign[v]; ok {
+				v := *op.val - firstVirtual
+				if r := res.assign[v]; r >= 0 {
 					*op.val = r
 					continue
 				}
-				if _, ok := res.remat[v]; ok {
+				if res.remat[v] >= 0 {
 					// The single definition of a rematerialized constant is
 					// dead: every use re-materializes it in place.
 					dropInst = true
 					continue
 				}
-				slot, ok := res.spillSlot[v]
-				if !ok {
+				slot := res.spillSlot[v]
+				if slot < 0 {
 					continue
 				}
 				*op.val = sd

@@ -16,6 +16,18 @@ func NewBitSet(n int) *BitSet {
 	return &BitSet{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// NewBitSets returns k empty sets of capacity n that share one backing
+// array, so a per-block family of sets costs two allocations.
+func NewBitSets(k, n int) []BitSet {
+	w := (n + 63) / 64
+	words := make([]uint64, k*w)
+	sets := make([]BitSet, k)
+	for i := range sets {
+		sets[i] = BitSet{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+	return sets
+}
+
 // Len returns the capacity of the set.
 func (s *BitSet) Len() int { return s.n }
 
