@@ -1,6 +1,7 @@
 // Package dataflow provides the dataflow analyses the compiler needs:
 // reaching definitions (used to build the register dependence graph) and
-// virtual-register liveness (used by the register allocator).
+// virtual-register liveness (SolveLiveness, used by the register
+// allocator once per register class).
 package dataflow
 
 import "math/bits"
