@@ -37,7 +37,6 @@ type interval struct {
 	uses       int // static def/use occurrences (spill-cost proxy)
 	crossCall  bool
 	reg        int // assigned physical register, or -1 when spilled
-	slot       int // spill slot index when spilled
 }
 
 // allocResult is the outcome of allocation for one register class. Its
@@ -234,7 +233,7 @@ func allocateClass(f *mfunc, class isa.RegClass, succs [][]int, blockStart, call
 		if e < 0 {
 			continue
 		}
-		iv := interval{vreg: v, start: starts[v], end: e, uses: uses[v], reg: -1, slot: -1}
+		iv := interval{vreg: v, start: starts[v], end: e, uses: uses[v], reg: -1}
 		// The first call after the start must come before the end.
 		i := sort.SearchInts(callPositions, iv.start+1)
 		iv.crossCall = i < len(callPositions) && callPositions[i] < iv.end
@@ -307,9 +306,8 @@ func allocateClass(f *mfunc, class isa.RegClass, succs [][]int, blockStart, call
 			res.remat[iv.vreg] = t
 			return
 		}
-		iv.slot = *nextSlot
+		res.spillSlot[iv.vreg] = *nextSlot
 		*nextSlot++
-		res.spillSlot[iv.vreg] = iv.slot
 	}
 	for i := range ivs {
 		iv := &ivs[i]
