@@ -75,6 +75,9 @@ func fpibenchMain() error {
 	if !(*faultRate > 0 && *faultRate <= 1) { // NaN fails both comparisons
 		return fperr.New(fperr.ClassUsage, "-fault-rate %g outside (0,1]", *faultRate)
 	}
+	if *fastPeriod < 0 {
+		return fperr.New(fperr.ClassUsage, "-fast-period %d is negative", *fastPeriod)
+	}
 	if *fastMode {
 		// The fault model needs continuous detailed execution, and the
 		// gates judge exact detailed cycles; neither mixes with sampling.

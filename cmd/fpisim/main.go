@@ -121,24 +121,21 @@ func fpisimMain(args []string) error {
 		return fperr.Wrap(fperr.ClassUsage, err)
 	}
 
-	var src, srcName string
-	if *workload != "" {
+	// Every flag is checked before any file is read, so a bad flag is a
+	// usage error whatever the state of the input file.
+	var src, srcName, path string
+	switch {
+	case *workload != "":
 		w := bench.Lookup(*workload)
 		if w == nil {
 			return fperr.New(fperr.ClassUsage, "unknown workload %q", *workload)
 		}
 		src = w.Src
 		srcName = *workload + ".c"
-	} else {
-		if fs.NArg() != 1 {
-			return fperr.New(fperr.ClassUsage, "usage: fpisim [flags] file.c  (or -workload NAME)")
-		}
-		data, err := os.ReadFile(fs.Arg(0))
-		if err != nil {
-			return fperr.Wrap(fperr.ClassInput, err)
-		}
-		src = string(data)
-		srcName = fs.Arg(0)
+	case fs.NArg() != 1:
+		return fperr.New(fperr.ClassUsage, "usage: fpisim [flags] file.c  (or -workload NAME)")
+	default:
+		path = fs.Arg(0)
 	}
 
 	cfg, err := uarch.ParseConfig(*configName)
@@ -163,6 +160,21 @@ func fpisimMain(args []string) error {
 			return fperr.Wrap(fperr.ClassUsage, err)
 		}
 		faultCfg = &fc
+	}
+
+	// Zero selects the default; a negative count or width means nothing.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"pipetrace", int64(*pipetrace)},
+		{"fast-period", int64(*fastPeriod)},
+		{"fast-width", int64(*fastWidth)},
+		{"timeline-width", *tlWidth},
+	} {
+		if f.v < 0 {
+			return fperr.New(fperr.ClassUsage, "-%s %d is negative", f.name, f.v)
+		}
 	}
 
 	if !*timing && !*compare && !*fast && faultCfg == nil && (*pipetrace > 0 || *traceJSON != "") {
@@ -190,6 +202,15 @@ func fpisimMain(args []string) error {
 		case faultCfg != nil:
 			return fperr.New(fperr.ClassUsage, "-fast does not support fault injection; use the detailed model")
 		}
+	}
+
+	if path != "" {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return fperr.Wrap(fperr.ClassInput, err)
+		}
+		src = string(data)
+		srcName = path
 	}
 
 	if *compare {
