@@ -391,9 +391,12 @@ func rewrite(f *mfunc, class isa.RegClass, res allocResult) (loads, stores int) 
 	slotOff := func(slot int) int64 { return (f.localWords + int64(slot)) * 8 }
 
 	for _, b := range f.blocks {
-		out := make([]minst, 0, len(b.insts))
-		for _, m := range b.insts {
-			ops, n := virtOperands(&m, class)
+		// Operands are rewritten in place; out stays nil until the block
+		// needs an inserted or dropped instruction.
+		var out []minst
+		for i := range b.insts {
+			m := &b.insts[i]
+			ops, n := virtOperands(m, class)
 			// Uses first. A register read by both operands is loaded once.
 			loadedV, loadedSc := -1, 0
 			nextScratch := s1
@@ -415,7 +418,7 @@ func rewrite(f *mfunc, class isa.RegClass, res allocResult) (loads, stores int) 
 					nextScratch = s2
 					c := res.consts[t]
 					c.rd = sc
-					out = append(out, c)
+					out = append(spliced(out, b.insts, i), c)
 					loadedV, loadedSc = v, sc
 					*op.val = sc
 					continue
@@ -426,7 +429,7 @@ func rewrite(f *mfunc, class isa.RegClass, res allocResult) (loads, stores int) 
 				}
 				sc := nextScratch
 				nextScratch = s2
-				out = append(out, minst{op: loadOp, rd: sc, rs: isa.RegSP, rt: noReg, imm: slotOff(slot), target: -1, line: m.line, irop: m.irop})
+				out = append(spliced(out, b.insts, i), minst{op: loadOp, rd: sc, rs: isa.RegSP, rt: noReg, imm: slotOff(slot), target: -1, line: m.line, irop: m.irop})
 				loads++
 				loadedV, loadedSc = v, sc
 				*op.val = sc
@@ -456,15 +459,30 @@ func rewrite(f *mfunc, class isa.RegClass, res allocResult) (loads, stores int) 
 				defStore = &minst{op: storeOp, rd: noReg, rs: sd, rt: isa.RegSP, imm: slotOff(slot), target: -1, line: m.line, irop: m.irop}
 			}
 			if dropInst {
+				out = spliced(out, b.insts, i)
 				continue
 			}
-			out = append(out, m)
+			if out != nil {
+				out = append(out, *m)
+			}
 			if defStore != nil {
-				out = append(out, *defStore)
+				out = append(spliced(out, b.insts, i+1), *defStore)
 				stores++
 			}
 		}
-		b.insts = out
+		if out != nil {
+			b.insts = out
+		}
 	}
 	return loads, stores
+}
+
+// spliced returns out, or, while a block has needed no inserted or dropped
+// instruction, a fresh slice holding its first i (rewritten) instructions
+// with room for a few insertions.
+func spliced(out, insts []minst, i int) []minst {
+	if out != nil {
+		return out
+	}
+	return append(make([]minst, 0, len(insts)+4), insts[:i]...)
 }
