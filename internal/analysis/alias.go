@@ -163,8 +163,8 @@ func (d *decomposer) decomposeArg(instr *ir.Instr, k int) decomp {
 	if k >= len(instr.Args) || d.fn.VRegType(instr.Args[k]) != ir.I64 {
 		return d.fail()
 	}
-	uses, ok := d.rd.UseDefs[instr.ID]
-	if !ok || k >= len(uses) || len(uses[k]) == 0 {
+	uses := d.rd.UseDefs[instr.ID]
+	if k >= len(uses) || len(uses[k]) == 0 {
 		return d.fail()
 	}
 	var acc decomp
@@ -198,8 +198,8 @@ func (d *decomposer) valueOfArg(instr *ir.Instr, k int) Interval {
 	if k >= len(instr.Args) || d.fn.VRegType(instr.Args[k]) != ir.I64 {
 		return Top()
 	}
-	uses, ok := d.rd.UseDefs[instr.ID]
-	if !ok || k >= len(uses) || len(uses[k]) == 0 {
+	uses := d.rd.UseDefs[instr.ID]
+	if k >= len(uses) || len(uses[k]) == 0 {
 		return Top()
 	}
 	acc := Bot()

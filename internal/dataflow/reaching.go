@@ -20,30 +20,50 @@ type ReachingDefs struct {
 	// numSites = fn.NumInstrs() + len(fn.Params).
 	numSites int
 
-	// defsOf[v] lists the def-site indices of virtual register v.
-	defsOf map[ir.VReg][]int
+	// defsOf[v] lists the def-site indices of virtual register v; the
+	// lists share one backing array.
+	defsOf [][]int
 
 	// sites[i] describes site i.
 	sites []DefSite
 
-	// in[block] is the set of def sites reaching block entry.
-	in map[*ir.Block]*BitSet
-
 	// UseDefs[instrID][argIdx] lists the def sites reaching that use.
-	UseDefs map[int][][]int
+	UseDefs [][][]int
 }
 
 // ComputeReachingDefs solves reaching definitions for fn. The function must
-// have been renumbered (ir.Func.Renumber).
+// have been renumbered (ir.Func.Renumber). Its state is indexed by VReg,
+// Block.ID and instruction ID and allocated once, not per pass of the
+// fixed point.
 func ComputeReachingDefs(fn *ir.Func) *ReachingDefs {
 	n := fn.NumInstrs()
 	rd := &ReachingDefs{
 		Fn:       fn,
 		numSites: n + len(fn.Params),
-		defsOf:   make(map[ir.VReg][]int),
+		defsOf:   make([][]int, fn.NumVRegs()),
 		sites:    make([]DefSite, n+len(fn.Params)),
-		in:       make(map[*ir.Block]*BitSet),
-		UseDefs:  make(map[int][][]int),
+		UseDefs:  make([][][]int, n),
+	}
+
+	// defsOf: count each register's sites, then carve one backing array.
+	counts := make([]int, fn.NumVRegs())
+	nargs := 0
+	for _, b := range fn.Blocks {
+		for _, instr := range b.Instrs {
+			nargs += len(instr.Args)
+			if instr.Dst != 0 {
+				counts[instr.Dst]++
+			}
+		}
+	}
+	for _, p := range fn.Params {
+		counts[p]++
+	}
+	flatDefs := make([]int, rd.numSites)
+	off := 0
+	for v, c := range counts {
+		rd.defsOf[v] = flatDefs[off : off : off+c]
+		off += c
 	}
 	for _, b := range fn.Blocks {
 		for _, instr := range b.Instrs {
@@ -59,12 +79,14 @@ func ComputeReachingDefs(fn *ir.Func) *ReachingDefs {
 		rd.sites[idx] = DefSite{ParamIdx: i}
 	}
 
-	// GEN/KILL per block.
-	gen := make(map[*ir.Block]*BitSet)
-	kill := make(map[*ir.Block]*BitSet)
+	// GEN/KILL per block, indexed by Block.ID like IN and OUT.
+	nb := fn.NumBlockIDs()
+	gen := NewBitSets(nb, rd.numSites)
+	kill := NewBitSets(nb, rd.numSites)
+	in := NewBitSets(nb, rd.numSites)
+	out := NewBitSets(nb, rd.numSites)
 	for _, b := range fn.Blocks {
-		g := NewBitSet(rd.numSites)
-		k := NewBitSet(rd.numSites)
+		g, k := &gen[b.ID], &kill[b.ID]
 		for _, instr := range b.Instrs {
 			if instr.Dst == 0 {
 				continue
@@ -76,61 +98,57 @@ func ComputeReachingDefs(fn *ir.Func) *ReachingDefs {
 			g.Set(instr.ID)
 			k.Clear(instr.ID)
 		}
-		gen[b] = g
-		kill[b] = k
 	}
 
 	// Entry IN = parameter defs.
-	out := make(map[*ir.Block]*BitSet)
-	for _, b := range fn.Blocks {
-		rd.in[b] = NewBitSet(rd.numSites)
-		out[b] = NewBitSet(rd.numSites)
-	}
-	entryIn := NewBitSet(rd.numSites)
 	for i := range fn.Params {
-		entryIn.Set(n + i)
+		in[fn.Entry.ID].Set(n + i)
 	}
-	rd.in[fn.Entry].CopyFrom(entryIn)
 
-	// Iterate to fixpoint in reverse postorder.
+	// Iterate to fixpoint in reverse postorder. Every OUT only grows, so
+	// joining the predecessors into the stored IN gives the same sets as
+	// recomputing IN from scratch on every pass.
 	order := fn.ReversePostorder()
 	changed := true
 	for changed {
 		changed = false
 		for _, b := range order {
-			inSet := rd.in[b]
+			inSet := &in[b.ID]
 			if b != fn.Entry {
-				fresh := NewBitSet(rd.numSites)
 				for _, p := range b.Preds {
-					fresh.UnionWith(out[p])
-				}
-				if !fresh.Equal(inSet) {
-					inSet.CopyFrom(fresh)
+					inSet.UnionWith(&out[p.ID])
 				}
 			}
-			newOut := inSet.Copy()
-			newOut.DiffWith(kill[b])
-			newOut.UnionWith(gen[b])
-			if !newOut.Equal(out[b]) {
-				out[b].CopyFrom(newOut)
-				changed = true
+			o, iw, g, k := out[b.ID].words, inSet.words, gen[b.ID].words, kill[b.ID].words
+			for i, w := range iw {
+				if nw := g[i] | w&^k[i]; nw != o[i] {
+					o[i] = nw
+					changed = true
+				}
 			}
 		}
 	}
 
-	// Walk each block once more to attribute defs to uses.
+	// Walk each block once more to attribute defs to uses. The per-use
+	// lists are carved out of one backing array; a list made before the
+	// array has to grow keeps pointing into the old one, which nothing
+	// writes again.
+	cur := NewBitSet(rd.numSites)
+	argLists := make([][]int, nargs)
+	flat := make([]int, 0, 2*nargs)
 	for _, b := range fn.Blocks {
-		cur := rd.in[b].Copy()
+		cur.CopyFrom(&in[b.ID])
 		for _, instr := range b.Instrs {
-			uses := make([][]int, len(instr.Args))
+			uses := argLists[:len(instr.Args):len(instr.Args)]
+			argLists = argLists[len(instr.Args):]
 			for ai, a := range instr.Args {
-				var reach []int
+				start := len(flat)
 				for _, d := range rd.defsOf[a] {
 					if cur.Has(d) {
-						reach = append(reach, d)
+						flat = append(flat, d)
 					}
 				}
-				uses[ai] = reach
+				uses[ai] = flat[start:len(flat):len(flat)]
 			}
 			rd.UseDefs[instr.ID] = uses
 			if instr.Dst != 0 {

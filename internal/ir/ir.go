@@ -408,29 +408,34 @@ func (f *Func) Instrs() []*Instr {
 	return out
 }
 
+// NumBlockIDs returns one past the largest block ID the function has
+// handed out: the length of any state indexed by Block.ID.
+func (f *Func) NumBlockIDs() int { return f.nextBlockID }
+
 // RemoveUnreachable deletes blocks not reachable from the entry and fixes
 // predecessor lists.
 func (f *Func) RemoveUnreachable() {
-	reach := make(map[*Block]bool)
-	var stack []*Block
-	stack = append(stack, f.Entry)
-	reach[f.Entry] = true
+	reach := make([]bool, f.nextBlockID)
+	stack := make([]*Block, 1, len(f.Blocks))
+	stack[0] = f.Entry
+	reach[f.Entry.ID] = true
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range b.Succs {
-			if !reach[s] {
-				reach[s] = true
+			if !reach[s.ID] {
+				reach[s.ID] = true
 				stack = append(stack, s)
 			}
 		}
 	}
-	var kept []*Block
+	kept := f.Blocks[:0]
 	for _, b := range f.Blocks {
-		if reach[b] {
+		if reach[b.ID] {
 			kept = append(kept, b)
 		}
 	}
+	clear(f.Blocks[len(kept):])
 	f.Blocks = kept
 	f.RecomputePreds()
 }

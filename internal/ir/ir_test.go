@@ -89,7 +89,7 @@ func TestLoopDepths(t *testing.T) {
 	}
 	loops := fn.NaturalLoops()
 	if len(loops) != 1 || loops[0].Header != header || len(loops[0].Blocks) != 2 ||
-		!loops[0].Blocks[header] || !loops[0].Blocks[body] {
+		!loops[0].Contains(header) || !loops[0].Contains(body) {
 		t.Errorf("natural loops = %+v, want one loop {header, body} headed by header", loops)
 	}
 }

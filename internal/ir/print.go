@@ -275,39 +275,54 @@ func (f *Func) verifyInstr(in *Instr) error {
 // Loop is the natural loop of one back edge.
 type Loop struct {
 	Header *Block
-	Blocks map[*Block]bool // every member block, the header included
+	Blocks []*Block // every member block, the header included, in layout order
+
+	member []bool // indexed by Block.ID
 }
+
+// Contains reports whether b is a member of the loop.
+func (l *Loop) Contains(b *Block) bool { return b.ID < len(l.member) && l.member[b.ID] }
 
 // NaturalLoops returns the natural loop of every back edge b→h (an edge
 // whose target h dominates b) in discovery order: blocks in layout order,
 // each block's successors in order. A header with two back edges has two
 // loops.
 func (f *Func) NaturalLoops() []Loop {
-	dom := f.Dominators()
+	_, idom := f.idoms()
 	var loops []Loop
+	var stack []*Block
 	for _, b := range f.Blocks {
 		for _, h := range b.Succs {
-			if !dominates(dom, h, b) {
+			if !dominates(idom, h, b) {
 				continue
 			}
 			// h plus every block that reaches b without passing through h.
-			blocks := map[*Block]bool{h: true}
-			var stack []*Block
+			member := make([]bool, f.nextBlockID)
+			member[h.ID] = true
+			n := 1
 			if b != h {
-				blocks[b] = true
+				member[b.ID] = true
+				n++
 				stack = append(stack, b)
 			}
 			for len(stack) > 0 {
-				n := stack[len(stack)-1]
+				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				for _, p := range n.Preds {
-					if !blocks[p] {
-						blocks[p] = true
+				for _, p := range x.Preds {
+					if !member[p.ID] {
+						member[p.ID] = true
+						n++
 						stack = append(stack, p)
 					}
 				}
 			}
-			loops = append(loops, Loop{Header: h, Blocks: blocks})
+			blocks := make([]*Block, 0, n)
+			for _, blk := range f.Blocks {
+				if member[blk.ID] {
+					blocks = append(blocks, blk)
+				}
+			}
+			loops = append(loops, Loop{Header: h, Blocks: blocks, member: member})
 		}
 	}
 	return loops
@@ -320,23 +335,35 @@ func (f *Func) ComputeLoopDepths() {
 		b.LoopDepth = 0
 	}
 	for _, lp := range f.NaturalLoops() {
-		for blk := range lp.Blocks {
+		for _, blk := range lp.Blocks {
 			blk.LoopDepth++
 		}
 	}
 }
 
-// Dominators returns the immediate-dominator map (entry maps to itself),
-// computed with the iterative Cooper–Harvey–Kennedy algorithm.
+// Dominators returns the immediate-dominator map (entry maps to itself)
+// of the blocks reachable from the entry.
 func (f *Func) Dominators() map[*Block]*Block {
-	// Reverse postorder.
-	order := f.ReversePostorder()
-	index := make(map[*Block]int, len(order))
-	for i, b := range order {
-		index[b] = i
+	order, idom := f.idoms()
+	m := make(map[*Block]*Block, len(order))
+	for _, b := range order {
+		m[b] = idom[b.ID]
 	}
-	idom := make(map[*Block]*Block, len(order))
-	idom[f.Entry] = f.Entry
+	return m
+}
+
+// idoms returns the blocks reachable from the entry in reverse postorder
+// and the immediate dominator of every block, indexed by Block.ID: the
+// entry is its own, an unreachable block has nil. It is the iterative
+// Cooper–Harvey–Kennedy algorithm.
+func (f *Func) idoms() (order, idom []*Block) {
+	order = f.ReversePostorder()
+	index := make([]int, f.nextBlockID)
+	for i, b := range order {
+		index[b.ID] = i
+	}
+	idom = make([]*Block, f.nextBlockID)
+	idom[f.Entry.ID] = f.Entry
 	changed := true
 	for changed {
 		changed = false
@@ -346,7 +373,7 @@ func (f *Func) Dominators() map[*Block]*Block {
 			}
 			var newIdom *Block
 			for _, p := range b.Preds {
-				if _, ok := idom[p]; !ok {
+				if idom[p.ID] == nil {
 					continue
 				}
 				if newIdom == nil {
@@ -356,32 +383,32 @@ func (f *Func) Dominators() map[*Block]*Block {
 				// intersect
 				x, y := p, newIdom
 				for x != y {
-					for index[x] > index[y] {
-						x = idom[x]
+					for index[x.ID] > index[y.ID] {
+						x = idom[x.ID]
 					}
-					for index[y] > index[x] {
-						y = idom[y]
+					for index[y.ID] > index[x.ID] {
+						y = idom[y.ID]
 					}
 				}
 				newIdom = x
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if newIdom != nil && idom[b.ID] != newIdom {
+				idom[b.ID] = newIdom
 				changed = true
 			}
 		}
 	}
-	return idom
+	return order, idom
 }
 
-// dominates reports whether a dominates b.
-func dominates(idom map[*Block]*Block, a, b *Block) bool {
+// dominates reports whether a dominates b, given idom indexed by Block.ID.
+func dominates(idom []*Block, a, b *Block) bool {
 	for {
 		if b == a {
 			return true
 		}
-		next, ok := idom[b]
-		if !ok || next == b {
+		next := idom[b.ID]
+		if next == nil || next == b {
 			return false
 		}
 		b = next
@@ -390,13 +417,13 @@ func dominates(idom map[*Block]*Block, a, b *Block) bool {
 
 // ReversePostorder returns blocks reachable from entry in reverse postorder.
 func (f *Func) ReversePostorder() []*Block {
-	var order []*Block
-	visited := make(map[*Block]bool)
+	order := make([]*Block, 0, len(f.Blocks))
+	visited := make([]bool, f.nextBlockID)
 	var dfs func(b *Block)
 	dfs = func(b *Block) {
-		visited[b] = true
+		visited[b.ID] = true
 		for _, s := range b.Succs {
-			if !visited[s] {
+			if !visited[s.ID] {
 				dfs(s)
 			}
 		}

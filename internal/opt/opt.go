@@ -40,39 +40,97 @@ func OptimizeFunc(fn *ir.Func) {
 // OptimizeFuncObserved runs the pass pipeline on one function, reporting
 // every executed pass to obs (when non-nil).
 func OptimizeFuncObserved(fn *ir.Func, obs PassObserver) {
-	run := func(name string, pass func(*ir.Func) bool) bool {
+	s := newFuncState(fn)
+	run := func(name string, pass func() bool) bool {
 		if obs == nil {
-			return pass(fn)
+			return pass()
 		}
 		before := countInstrs(fn)
 		start := time.Now()
-		changed := pass(fn)
+		changed := pass()
 		obs(name, fn.Name, time.Since(start).Nanoseconds(), before, countInstrs(fn))
 		return changed
 	}
 	for i := 0; i < 3; i++ {
 		changed := false
-		changed = run("copy-propagate", copyPropagate) || changed
-		changed = run("const-fold", constFold) || changed
-		changed = run("local-cse", localCSE) || changed
-		changed = run("simplify-branches", simplifyBranches) || changed
-		changed = run("dce", deadCodeElim) || changed
+		changed = run("copy-propagate", s.copyPropagate) || changed
+		changed = run("const-fold", s.constFold) || changed
+		changed = run("local-cse", s.localCSE) || changed
+		changed = run("simplify-branches", s.simplifyBranches) || changed
+		changed = run("dce", s.deadCodeElim) || changed
 		if !changed {
 			break
 		}
 	}
-	run("strength-reduce", strengthReduce)
-	run("immediate-fold", immediateFold)
-	run("dce", deadCodeElim)
-	run("licm", func(f *ir.Func) bool { licm(f); return false })
-	run("copy-propagate", copyPropagate)
-	run("dce", deadCodeElim)
-	run("cleanup", func(f *ir.Func) bool {
-		f.RemoveUnreachable()
-		f.Renumber()
-		f.ComputeLoopDepths()
+	run("strength-reduce", s.strengthReduce)
+	run("immediate-fold", s.immediateFold)
+	run("dce", s.deadCodeElim)
+	run("licm", func() bool { s.licm(); return false })
+	run("copy-propagate", s.copyPropagate)
+	run("dce", s.deadCodeElim)
+	run("cleanup", func() bool {
+		fn.RemoveUnreachable()
+		fn.Renumber()
+		fn.ComputeLoopDepths()
 		return false
 	})
+}
+
+// funcState is the per-register state the passes over one function share,
+// indexed by VReg and allocated once per function: no pass creates a
+// register. Every pass that stamps a register numbers its instructions on
+// one clock that runs across passes, so a stamp an earlier pass left is
+// older than every stamp of the current pass and needs no reset.
+type funcState struct {
+	fn    *ir.Func
+	clock int32
+	regs  []regState
+	defs  []*ir.Instr // singleDefs' result
+	uses  []int32     // deadCodeElim's use counts
+	avail map[cseKey]cseEntry
+}
+
+// regState is one register's entry in the passes' tables.
+type regState struct {
+	// constFold: the constant, and the clock at which the register
+	// became a known constant (0: none).
+	i       int64
+	f       float64
+	constAt int32
+	isFloat bool
+
+	isParam bool
+	defAt   int32 // clock of the register's latest definition
+
+	// copyPropagate: the clock of the copy that made the register an
+	// alias of src (0: none).
+	copyAt int32
+	src    ir.VReg
+
+	// licm: the mark of the loop whose pass hoisted the register's
+	// definition.
+	hoisted int32
+}
+
+func newFuncState(fn *ir.Func) *funcState {
+	n := fn.NumVRegs()
+	s := &funcState{
+		fn:    fn,
+		regs:  make([]regState, n),
+		defs:  make([]*ir.Instr, n),
+		uses:  make([]int32, n),
+		avail: make(map[cseKey]cseEntry),
+	}
+	for _, p := range fn.Params {
+		s.regs[p].isParam = true
+	}
+	return s
+}
+
+// tick advances the clock for the next instruction and returns its stamp.
+func (s *funcState) tick() int32 {
+	s.clock++
+	return s.clock
 }
 
 // countInstrs counts the function's IR instructions without requiring a
@@ -106,59 +164,61 @@ func isPure(in *ir.Instr) bool {
 	return false
 }
 
-// singleDefs returns, for each vreg with exactly one defining instruction in
-// the whole function, that instruction.
-func singleDefs(fn *ir.Func) map[ir.VReg]*ir.Instr {
-	counts := make(map[ir.VReg]int)
-	def := make(map[ir.VReg]*ir.Instr)
-	for _, b := range fn.Blocks {
+// multiDef marks, while singleDefs runs, a register defined more than once.
+var multiDef = &ir.Instr{}
+
+// singleDefs returns, indexed by VReg, the defining instruction of every
+// register with exactly one definition in the whole function. An entry is
+// nil when the register has more than one definition or is a parameter
+// (parameters are defined at entry). The slice is reused by the next call.
+func (s *funcState) singleDefs() []*ir.Instr {
+	defs := s.defs
+	clear(defs)
+	for _, p := range s.fn.Params {
+		defs[p] = multiDef
+	}
+	for _, b := range s.fn.Blocks {
 		for _, in := range b.Instrs {
-			if in.Dst != 0 {
-				counts[in.Dst]++
-				def[in.Dst] = in
+			if in.Dst == 0 {
+				continue
+			}
+			if defs[in.Dst] == nil {
+				defs[in.Dst] = in
+			} else {
+				defs[in.Dst] = multiDef
 			}
 		}
 	}
-	for _, p := range fn.Params {
-		counts[p]++ // parameters are defined at entry
-		delete(def, p)
-	}
-	out := make(map[ir.VReg]*ir.Instr)
-	for v, c := range counts {
-		if c == 1 {
-			if in, ok := def[v]; ok {
-				out[v] = in
-			}
+	for v, d := range defs {
+		if d == multiDef {
+			defs[v] = nil
 		}
 	}
-	return out
+	return defs
 }
 
 // copyPropagate performs block-local copy propagation: after `d = copy s`,
 // uses of d are rewritten to s until either d or s is redefined.
-func copyPropagate(fn *ir.Func) bool {
+func (s *funcState) copyPropagate() bool {
+	// An alias holds while its copy is in the current block and its
+	// source was not redefined since.
+	regs := s.regs
 	changed := false
-	for _, b := range fn.Blocks {
-		alias := make(map[ir.VReg]ir.VReg)
-		invalidate := func(v ir.VReg) {
-			delete(alias, v)
-			for d, s := range alias {
-				if s == v {
-					delete(alias, d)
-				}
-			}
-		}
+	for _, b := range s.fn.Blocks {
+		blockStart := s.clock + 1
 		for _, in := range b.Instrs {
+			t := s.tick()
 			for i, a := range in.Args {
-				if s, ok := alias[a]; ok {
-					in.Args[i] = s
+				if r := regs[a]; r.copyAt >= blockStart && regs[r.src].defAt < r.copyAt {
+					in.Args[i] = r.src
 					changed = true
 				}
 			}
 			if in.Dst != 0 {
-				invalidate(in.Dst)
+				r := &regs[in.Dst]
+				r.defAt, r.copyAt = t, 0
 				if in.Op == ir.OpCopy && in.Args[0] != in.Dst {
-					alias[in.Dst] = in.Args[0]
+					r.copyAt, r.src = t, in.Args[0]
 				}
 			}
 		}
@@ -166,37 +226,55 @@ func copyPropagate(fn *ir.Func) bool {
 	return changed
 }
 
+// blockConsts looks up the block-locally known constants: a register's
+// constant holds when it was set at or after the current block's start.
+type blockConsts struct {
+	regs       []regState
+	blockStart int32
+}
+
+// intOf returns v's known integer constant.
+func (c blockConsts) intOf(v ir.VReg) (int64, bool) {
+	r := &c.regs[v]
+	return r.i, r.constAt >= c.blockStart && !r.isFloat
+}
+
+// floatOf returns v's known float constant.
+func (c blockConsts) floatOf(v ir.VReg) (float64, bool) {
+	r := &c.regs[v]
+	return r.f, r.constAt >= c.blockStart && r.isFloat
+}
+
 // constFold evaluates ALU operations over block-locally known constants and
 // simplifies algebraic identities.
-func constFold(fn *ir.Func) bool {
+func (s *funcState) constFold() bool {
 	changed := false
-	for _, b := range fn.Blocks {
-		consts := make(map[ir.VReg]int64)
-		fconsts := make(map[ir.VReg]float64)
+	regs := s.regs
+	for _, b := range s.fn.Blocks {
+		consts := blockConsts{regs: regs, blockStart: s.clock + 1}
 		for _, in := range b.Instrs {
+			t := s.tick()
 			if in.Dst != 0 {
-				delete(consts, in.Dst)
-				delete(fconsts, in.Dst)
+				regs[in.Dst].constAt = 0
 			}
 			switch in.Op {
 			case ir.OpConst:
-				if in.IsFloat {
-					fconsts[in.Dst] = in.FImm
-				} else {
-					consts[in.Dst] = in.Imm
-				}
+				r := &regs[in.Dst]
+				r.constAt, r.isFloat, r.i, r.f = t, in.IsFloat, in.Imm, in.FImm
 				continue
 			}
 			if in.Dst == 0 || len(in.Args) == 0 {
 				continue
 			}
 			if folded := tryFoldInt(in, consts); folded {
-				consts[in.Dst] = in.Imm
+				r := &regs[in.Dst]
+				r.constAt, r.isFloat, r.i = t, false, in.Imm
 				changed = true
 				continue
 			}
-			if folded := tryFoldFloat(in, fconsts); folded {
-				fconsts[in.Dst] = in.FImm
+			if folded := tryFoldFloat(in, consts); folded {
+				r := &regs[in.Dst]
+				r.constAt, r.isFloat, r.f = t, true, in.FImm
 				changed = true
 			}
 		}
@@ -204,18 +282,18 @@ func constFold(fn *ir.Func) bool {
 	return changed
 }
 
-func tryFoldInt(in *ir.Instr, consts map[ir.VReg]int64) bool {
+func tryFoldInt(in *ir.Instr, consts blockConsts) bool {
 	switch in.Op {
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
 		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpNor, ir.OpShl, ir.OpShrA, ir.OpShrL,
 		ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE:
-		a, aok := consts[in.Args[0]]
+		a, aok := consts.intOf(in.Args[0])
 		var c int64
 		cok := false
 		if in.ImmArg {
 			c, cok = in.Imm, true
 		} else {
-			c, cok = consts[in.Args[1]]
+			c, cok = consts.intOf(in.Args[1])
 		}
 		if !aok || !cok {
 			return false
@@ -275,11 +353,11 @@ func tryFoldInt(in *ir.Instr, consts map[ir.VReg]int64) bool {
 	return false
 }
 
-func tryFoldFloat(in *ir.Instr, fconsts map[ir.VReg]float64) bool {
+func tryFoldFloat(in *ir.Instr, consts blockConsts) bool {
 	switch in.Op {
 	case ir.OpFAdd, ir.OpFSub, ir.OpFMul:
-		a, aok := fconsts[in.Args[0]]
-		c, cok := fconsts[in.Args[1]]
+		a, aok := consts.floatOf(in.Args[0])
+		c, cok := consts.floatOf(in.Args[1])
 		if !aok || !cok {
 			return false
 		}
@@ -298,7 +376,7 @@ func tryFoldFloat(in *ir.Instr, fconsts map[ir.VReg]float64) bool {
 		in.IsFloat = true
 		return true
 	case ir.OpFNeg:
-		a, ok := fconsts[in.Args[0]]
+		a, ok := consts.floatOf(in.Args[0])
 		if !ok {
 			return false
 		}
@@ -330,21 +408,26 @@ type cseKey struct {
 	immArg  bool
 }
 
+// cseEntry is localCSE's table entry: the register holding an expression,
+// stamped with the clock of the instruction that computed it. It holds
+// until an operand or the result is redefined after it.
+type cseEntry struct {
+	res ir.VReg
+	at  int32
+}
+
 // localCSE eliminates repeated pure computations within a block by rewriting
 // later occurrences into copies of the first result.
-func localCSE(fn *ir.Func) bool {
+func (s *funcState) localCSE() bool {
+	regs, avail := s.regs, s.avail
+	valid := func(k cseKey, e cseEntry) bool {
+		return regs[k.a0].defAt <= e.at && regs[k.a1].defAt <= e.at && regs[e.res].defAt <= e.at
+	}
 	changed := false
-	for _, b := range fn.Blocks {
-		avail := make(map[cseKey]ir.VReg)
-		// invalidateUses removes table entries whose operands include v.
-		invalidateUses := func(v ir.VReg) {
-			for k, res := range avail {
-				if k.a0 == v || k.a1 == v || res == v {
-					delete(avail, k)
-				}
-			}
-		}
+	for _, b := range s.fn.Blocks {
+		clear(avail)
 		for _, in := range b.Instrs {
+			t := s.tick()
 			if isPure(in) && in.Op != ir.OpCopy && in.Dst != 0 {
 				k := cseKey{op: in.Op, imm: in.Imm, fimm: in.FImm, sym: in.Sym, isFloat: in.IsFloat, immArg: in.ImmArg}
 				if len(in.Args) > 0 {
@@ -353,23 +436,21 @@ func localCSE(fn *ir.Func) bool {
 				if len(in.Args) > 1 {
 					k.a1 = in.Args[1]
 				}
-				if prev, ok := avail[k]; ok && prev != in.Dst {
+				if prev, ok := avail[k]; ok && valid(k, prev) && prev.res != in.Dst {
 					in.Op = ir.OpCopy
-					in.Args = []ir.VReg{prev}
+					in.Args = []ir.VReg{prev.res}
 					in.Imm, in.FImm, in.Sym = 0, 0, ""
 					in.ImmArg = false
 					changed = true
-					invalidateUses(in.Dst)
+					regs[in.Dst].defAt = t
 					continue
 				}
-				if in.Dst != 0 {
-					invalidateUses(in.Dst)
-				}
-				avail[k] = in.Dst
+				regs[in.Dst].defAt = t
+				avail[k] = cseEntry{res: in.Dst, at: t}
 				continue
 			}
 			if in.Dst != 0 {
-				invalidateUses(in.Dst)
+				regs[in.Dst].defAt = t
 			}
 		}
 	}
@@ -377,38 +458,58 @@ func localCSE(fn *ir.Func) bool {
 }
 
 // deadCodeElim removes pure instructions whose destination register is never
-// used anywhere in the function. Iterates to a fixpoint.
-func deadCodeElim(fn *ir.Func) bool {
-	changedAny := false
-	for {
-		used := make(map[ir.VReg]bool)
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				for _, a := range in.Args {
-					used[a] = true
-				}
+// used anywhere in the function, to a fixpoint: it counts every register's
+// uses once and takes a removed instruction's uses off the counts, so an
+// instruction whose last reader was removed goes in the same sweep when it
+// comes later in the sweep's order, otherwise in the next one.
+func (s *funcState) deadCodeElim() bool {
+	fn := s.fn
+	uses := s.uses
+	clear(uses)
+	for _, b := range fn.Blocks {
+		for _, in := range b.Instrs {
+			for _, a := range in.Args {
+				uses[a]++
 			}
 		}
-		changed := false
+	}
+	changedAny := false
+	for changed := true; changed; {
+		changed = false
 		for _, b := range fn.Blocks {
+			// Walk backwards so a chain of dead values goes in one sweep;
+			// survivors are packed towards the end of the slice.
+			keep := len(b.Instrs)
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := b.Instrs[i]
-				if in.Dst != 0 && !used[in.Dst] && isPure(in) {
-					b.RemoveAt(i)
+				if in.Dst != 0 && uses[in.Dst] == 0 && isPure(in) {
+					for _, a := range in.Args {
+						uses[a]--
+					}
 					changed = true
+					continue
+				}
+				keep--
+				b.Instrs[keep] = in
+			}
+			if keep > 0 {
+				n := copy(b.Instrs, b.Instrs[keep:])
+				clear(b.Instrs[n:])
+				b.Instrs = b.Instrs[:n]
+				for i, in := range b.Instrs {
+					in.Idx = i
 				}
 			}
 		}
-		if !changed {
-			return changedAny
-		}
-		changedAny = true
+		changedAny = changedAny || changed
 	}
+	return changedAny
 }
 
 // simplifyBranches folds branches on block-local constants, collapses jump
 // chains, and merges straight-line block pairs.
-func simplifyBranches(fn *ir.Func) bool {
+func (s *funcState) simplifyBranches() bool {
+	fn := s.fn
 	changed := false
 	// Fold br on constant condition.
 	for _, b := range fn.Blocks {
@@ -495,20 +596,18 @@ func blockLocalConst(b *ir.Block, v ir.VReg, idx int) (int64, bool) {
 // sound on non-SSA IR, it only hoists instructions whose destination has a
 // single definition in the whole function and whose operands are all defined
 // by single definitions located outside the loop (or are parameters).
-func licm(fn *ir.Func) {
+func (s *funcState) licm() {
+	fn := s.fn
 	fn.Renumber()
-	defs := singleDefs(fn)
-	paramSet := make(map[ir.VReg]bool)
-	for _, p := range fn.Params {
-		paramSet[p] = true
-	}
+	defs := s.singleDefs()
+	regs := s.regs
 
 	for _, lp := range fn.NaturalLoops() {
 		// Find or create a preheader: the unique out-of-loop predecessor of
 		// the header.
 		var outsidePreds []*ir.Block
 		for _, p := range lp.Header.Preds {
-			if !lp.Blocks[p] {
+			if !lp.Contains(p) {
 				outsidePreds = append(outsidePreds, p)
 			}
 		}
@@ -520,17 +619,16 @@ func licm(fn *ir.Func) {
 			continue // only hoist into a dedicated straight-line preheader
 		}
 
-		hoisted := make(map[ir.VReg]bool)
+		// A value hoisted into an inner loop's preheader is still inside
+		// every enclosing loop, so the hoisted mark holds for one loop.
+		mark := s.tick()
 		progress := true
 		for progress {
 			progress = false
-			// Walk blocks in layout order, not map order: the order
-			// candidates are found is the order they land in the preheader,
-			// and compilation must be deterministic.
-			for _, blk := range fn.Blocks {
-				if !lp.Blocks[blk] {
-					continue
-				}
+			// Walk blocks in layout order: the order candidates are found
+			// is the order they land in the preheader, and compilation
+			// must be deterministic.
+			for _, blk := range lp.Blocks {
 				for i := 0; i < len(blk.Instrs); i++ {
 					in := blk.Instrs[i]
 					if in.Dst == 0 || !isPure(in) || in.Op == ir.OpCopy {
@@ -541,11 +639,10 @@ func licm(fn *ir.Func) {
 					}
 					ok := true
 					for _, a := range in.Args {
-						if paramSet[a] || hoisted[a] {
+						if regs[a].isParam || regs[a].hoisted == mark {
 							continue
 						}
-						d, one := defs[a]
-						if !one || lp.Blocks[d.Blk] {
+						if d := defs[a]; d == nil || lp.Contains(d.Blk) {
 							ok = false
 							break
 						}
@@ -555,7 +652,7 @@ func licm(fn *ir.Func) {
 					}
 					blk.RemoveAt(i)
 					pre.InsertBefore(in, len(pre.Instrs)-1)
-					hoisted[in.Dst] = true
+					regs[in.Dst].hoisted = mark
 					progress = true
 					i--
 				}
@@ -595,17 +692,17 @@ func swapCompare(op ir.Op) (ir.Op, bool) {
 // matching real instruction sets — which matters for both register pressure
 // and the partitioner's view of the RDG (the immediate travels with the
 // instruction instead of being a separate const node).
-func immediateFold(fn *ir.Func) bool {
-	defs := singleDefs(fn)
+func (s *funcState) immediateFold() bool {
+	defs := s.singleDefs()
 	constOf := func(v ir.VReg) (int64, bool) {
-		d, ok := defs[v]
-		if !ok || d.Op != ir.OpConst || d.IsFloat {
+		d := defs[v]
+		if d == nil || d.Op != ir.OpConst || d.IsFloat {
 			return 0, false
 		}
 		return d.Imm, true
 	}
 	changed := false
-	for _, b := range fn.Blocks {
+	for _, b := range s.fn.Blocks {
 		for _, in := range b.Instrs {
 			if in.ImmArg || len(in.Args) != 2 {
 				continue
@@ -657,17 +754,17 @@ func immediateFold(fn *ir.Func) bool {
 // integer multiply is not supported in the FPa subsystem, so a residual
 // `mul` pins its backward slice to INT, while the equivalent `shl` is
 // offloadable.
-func strengthReduce(fn *ir.Func) bool {
-	defs := singleDefs(fn)
+func (s *funcState) strengthReduce() bool {
+	defs := s.singleDefs()
 	constOf := func(v ir.VReg) (int64, bool) {
-		d, ok := defs[v]
-		if !ok || d.Op != ir.OpConst || d.IsFloat {
+		d := defs[v]
+		if d == nil || d.Op != ir.OpConst || d.IsFloat {
 			return 0, false
 		}
 		return d.Imm, true
 	}
 	changed := false
-	for _, b := range fn.Blocks {
+	for _, b := range s.fn.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op != ir.OpMul || len(in.Args) != 2 {
 				continue

@@ -190,6 +190,45 @@ int main() {
 	}
 }
 
+// TestLICMKeepsOuterVariantValues runs LICM on a nested loop whose inner
+// loop comes first in NaturalLoops' order: the outer loop's latch follows
+// the inner loop in layout. The inner pass hoists base+5 into the inner
+// preheader, which lies inside the outer loop. The outer pass must not
+// treat that value as already hoisted out of the outer loop; if it did,
+// it would hoist the address computed from it above its definition.
+func TestLICMKeepsOuterVariantValues(t *testing.T) {
+	src := `
+int a[64];
+int main() {
+	for (int k = 0; k < 64; k++) a[k] = k * 3 + 1;
+	int s = 0; int i = 0;
+	while (i < 7) {
+		int base = i * 8;
+		for (int j = 0; j < 3; j++) s = s + a[base + 5];
+		i = i + 1;
+	}
+	return s;
+}`
+	mod, ret := optimizeAndRun(t, src)
+	if ret != 1848 {
+		t.Fatalf("ret = %d, want 1848", ret)
+	}
+	// The case needs the inner loop to come first: some loop must contain
+	// the header of a loop found before it.
+	loops := mod.Lookup("main").NaturalLoops()
+	innerFirst := false
+	for i := range loops {
+		for j := i + 1; j < len(loops); j++ {
+			if loops[j].Contains(loops[i].Header) && loops[i].Header != loops[j].Header {
+				innerFirst = true
+			}
+		}
+	}
+	if !innerFirst {
+		t.Errorf("no loop precedes a loop that encloses it; the test no longer covers that order")
+	}
+}
+
 func TestBranchFoldRemovesDeadArm(t *testing.T) {
 	mod, ret := optimizeAndRun(t, `
 int main() {

@@ -1,0 +1,8 @@
+//go:build race
+
+package opt
+
+// raceEnabled reports that this test binary was built with -race, whose
+// instrumentation performs bookkeeping allocations that would make
+// testing.AllocsPerRun report false positives.
+const raceEnabled = true
