@@ -78,6 +78,41 @@ func TestVerifyCatchesTypeError(t *testing.T) {
 	}
 }
 
+// TestVerifyNamesFirstStalePred: when several predecessors disagree with
+// the successor lists, Verify names the one with the lowest ID, on every
+// call.
+func TestVerifyNamesFirstStalePred(t *testing.T) {
+	fn := ir.NewFunc("join", ir.I64)
+	var b [4]*ir.Block
+	for i := range b {
+		b[i] = fn.NewBlock()
+	}
+	fn.Entry = b[0]
+	for _, src := range b[:3] {
+		src.Append(&ir.Instr{Op: ir.OpJmp})
+		src.Succs = []*ir.Block{b[3]}
+	}
+	r := fn.NewVReg(ir.I64)
+	b[3].Append(&ir.Instr{Op: ir.OpConst, Dst: r, Imm: 0})
+	b[3].Append(&ir.Instr{Op: ir.OpRet, Args: []ir.VReg{r}})
+	fn.Renumber()
+	for _, c := range []struct {
+		preds []*ir.Block
+		want  string
+	}{
+		{[]*ir.Block{b[0]}, "join: b3: pred list inconsistent with succ of b1"},
+		// b2 and b0 are each listed twice for one edge.
+		{[]*ir.Block{b[2], b[2], b[1], b[0], b[0]}, "join: b3: stale pred b0"},
+	} {
+		b[3].Preds = c.preds
+		for i := 0; i < 200; i++ {
+			if err := fn.Verify(); err == nil || err.Error() != c.want {
+				t.Fatalf("call %d: Verify() = %v, want %q", i, err, c.want)
+			}
+		}
+	}
+}
+
 func TestLoopDepths(t *testing.T) {
 	fn, entry, header, body, exit := makeLoop(t)
 	fn.ComputeLoopDepths()

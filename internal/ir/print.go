@@ -59,8 +59,16 @@ func (f *Func) String() string {
 //   - successor counts match the terminator kind,
 //   - operand and destination registers are well typed,
 //   - predecessor lists are consistent with successor lists.
+//
+// The first violation is reported, in block order; of several
+// inconsistent predecessors of one block, the one with the lowest ID.
 func (f *Func) Verify() error {
-	preds := make(map[*Block]map[*Block]int)
+	n := f.NumBlockIDs()
+	// The sources of the CFG edges into each block, from the successor
+	// lists: into[off[id]:off[id+1]] for the block with that ID. Counting
+	// into off[id+2] and filling through off[id+1] leaves each bucket's
+	// bounds in place.
+	off := make([]int, n+2)
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("%s: block b%d is empty", f.Name, b.ID)
@@ -88,26 +96,43 @@ func (f *Func) Verify() error {
 			return fmt.Errorf("%s: b%d: %s has %d successors, want %d", f.Name, b.ID, term.Op, len(b.Succs), want)
 		}
 		for _, s := range b.Succs {
-			if preds[s] == nil {
-				preds[s] = make(map[*Block]int)
-			}
-			preds[s][b]++
+			off[s.ID+2]++
 		}
 	}
+	for id := 2; id < len(off); id++ {
+		off[id] += off[id-1]
+	}
+	into := make([]*Block, off[n+1])
 	for _, b := range f.Blocks {
-		seen := make(map[*Block]int)
+		for _, s := range b.Succs {
+			into[off[s.ID+1]] = b
+			off[s.ID+1]++
+		}
+	}
+	// net[p] counts p's entries in b.Preds less its edges into b; every
+	// entry is zero again after each block.
+	net := make([]int, n)
+	for _, b := range f.Blocks {
+		edges := into[off[b.ID]:off[b.ID+1]]
+		for _, p := range edges {
+			net[p.ID]--
+		}
 		for _, p := range b.Preds {
-			seen[p]++
+			net[p.ID]++
 		}
-		for p, n := range preds[b] {
-			if seen[p] != n {
-				return fmt.Errorf("%s: b%d: pred list inconsistent with succ of b%d", f.Name, b.ID, p.ID)
+		bad := -1
+		for _, srcs := range [2][]*Block{edges, b.Preds} {
+			for _, p := range srcs {
+				if net[p.ID] != 0 && (bad < 0 || p.ID < bad) {
+					bad = p.ID
+				}
 			}
 		}
-		for p, n := range seen {
-			if preds[b][p] != n {
-				return fmt.Errorf("%s: b%d: stale pred b%d", f.Name, b.ID, p.ID)
+		if bad >= 0 {
+			if net[bad] < 0 {
+				return fmt.Errorf("%s: b%d: pred list inconsistent with succ of b%d", f.Name, b.ID, bad)
 			}
+			return fmt.Errorf("%s: b%d: stale pred b%d", f.Name, b.ID, bad)
 		}
 	}
 	return nil
