@@ -79,6 +79,9 @@ type Machine struct {
 	hookLeft  int64
 
 	profile *Profile
+	// counts holds each called function's block entry counts by Block.ID;
+	// Run folds the nonzero ones into profile.
+	counts map[*ir.Func][]int64
 }
 
 // wordBytes is the size of every scalar value.
@@ -98,6 +101,7 @@ func New(mod *ir.Module) *Machine {
 		globalAddr: make(map[string]int64),
 		maxStep:    2_000_000_000,
 		profile:    &Profile{Counts: make(map[string]map[int]int64)},
+		counts:     make(map[*ir.Func][]int64),
 	}
 	addr := int64(wordBytes) // keep address 0 unused
 	for _, g := range mod.Globals {
@@ -206,6 +210,18 @@ func (m *Machine) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	for fn, counts := range m.counts {
+		c := m.profile.Counts[fn.Name]
+		if c == nil {
+			c = make(map[int]int64)
+			m.profile.Counts[fn.Name] = c
+		}
+		for id, n := range counts {
+			if n != 0 {
+				c[id] = n
+			}
+		}
+	}
 	return &Result{
 		Ret:     ret.i,
 		Output:  m.out.String(),
@@ -233,10 +249,10 @@ func (m *Machine) callFunc(fn *ir.Func, args []value) (value, error) {
 	}
 	defer func() { m.heapTop = frameBase }()
 
-	counts := m.profile.Counts[fn.Name]
+	counts := m.counts[fn]
 	if counts == nil {
-		counts = make(map[int]int64)
-		m.profile.Counts[fn.Name] = counts
+		counts = make([]int64, fn.NumBlockIDs())
+		m.counts[fn] = counts
 	}
 
 	blk := fn.Entry

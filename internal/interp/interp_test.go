@@ -241,6 +241,49 @@ int main() {
 	}
 }
 
+// TestProfileOmitsUnexecuted: the profile holds only called functions and
+// only the blocks that ran; a block that never ran has no key, and a
+// function never called is not covered.
+func TestProfileOmitsUnexecuted(t *testing.T) {
+	src := `
+int unused(int x) { return x * 3; }
+int clamp(int x) {
+	if (x > 100) return 100;
+	return x;
+}
+int main() {
+	int s = 0;
+	for (int i = 0; i < 10; i++) s += clamp(i);
+	return s;
+}`
+	mod := compile(t, src)
+	res, err := interp.New(mod).Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if res.Ret != 45 {
+		t.Fatalf("ret = %d, want 45", res.Ret)
+	}
+	if res.Profile.Covered("unused") {
+		t.Errorf("uncalled function covered: %v", res.Profile.Counts["unused"])
+	}
+	if _, ok := res.Profile.Counts["unused"]; ok {
+		t.Errorf("uncalled function has a profile entry")
+	}
+	counts := res.Profile.Counts["clamp"]
+	for id, n := range counts {
+		if n <= 0 {
+			t.Errorf("clamp: block %d recorded with count %d", id, n)
+		}
+	}
+	if nb := len(mod.Lookup("clamp").Blocks); len(counts) >= nb {
+		t.Errorf("clamp: %d blocks counted of %d, want the x > 100 block missing: %v", len(counts), nb, counts)
+	}
+	if got := res.Profile.BlockCount("clamp", mod.Lookup("clamp").Entry.ID); got != 10 {
+		t.Errorf("clamp entry count %d, want 10", got)
+	}
+}
+
 func TestCompoundAssignAndIncDec(t *testing.T) {
 	res := run(t, `
 int a[4];
