@@ -186,8 +186,8 @@ type robEntry struct {
 }
 
 // pipeline is the trace-driven out-of-order timing model. Machine.Run
-// steps the functional simulator's records into pending and steps the
-// pipeline through them; finish drains it. A pipeline is reusable: reset
+// copies the functional simulator's records from the feed into pending and
+// steps the pipeline through them; finish drains it. A pipeline is reusable: reset
 // restores the power-on state while keeping every buffer, so a warm
 // pipeline runs its steady state without heap allocations.
 type pipeline struct {
@@ -274,7 +274,7 @@ type pipeline struct {
 	rec     *TimelineRecorder
 }
 
-// A detailed run (Machine.Run) steps the functional simulator
+// A detailed run (Machine.Run) copies the feed's records into pending
 // batchSize records at a time, then steps the pipeline while more than
 // lookahead records are buffered. Fetch takes at most FetchWidth records a
 // cycle, and newPipeline's ring check bounds FetchWidth by lookahead, so

@@ -9,9 +9,17 @@ import (
 // Machine couples a reusable functional simulator with a reusable timing
 // pipeline for one machine configuration. Build one with NewMachine and
 // call Run repeatedly: the memory arena, ROB ring, cache and predictor
-// tables, statistics buffers, static instruction table and record buffer
+// tables, statistics buffers, static instruction table and record buffers
 // are all allocated once, so a warm machine simulates without heap
 // traffic — the property TestPipelineZeroSteadyStateAllocs pins.
+//
+// Each run steps the functional simulator on a goroutine of its own, one
+// ring of record buffers ahead of the timing model (see feed); the timing
+// model runs on the caller's goroutine and consumes the records in stream
+// order, so the cycles are those of a direct Step loop. The goroutine ends
+// before Run or RunSampled returns, panics included, and a panic on it is
+// raised again on the caller's goroutine. A Machine is not safe for
+// concurrent use.
 //
 // The returned sim.Result and the slices inside Stats are machine-owned
 // and valid only until the machine's next Run; copy them to keep them.
@@ -20,6 +28,7 @@ type Machine struct {
 	cfg  Config
 	pipe *pipeline
 	fm   *sim.Machine
+	feed *feed
 
 	// Flight recorder (see SetTimelineWidth): machine-owned and recycled
 	// across runs so arming it keeps the zero-allocation property.
@@ -39,7 +48,8 @@ type Machine struct {
 
 // NewMachine builds a reusable functional+timing machine for cfg.
 func NewMachine(cfg Config) *Machine {
-	return &Machine{cfg: cfg, pipe: newPipeline(cfg), fm: sim.NewMachine()}
+	fm := sim.NewMachine()
+	return &Machine{cfg: cfg, pipe: newPipeline(cfg), fm: fm, feed: newFeed(fm)}
 }
 
 // Config returns the machine configuration.
@@ -55,9 +65,14 @@ func (m *Machine) SetStepLimit(n int64) { m.stepLimit = n }
 // SetRunHook installs a cooperative cancellation check on the underlying
 // functional simulator: hook runs every `every` dynamic instructions
 // during Run and RunSampled, and a non-nil return aborts the run with
-// that error — conventionally a trap.KindCancelled trap. Arming a
-// hook keeps the warm machine's zero-allocation steady state (pinned by
-// TestPipelineZeroSteadyStateAllocs).
+// that error — conventionally a trap.KindCancelled trap. The hook runs on
+// the run's functional-simulator goroutine, not the caller's, so what it
+// reads and writes must be safe to share with the caller; the run's return
+// orders every hook call before it. A hook that panics makes Run or
+// RunSampled panic on the caller's goroutine with a value that carries the
+// hook's panic value and stack, and unwraps to it when it is an error.
+// Arming a hook keeps the warm machine's zero-allocation steady state
+// (pinned by TestPipelineZeroSteadyStateAllocs).
 func (m *Machine) SetRunHook(hook func(steps int64) error, every int64) {
 	m.fm.SetRunHook(hook, every)
 }
@@ -91,7 +106,7 @@ func (m *Machine) Profile() *CycleProfile { return m.profile }
 // the functional simulator for a run of prog, dropping the previous run's
 // journal and profile. The step budget is re-applied after the functional
 // Reset, which restores the simulator's default; the run hook survives
-// Reset.
+// Reset. The caller then starts the feed and defers its close.
 func (m *Machine) reset(prog *isa.Program) {
 	m.pipe.reset()
 	m.pipe.decode(prog)
@@ -111,6 +126,8 @@ func (m *Machine) reset(prog *isa.Program) {
 // statistics.
 func (m *Machine) Run(prog *isa.Program) (*sim.Result, Stats, error) {
 	m.reset(prog)
+	m.feed.start()
+	defer m.feed.close()
 	p := m.pipe
 	if m.journalLimit > 0 {
 		m.journal = p.attachJournal(m.journalLimit)
@@ -120,14 +137,14 @@ func (m *Machine) Run(prog *isa.Program) (*sim.Result, Stats, error) {
 	}
 	p.profile, p.faults = m.profile, m.faults
 	for {
-		n, res, err := m.fm.Step(p.pending[len(p.pending) : len(p.pending)+batchSize])
-		p.pending = p.pending[:len(p.pending)+n]
+		recs, res, err := m.feed.next(batchSize)
 		if err != nil {
 			return nil, Stats{}, err
 		}
 		if res != nil {
 			return res, p.finish(), nil
 		}
+		p.pending = append(p.pending, recs...)
 		for len(p.pending)-p.pendHead > lookahead {
 			p.step()
 		}

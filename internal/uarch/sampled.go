@@ -50,7 +50,7 @@ func DefaultSampleConfig() SampleConfig {
 	return SampleConfig{Period: 4, Width: 500, Warmup: 200, Seed: 1}
 }
 
-// windowCap bounds Warmup+Width: the sampler steps a whole detailed window
+// windowCap bounds Warmup+Width: the sampler copies a whole detailed window
 // into the pipeline's pending buffer, whose capacity is fixed when the
 // machine is built, before timing it.
 const windowCap = 8000
@@ -268,30 +268,34 @@ func (s *sampler) maybeDouble() {
 }
 
 // run drives a fast-mode run to HALT. Up to each window's start the
-// functional machine steps into the idle pending buffer and the records
-// only warm the predictor and caches; the window's records are then
-// stepped straight into pending, whole, and timed by closeWindow.
-func (s *sampler) run(fm *sim.Machine) (*sim.Result, error) {
+// feed's records only warm the predictor and caches, read in place in the
+// ring; the window's records are then copied into pending, whole, and
+// timed by closeWindow. A window cut short by HALT is timed with what it
+// holds.
+func (s *sampler) run(f *feed) (*sim.Result, error) {
 	p := s.pipe
 	for {
 		for s.n < s.winStart {
-			buf := p.pending[:min(s.winStart-s.n, batchSize)]
-			n, res, err := fm.Step(buf)
-			s.warm(buf[:n])
-			s.n += int64(n)
+			recs, res, err := f.next(int(s.winStart - s.n))
 			if res != nil || err != nil {
 				return res, err
 			}
+			s.warm(recs)
+			s.n += int64(len(recs))
 		}
 		s.instrBase = p.stats.Instructions
 		p.resetCore()
-		n, res, err := fm.Step(p.pending[:s.winEnd-s.n])
-		if err != nil {
-			return nil, err
+		var res *sim.Result
+		for s.n < s.winEnd && res == nil {
+			recs, r, err := f.next(int(s.winEnd - s.n))
+			if err != nil {
+				return nil, err
+			}
+			p.pending = append(p.pending, recs...)
+			s.n += int64(len(recs))
+			res = r
 		}
-		p.pending = p.pending[:n]
-		s.n += int64(n)
-		s.winFed = int64(n)
+		s.winFed = int64(len(p.pending))
 		s.closeWindow()
 		if res != nil {
 			return res, nil
@@ -411,8 +415,10 @@ func (m *Machine) RunSampled(prog *isa.Program, sc SampleConfig) (*sim.Result, S
 		return r, ss, nil
 	}
 	m.reset(prog)
+	m.feed.start()
+	defer m.feed.close()
 	s := newSampler(m.pipe, sc)
-	res, err := s.run(m.fm)
+	res, err := s.run(m.feed)
 	if err != nil {
 		return nil, SampledStats{}, err
 	}
