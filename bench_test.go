@@ -74,10 +74,12 @@ func BenchmarkFig10Speedup8Way(b *testing.B) {
 	benchmarkSpeedups(b, uarch.Config8Way())
 }
 
+// benchmarkSpeedups builds a fresh run table per iteration, so every
+// iteration simulates every run.
 func benchmarkSpeedups(b *testing.B, cfg uarch.Config) {
 	s := bench.NewSuite()
 	for i := 0; i < b.N; i++ {
-		rows, err := s.FigureSpeedups(bench.IntWorkloads(), cfg)
+		rows, err := bench.NewRuns(s).FigureSpeedups(bench.IntWorkloads(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,11 +101,11 @@ func BenchmarkOverheads(b *testing.B) {
 }
 
 // BenchmarkFPPrograms regenerates §7.5: the schemes applied to
-// floating-point programs.
+// floating-point programs, with a fresh run table per iteration.
 func BenchmarkFPPrograms(b *testing.B) {
 	s := bench.NewSuite()
 	for i := 0; i < b.N; i++ {
-		rows, err := s.FigureSpeedups(bench.FpWorkloads(), uarch.Config4Way())
+		rows, err := bench.NewRuns(s).FigureSpeedups(bench.FpWorkloads(), uarch.Config4Way())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,15 +13,19 @@
 //	fpibench -oracle-gap     # greedy-vs-optimal partition gap per workload, both configs (gated)
 //	fpibench -calibrate -calib-out CALIB.json  # fit o_copy/o_dupl against measured cycles
 //
-// The cycle counts behind Figures 9/10 and §7.5 are pinned as run records
-// in BASELINE_RUNS.jsonl and gated with `fpistat record -suite` plus
-// `fpistat gate -baseline BASELINE_RUNS.jsonl`.
+// The cycle reports read one run table (bench.Runs), which times each
+// distinct (workload, binary, machine) once per process however many
+// reports quote it; the phase timeline and the fault sweep's injected runs
+// arm probes and simulate every time. The cycle counts behind Figures 9/10
+// and §7.5 are pinned as run records in BASELINE_RUNS.jsonl and gated with
+// `fpistat record -suite` plus `fpistat gate -baseline BASELINE_RUNS.jsonl`.
 //
 // Exit codes: 0 success, 1 usage error, 2 input error (e.g. an unwritable
 // -json file), 3 an experiment failed, 5 the -oracle-gap gate failed.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,40 +42,52 @@ import (
 )
 
 func main() {
-	err := fpibenchMain()
+	err := fpibenchMain(os.Args[1:])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fpibench: %v\n", err)
 	}
 	os.Exit(fperr.ExitCode(err))
 }
 
-func fpibenchMain() error {
+func fpibenchMain(args []string) error {
+	fs := flag.NewFlagSet("fpibench", flag.ContinueOnError)
 	var (
-		table1        = flag.Bool("table1", false, "print Table 1 (machine parameters)")
-		table2        = flag.Bool("table2", false, "print Table 2 (benchmark programs)")
-		fig8          = flag.Bool("fig8", false, "Figure 8: size of the FPa partition")
-		fig9          = flag.Bool("fig9", false, "Figure 9: speedups on the 4-way machine")
-		fig10         = flag.Bool("fig10", false, "Figure 10: speedups on the 8-way machine")
-		overheads     = flag.Bool("overheads", false, "§7.2 overhead statistics")
-		fpprogs       = flag.Bool("fpprogs", false, "§7.5 floating-point programs")
-		loads         = flag.Bool("loads", false, "§6.6 load-count changes")
-		slices        = flag.Bool("slices", false, "§4 computational-slice weights")
-		imbalance     = flag.Bool("imbalance", false, "§7.3 load-imbalance statistics")
-		phases        = flag.Bool("phases", false, "per-benchmark phase timeline: segmented occupancy/stall phases on both configurations")
-		phaseWidth    = flag.Int64("phase-width", 1024, "with -phases: timeline window width in cycles")
-		jsonOut       = flag.String("json", "", "also write the selected experiments as JSON to the given file (\"-\" for stdout, suppressing the tables)")
-		faultsw       = flag.Bool("faultsweep", false, "per-scheme fault-sensitivity sweep on both machine configurations")
-		faultRate     = flag.Float64("fault-rate", 0.001, "with -faultsweep: per-instruction fault probability")
-		faultSeed     = flag.Int64("fault-seed", 1, "with -faultsweep: fault plan seed")
-		analysisDelta = flag.Bool("analysis-delta", false, "static-analysis payoff: offload and cycles with the address oracle off vs on, both configurations")
-		hostMetrics   = flag.Bool("hostmetrics", false, "also print a per-experiment host-side cost table (wall time, allocations, GC)")
-		fastMode      = flag.Bool("fast", false, "run cycle experiments in the sampled-timing fast mode (bounded-error sweep; incompatible with fault sweeps and exact-cycle gates)")
-		fastPeriod    = flag.Int("fast-period", 0, "with -fast: starting sampling period in units, one in N measured; it doubles as the estimate converges (0 = default)")
-		oracleGap     = flag.Bool("oracle-gap", false, "greedy-vs-optimal partition gap per workload on both configurations (gated: profit dominance must hold and the exact search must complete)")
-		calibrate     = flag.Bool("calibrate", false, "fit the cost-model constants o_copy/o_dupl against measured cycle deltas on both configurations")
-		calibOut      = flag.String("calib-out", "", "with -calibrate: write the fpint-calib/v1 JSON document to the given file (\"-\" for stdout)")
+		table1        = fs.Bool("table1", false, "print Table 1 (machine parameters)")
+		table2        = fs.Bool("table2", false, "print Table 2 (benchmark programs)")
+		fig8          = fs.Bool("fig8", false, "Figure 8: size of the FPa partition")
+		fig9          = fs.Bool("fig9", false, "Figure 9: speedups on the 4-way machine")
+		fig10         = fs.Bool("fig10", false, "Figure 10: speedups on the 8-way machine")
+		overheads     = fs.Bool("overheads", false, "§7.2 overhead statistics")
+		fpprogs       = fs.Bool("fpprogs", false, "§7.5 floating-point programs")
+		loads         = fs.Bool("loads", false, "§6.6 load-count changes")
+		slices        = fs.Bool("slices", false, "§4 computational-slice weights")
+		imbalance     = fs.Bool("imbalance", false, "§7.3 load-imbalance statistics")
+		phases        = fs.Bool("phases", false, "per-benchmark phase timeline: segmented occupancy/stall phases on both configurations")
+		phaseWidth    = fs.Int64("phase-width", 1024, "with -phases: timeline window width in cycles")
+		jsonOut       = fs.String("json", "", "also write the selected experiments as JSON to the given file (\"-\" for stdout, suppressing the tables)")
+		faultsw       = fs.Bool("faultsweep", false, "per-scheme fault-sensitivity sweep on both machine configurations")
+		faultRate     = fs.Float64("fault-rate", 0.001, "with -faultsweep: per-instruction fault probability")
+		faultSeed     = fs.Int64("fault-seed", 1, "with -faultsweep: fault plan seed")
+		analysisDelta = fs.Bool("analysis-delta", false, "static-analysis payoff: offload and cycles with the address oracle off vs on, both configurations")
+		hostMetrics   = fs.Bool("hostmetrics", false, "also print a per-experiment host-side cost table (wall time, allocations, GC)")
+		fastMode      = fs.Bool("fast", false, "run cycle experiments in the sampled-timing fast mode (bounded-error sweep; incompatible with fault sweeps and exact-cycle gates)")
+		fastPeriod    = fs.Int("fast-period", 0, "with -fast: starting sampling period in units, one in N measured; it doubles as the estimate converges (0 = default)")
+		oracleGap     = fs.Bool("oracle-gap", false, "greedy-vs-optimal partition gap per workload on both configurations (gated: profit dominance must hold and the exact search must complete)")
+		calibrate     = fs.Bool("calibrate", false, "fit the cost-model constants o_copy/o_dupl against measured cycle deltas on both configurations")
+		calibOut      = fs.String("calib-out", "", "with -calibrate: write the fpint-calib/v1 JSON document to the given file (\"-\" for stdout)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fperr.Wrap(fperr.ClassUsage, err)
+	}
+	if fs.NArg() != 0 {
+		return fperr.New(fperr.ClassUsage, "unexpected arguments %v", fs.Args())
+	}
+	if *phaseWidth <= 0 {
+		return fperr.New(fperr.ClassUsage, "-phase-width %d is not positive", *phaseWidth)
+	}
 	if !(*faultRate > 0 && *faultRate <= 1) { // NaN fails both comparisons
 		return fperr.New(fperr.ClassUsage, "-fault-rate %g outside (0,1]", *faultRate)
 	}
@@ -93,7 +109,8 @@ func fpibenchMain() error {
 	}
 	all := !(*table1 || *table2 || *fig8 || *fig9 || *fig10 || *overheads || *fpprogs || *loads || *slices || *imbalance || *faultsw || *analysisDelta || *phases || *oracleGap || *calibrate)
 
-	c := &ctx{s: bench.NewSuite(), quiet: *jsonOut == "-"}
+	s := bench.NewSuite()
+	c := &ctx{s: s, runs: bench.NewRuns(s), quiet: *jsonOut == "-"}
 	if *fastMode {
 		sc := uarch.DefaultSampleConfig()
 		if *fastPeriod > 0 {
@@ -221,7 +238,7 @@ func fpibenchMain() error {
 func printAnalysisDelta(c *ctx) error {
 	ws := append(bench.IntWorkloads(), bench.FpWorkloads()...)
 	for _, scheme := range []codegen.Scheme{codegen.SchemeBasic, codegen.SchemeAdvanced} {
-		rows, err := c.s.AnalysisDelta(ws, scheme)
+		rows, err := c.runs.AnalysisDelta(ws, scheme)
 		if err != nil {
 			return err
 		}
@@ -249,7 +266,7 @@ func printAnalysisDelta(c *ctx) error {
 func printOracleGap(c *ctx) error {
 	var all []bench.OracleGapRow
 	for _, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
-		rows, err := c.s.OracleGaps(bench.IntWorkloads(), cfg)
+		rows, err := c.runs.OracleGaps(bench.IntWorkloads(), cfg)
 		if err != nil {
 			return err
 		}
@@ -267,7 +284,7 @@ func printOracleGap(c *ctx) error {
 // measured simulator cycle deltas and reports the fpint-calib/v1 result.
 func printCalibration(c *ctx, calibOut string) error {
 	cfgs := []uarch.Config{uarch.Config4Way(), uarch.Config8Way()}
-	calib, err := c.s.Calibrate(bench.IntWorkloads(), cfgs)
+	calib, err := c.runs.Calibrate(bench.IntWorkloads(), cfgs)
 	if err != nil {
 		return err
 	}
@@ -306,7 +323,7 @@ func printCalibration(c *ctx, calibOut string) error {
 // lost to detection and recovery, per workload, scheme, and configuration.
 func printFaultSweep(c *ctx, fc faultinject.Config) error {
 	for _, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
-		rows, err := c.s.FaultSensitivity(bench.IntWorkloads(), cfg, fc)
+		rows, err := c.runs.FaultSensitivity(bench.IntWorkloads(), cfg, fc)
 		if err != nil {
 			return err
 		}
@@ -326,10 +343,11 @@ func printFaultSweep(c *ctx, fc faultinject.Config) error {
 	return nil
 }
 
-// ctx carries the shared suite plus the optional JSON report each
-// experiment contributes its rows to.
+// ctx carries the shared suite, the run table every cycle report reads,
+// and the optional JSON report each experiment contributes its rows to.
 type ctx struct {
 	s     *bench.Suite
+	runs  *bench.Runs
 	rep   *bench.Report
 	quiet bool
 }
@@ -451,7 +469,7 @@ func printFig10(c *ctx) error {
 }
 
 func printSpeedups(c *ctx, cfg uarch.Config, name, section, paper string) error {
-	rows, err := c.s.FigureSpeedups(bench.IntWorkloads(), cfg)
+	rows, err := c.runs.FigureSpeedups(bench.IntWorkloads(), cfg)
 	if err != nil {
 		return err
 	}
@@ -504,7 +522,7 @@ func printLoads(c *ctx) error {
 }
 
 func printImbalance(c *ctx) error {
-	rows, err := c.s.Imbalance(bench.IntWorkloads(), uarch.Config4Way())
+	rows, err := c.runs.Imbalance(bench.IntWorkloads(), uarch.Config4Way())
 	if err != nil {
 		return err
 	}
@@ -553,7 +571,7 @@ func printPhases(c *ctx, width int64) error {
 }
 
 func printFpProgs(c *ctx) error {
-	rows, err := c.s.FPProgramRows()
+	rows, err := c.runs.FPProgramRows()
 	if err != nil {
 		return err
 	}

@@ -36,6 +36,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -48,32 +49,47 @@ import (
 )
 
 func main() {
-	err := fpifuzzMain()
+	err := fpifuzzMain(os.Args[1:])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fpifuzz: %v\n", err)
 	}
 	os.Exit(fperr.ExitCode(err))
 }
 
-func fpifuzzMain() error {
+func fpifuzzMain(args []string) error {
+	fs := flag.NewFlagSet("fpifuzz", flag.ContinueOnError)
 	var (
-		n            = flag.Int("n", 100, "number of programs to generate and check")
-		seed         = flag.Int64("seed", 1, "first seed; program i uses seed+i")
-		analysisMode = flag.String("analysis", "on", "also run the analysis-sharpened basic/advanced scheme cases: on or off")
-		stmts        = flag.Int("stmts", 0, "statement budget per program (0 = default)")
-		traps        = flag.Bool("traps", false, "allow unguarded division (programs may trap; engines must agree)")
-		timing       = flag.Bool("timing", true, "also drive the cycle-level model on 4-way and 8-way configs")
-		optimal      = flag.Bool("optimal", true, "also run the exact branch-and-bound oracle scheme case")
-		reduce       = flag.Bool("reduce", true, "reduce failures to minimal reproducers")
-		out          = flag.String("out", "testdata/crashers", "directory for reproducer files")
-		inject       = flag.Bool("inject", false, "plant a partitioner bug (flipped component assignment) to demo the oracle")
-		fast         = flag.Bool("fast", false, "also check the sampled-timing fast mode on every timed case (requires -timing)")
-		injectFast   = flag.Bool("inject-fast", false, "plant a fast-mode divergence to demo the fast oracle (requires -fast)")
-		faults       = flag.Bool("faults", false, "run timed cases under seeded transient-fault injection (requires -timing)")
-		faultRate    = flag.Float64("fault-rate", 0.002, "with -faults: per-instruction fault probability")
-		verbose      = flag.Bool("v", false, "log every failure in full")
+		n            = fs.Int("n", 100, "number of programs to generate and check")
+		seed         = fs.Int64("seed", 1, "first seed; program i uses seed+i")
+		analysisMode = fs.String("analysis", "on", "also run the analysis-sharpened basic/advanced scheme cases: on or off")
+		stmts        = fs.Int("stmts", 0, "statement budget per program (0 = default)")
+		traps        = fs.Bool("traps", false, "allow unguarded division (programs may trap; engines must agree)")
+		timing       = fs.Bool("timing", true, "also drive the cycle-level model on 4-way and 8-way configs")
+		optimal      = fs.Bool("optimal", true, "also run the exact branch-and-bound oracle scheme case")
+		reduce       = fs.Bool("reduce", true, "reduce failures to minimal reproducers")
+		out          = fs.String("out", "testdata/crashers", "directory for reproducer files")
+		inject       = fs.Bool("inject", false, "plant a partitioner bug (flipped component assignment) to demo the oracle")
+		fast         = fs.Bool("fast", false, "also check the sampled-timing fast mode on every timed case (requires -timing)")
+		injectFast   = fs.Bool("inject-fast", false, "plant a fast-mode divergence to demo the fast oracle (requires -fast)")
+		faults       = fs.Bool("faults", false, "run timed cases under seeded transient-fault injection (requires -timing)")
+		faultRate    = fs.Float64("fault-rate", 0.002, "with -faults: per-instruction fault probability")
+		verbose      = fs.Bool("v", false, "log every failure in full")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fperr.Wrap(fperr.ClassUsage, err)
+	}
+	if fs.NArg() != 0 {
+		return fperr.New(fperr.ClassUsage, "unexpected arguments %v", fs.Args())
+	}
+	if *n < 1 {
+		return fperr.New(fperr.ClassUsage, "-n %d: need at least one program", *n)
+	}
+	if *stmts < 0 {
+		return fperr.New(fperr.ClassUsage, "-stmts %d is negative", *stmts)
+	}
 
 	gcfg := difftest.DefaultGenConfig()
 	if *stmts > 0 {

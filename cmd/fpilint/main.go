@@ -21,6 +21,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,7 +38,7 @@ import (
 )
 
 func main() {
-	err := fpilintMain(os.Stdout)
+	err := fpilintMain(os.Args[1:], os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fpilint: %v\n", err)
 	}
@@ -234,26 +235,32 @@ type sarifResult struct {
 	Line     int    `json:"line"`
 }
 
-func fpilintMain(w io.Writer) error {
+func fpilintMain(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("fpilint", flag.ContinueOnError)
 	var (
-		jsonOut = flag.Bool("json", false, "emit the findings as a SARIF-lite JSON document")
-		facts   = flag.Bool("facts", false, "dump per-access analysis facts instead of linting")
-		oracle  = flag.Bool("oracle", false, "also run the exact partition oracle and report greedy-vs-optimal partition gaps")
+		jsonOut = fs.Bool("json", false, "emit the findings as a SARIF-lite JSON document")
+		facts   = fs.Bool("facts", false, "dump per-access analysis facts instead of linting")
+		oracle  = fs.Bool("oracle", false, "also run the exact partition oracle and report greedy-vs-optimal partition gaps")
 	)
-	flag.Parse()
-	if flag.NArg() == 0 {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fperr.Wrap(fperr.ClassUsage, err)
+	}
+	if fs.NArg() == 0 {
 		return fperr.New(fperr.ClassUsage, "usage: fpilint [-json|-facts|-oracle] file.c...")
 	}
 
 	if *facts {
-		for _, path := range flag.Args() {
+		for _, path := range fs.Args() {
 			if err := dumpFacts(w, path); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return lintReport(flag.Args(), *jsonOut, *oracle, w)
+	return lintReport(fs.Args(), *jsonOut, *oracle, w)
 }
 
 // lintReport lints each file and writes the combined report — plain text or

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"fpint/internal/fperr"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden fpilint reports")
@@ -108,5 +111,26 @@ func TestFactsSmoke(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("safe:")) {
 		t.Errorf("expected at least one safe address fact in sieve.c, got:\n%s", buf.String())
+	}
+}
+
+// Usage errors exit 1, an unreadable or invalid input exits 2, and the
+// findings themselves never fail the exit status.
+func TestExitCodes(t *testing.T) {
+	src := filepath.Join("..", "..", "testdata", "sieve.c")
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-bogus-flag", src}, 1},
+		{nil, 1},
+		{[]string{"missing.c"}, 2},
+		{[]string{"-h"}, 0},
+		{[]string{src}, 0},
+		{[]string{"-json", src}, 0},
+	} {
+		if got := fperr.ExitCode(fpilintMain(c.args, io.Discard)); got != c.want {
+			t.Errorf("fpilint %v: exit %d, want %d", c.args, got, c.want)
+		}
 	}
 }

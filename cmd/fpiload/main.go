@@ -12,12 +12,13 @@
 //
 // The request sequence is deterministic for a given seed and mix; only
 // the wall-clock fields vary run to run. Exit codes follow the fperr
-// contract: 0 on a completed run, 2 when every request failed at the
-// transport (the daemon is unreachable), 6 when the daemon shed the
-// entire run.
+// contract: 0 on a completed run, 1 on a usage error (a bad flag, or -n
+// or -c below one), 2 when every request failed at the transport (the
+// daemon is unreachable), 6 when the daemon shed the entire run.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,25 +31,37 @@ import (
 )
 
 func main() {
-	err := fpiloadMain()
+	err := fpiloadMain(os.Args[1:])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fpiload: %v\n", err)
 	}
 	os.Exit(fperr.ExitCode(err))
 }
 
-func fpiloadMain() error {
+func fpiloadMain(args []string) error {
+	fs := flag.NewFlagSet("fpiload", flag.ContinueOnError)
 	var (
-		addr    = flag.String("addr", "http://127.0.0.1:8080", "fpintd base URL")
-		n       = flag.Int("n", 1000, "total requests")
-		c       = flag.Int("c", 32, "concurrent workers")
-		seed    = flag.Int64("seed", 1, "request-sequence seed")
-		mixSpec = flag.String("mix", "", "flavor weights, e.g. ok=12,malformed=2,trap=2,over-budget=2,panic=2 (default: built-in chaos mix)")
-		jsonOut = flag.String("json", "-", "write the fpint-load/v1 report to the given file (\"-\" for stdout)")
+		addr    = fs.String("addr", "http://127.0.0.1:8080", "fpintd base URL")
+		n       = fs.Int("n", 1000, "total requests")
+		c       = fs.Int("c", 32, "concurrent workers")
+		seed    = fs.Int64("seed", 1, "request-sequence seed")
+		mixSpec = fs.String("mix", "", "flavor weights, e.g. ok=12,malformed=2,trap=2,over-budget=2,panic=2 (default: built-in chaos mix)")
+		jsonOut = fs.String("json", "-", "write the fpint-load/v1 report to the given file (\"-\" for stdout)")
 	)
-	flag.Parse()
-	if flag.NArg() != 0 {
-		return fperr.New(fperr.ClassUsage, "unexpected arguments %v", flag.Args())
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fperr.Wrap(fperr.ClassUsage, err)
+	}
+	if fs.NArg() != 0 {
+		return fperr.New(fperr.ClassUsage, "unexpected arguments %v", fs.Args())
+	}
+	if *n < 1 {
+		return fperr.New(fperr.ClassUsage, "-n %d: need at least one request", *n)
+	}
+	if *c < 1 {
+		return fperr.New(fperr.ClassUsage, "-c %d: need at least one worker", *c)
 	}
 
 	cfg := loadgen.Config{BaseURL: *addr, Requests: *n, Workers: *c, Seed: *seed}

@@ -25,6 +25,9 @@
 // -chaos enables the fault-injection surface ("panic": true jobs) used by
 // the load harness to prove the recover barrier; never enable it facing
 // untrusted clients.
+//
+// Exit codes: 0 after a graceful drain, 1 usage error (a bad flag, or a
+// -workers, -queue or -cache below one), 6 when the listener fails.
 package main
 
 import (
@@ -43,25 +46,34 @@ import (
 )
 
 func main() {
-	err := fpintdMain()
+	err := fpintdMain(os.Args[1:])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fpintd: %v\n", err)
 	}
 	os.Exit(fperr.ExitCode(err))
 }
 
-func fpintdMain() error {
+func fpintdMain(args []string) error {
+	fs := flag.NewFlagSet("fpintd", flag.ContinueOnError)
 	var (
-		addr    = flag.String("addr", "127.0.0.1:8080", "listen address")
-		workers = flag.Int("workers", 4, "worker pool shards")
-		queue   = flag.Int("queue", 16, "per-shard queue depth before shedding")
-		cache   = flag.Int("cache", 1024, "artifact cache capacity (entries)")
-		chaos   = flag.Bool("chaos", false, "honor panic-injection jobs (load-testing only)")
-		grace   = flag.Duration("grace", 30*time.Second, "drain grace before force-cancelling in-flight jobs")
+		addr    = fs.String("addr", "127.0.0.1:8080", "listen address")
+		workers = fs.Int("workers", 4, "worker pool shards")
+		queue   = fs.Int("queue", 16, "per-shard queue depth before shedding")
+		cache   = fs.Int("cache", 1024, "artifact cache capacity (entries)")
+		chaos   = fs.Bool("chaos", false, "honor panic-injection jobs (load-testing only)")
+		grace   = fs.Duration("grace", 30*time.Second, "drain grace before force-cancelling in-flight jobs")
 	)
-	flag.Parse()
-	if flag.NArg() != 0 {
-		return fperr.New(fperr.ClassUsage, "unexpected arguments %v", flag.Args())
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fperr.Wrap(fperr.ClassUsage, err)
+	}
+	if fs.NArg() != 0 {
+		return fperr.New(fperr.ClassUsage, "unexpected arguments %v", fs.Args())
+	}
+	if *workers < 1 || *queue < 1 || *cache < 1 {
+		return fperr.New(fperr.ClassUsage, "-workers %d, -queue %d, -cache %d: each must be positive", *workers, *queue, *cache)
 	}
 
 	svc := service.New(service.Options{

@@ -1,6 +1,6 @@
 // Command fpivet is the repo's own micro-analyzer: a go/analysis-style
 // lint (stdlib go/parser + go/ast only, so it runs in CI without any
-// dependency) enforcing two conventions the compiler cannot:
+// dependency) enforcing three conventions the compiler cannot:
 //
 //   - Metric-name hygiene: no string literal starting with "uarch." or
 //     "service." outside internal/obs/names.go. Those prefixes namespace
@@ -15,6 +15,12 @@
 //     os.Exit(1) invents an undocumented code and bypasses the
 //     classification contract every command documents.
 //
+//   - Flag hygiene: no flag.Parse() on the global flag set. Its
+//     ExitOnError policy exits 2 on an unknown flag, an input-error code
+//     for a usage error, from inside the flag package where the exit-code
+//     rule cannot see it. Parse a flag.NewFlagSet with ContinueOnError and
+//     wrap its error in fperr.ClassUsage.
+//
 // Usage:
 //
 //	fpivet [dir]        # lint the Go tree rooted at dir (default ".")
@@ -24,11 +30,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -56,20 +64,26 @@ type Finding struct {
 }
 
 func main() {
-	err := fpivetMain(os.Stdout)
+	err := fpivetMain(os.Args[1:], os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fpivet: %v\n", err)
 	}
 	os.Exit(fperr.ExitCode(err))
 }
 
-func fpivetMain(w *os.File) error {
-	flag.Parse()
+func fpivetMain(args []string, w io.Writer) error {
+	flags := flag.NewFlagSet("fpivet", flag.ContinueOnError)
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fperr.Wrap(fperr.ClassUsage, err)
+	}
 	root := "."
-	switch flag.NArg() {
+	switch flags.NArg() {
 	case 0:
 	case 1:
-		root = flag.Arg(0)
+		root = flags.Arg(0)
 	default:
 		return fperr.New(fperr.ClassUsage, "usage: fpivet [dir]")
 	}
@@ -121,7 +135,7 @@ func LintTree(root string) ([]Finding, error) {
 	return findings, nil
 }
 
-// LintFile parses one file and applies both checks. root anchors the
+// LintFile parses one file and applies every check. root anchors the
 // names-file exemption so fpivet works from any directory.
 func LintFile(root, path string) ([]Finding, error) {
 	fset := token.NewFileSet()
@@ -157,6 +171,14 @@ func LintFile(root, path string) ([]Finding, error) {
 				}
 			}
 		case *ast.CallExpr:
+			if isCall(n, "flag", "Parse") {
+				findings = append(findings, Finding{
+					Pos:  fset.Position(n.Pos()),
+					Code: "global-flags",
+					Msg:  "flag.Parse exits 2 on a bad flag, outside the fperr taxonomy; parse a flag.NewFlagSet with ContinueOnError and wrap its error in fperr.ClassUsage",
+				})
+				return true
+			}
 			if !isCall(n, "os", "Exit") {
 				return true
 			}

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fpint/internal/fperr"
 )
 
 // writeTree materializes files (rel path → contents) under a temp root.
@@ -130,5 +133,49 @@ func TestParseErrorIsInputError(t *testing.T) {
 	})
 	if _, err := LintTree(root); err == nil {
 		t.Fatal("expected an error for unparseable source")
+	}
+}
+
+func TestGlobalFlagsRule(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"main.go": `package main
+
+import "flag"
+
+func main() {
+	fs := flag.NewFlagSet("ok", flag.ContinueOnError)
+	fs.Parse(nil)
+	flag.Parse()
+}
+`,
+	})
+	findings, err := LintTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 {
+		t.Fatalf("got %d findings, want exactly the global flag.Parse():\n%v", len(findings), findings)
+	}
+	if findings[0].Code != "global-flags" || findings[0].Pos.Line != 8 {
+		t.Errorf("got %s at line %d, want global-flags at line 8", findings[0].Code, findings[0].Pos.Line)
+	}
+}
+
+// Usage errors exit 1 and a tree that cannot be read exits 2.
+func TestExitCodes(t *testing.T) {
+	clean := writeTree(t, map[string]string{"ok.go": "package ok\n"})
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-bogus-flag"}, 1},
+		{[]string{clean, clean}, 1},
+		{[]string{filepath.Join(clean, "missing")}, 2},
+		{[]string{"-h"}, 0},
+		{[]string{clean}, 0},
+	} {
+		if got := fperr.ExitCode(fpivetMain(c.args, io.Discard)); got != c.want {
+			t.Errorf("fpivet %v: exit %d, want %d", c.args, got, c.want)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package analysis is a reusable static-analysis framework over the IR:
-// CFG construction with dominators, an intraprocedural flow-insensitive
-// may-alias/address-taken analysis partitioned by base object, and a
-// lattice-based value-range analysis (constants + intervals with widening).
+// CFG construction (reverse postorder and unreachable blocks), an
+// intraprocedural flow-insensitive may-alias/address-taken analysis
+// partitioned by base object, and a lattice-based value-range analysis
+// (constants + intervals with widening).
 //
 // The analyses exist to *justify* compiler decisions, not to change
 // semantics: the partitioner consults them to unpin load/store address
@@ -17,62 +18,31 @@ import (
 	"fpint/internal/ir"
 )
 
-// CFG is the control-flow view of one function: reachable blocks in
-// reverse postorder, the immediate-dominator tree, and the blocks the
-// entry cannot reach at all.
+// CFG is the control-flow view of one function: the reachable blocks in
+// reverse postorder and the blocks the entry cannot reach at all.
 type CFG struct {
 	Fn *ir.Func
 
 	// Blocks are the reachable blocks in reverse postorder (entry first).
 	Blocks []*ir.Block
 
-	// Idom maps each reachable block to its immediate dominator; the entry
-	// maps to itself.
-	Idom map[*ir.Block]*ir.Block
-
 	// Unreachable lists blocks the entry cannot reach, in block-ID order.
 	Unreachable []*ir.Block
-
-	rpoIndex map[*ir.Block]int
 }
 
-// BuildCFG computes the CFG of fn, including dominators (iterative
-// Cooper–Harvey–Kennedy over reverse postorder) and the unreachable set.
+// BuildCFG computes the CFG of fn: the reverse postorder of the reachable
+// blocks and the unreachable set.
 func BuildCFG(fn *ir.Func) *CFG {
-	c := &CFG{Fn: fn, Idom: fn.Dominators(), rpoIndex: make(map[*ir.Block]int)}
-	c.Blocks = fn.ReversePostorder()
-	for i, b := range c.Blocks {
-		c.rpoIndex[b] = i
+	c := &CFG{Fn: fn, Blocks: fn.ReversePostorder()}
+	reached := make([]bool, fn.NumBlockIDs())
+	for _, b := range c.Blocks {
+		reached[b.ID] = true
 	}
 	for _, b := range fn.Blocks {
-		if _, ok := c.rpoIndex[b]; !ok {
+		if !reached[b.ID] {
 			c.Unreachable = append(c.Unreachable, b)
 		}
 	}
 	sort.Slice(c.Unreachable, func(i, j int) bool { return c.Unreachable[i].ID < c.Unreachable[j].ID })
 	return c
-}
-
-// Reachable reports whether b is reachable from the entry.
-func (c *CFG) Reachable(b *ir.Block) bool {
-	_, ok := c.rpoIndex[b]
-	return ok
-}
-
-// Dominates reports whether a dominates b (every block dominates itself).
-// Unreachable blocks are dominated by nothing and dominate nothing.
-func (c *CFG) Dominates(a, b *ir.Block) bool {
-	if !c.Reachable(a) || !c.Reachable(b) {
-		return false
-	}
-	for {
-		if b == a {
-			return true
-		}
-		next := c.Idom[b]
-		if next == b {
-			return false // reached the entry without meeting a
-		}
-		b = next
-	}
 }

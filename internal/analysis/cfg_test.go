@@ -7,8 +7,8 @@ import (
 	"fpint/internal/ir"
 )
 
-// TestCFGSingleBlock: a function of one block is its own dominator and has
-// no unreachable blocks.
+// TestCFGSingleBlock: a function of one block has that block as its whole
+// reverse postorder and no unreachable blocks.
 func TestCFGSingleBlock(t *testing.T) {
 	fn := ir.NewFunc("one", ir.I64)
 	v := fn.NewVReg(ir.I64)
@@ -26,13 +26,10 @@ func TestCFGSingleBlock(t *testing.T) {
 	if len(cfg.Unreachable) != 0 {
 		t.Fatalf("unreachable = %v", cfg.Unreachable)
 	}
-	if cfg.Idom[b] != b || !cfg.Dominates(b, b) {
-		t.Error("entry must dominate itself")
-	}
 }
 
 // TestCFGUnreachableBlocks: a block with no path from the entry lands in
-// Unreachable, is not Reachable, and neither dominates nor is dominated.
+// Unreachable and not in Blocks.
 func TestCFGUnreachableBlocks(t *testing.T) {
 	fn := ir.NewFunc("dead", ir.I64)
 	v := fn.NewVReg(ir.I64)
@@ -55,20 +52,13 @@ func TestCFGUnreachableBlocks(t *testing.T) {
 	if len(cfg.Unreachable) != 1 || cfg.Unreachable[0] != dead {
 		t.Fatalf("unreachable = %v", cfg.Unreachable)
 	}
-	if cfg.Reachable(dead) {
-		t.Error("dead reported reachable")
-	}
-	if cfg.Dominates(dead, b1) || cfg.Dominates(b0, dead) {
-		t.Error("unreachable block participates in dominance")
-	}
-	if !cfg.Dominates(b0, b1) {
-		t.Error("entry must dominate b1")
+	if len(cfg.Blocks) != 2 || cfg.Blocks[0] != b0 || cfg.Blocks[1] != b1 {
+		t.Errorf("blocks = %v, want [b0 b1]", cfg.Blocks)
 	}
 }
 
-// TestCFGSelfLoop: a block that branches to itself dominates itself and is
-// immediately dominated by its (unique) entry-side predecessor, and the
-// blocks below the loop are dominated by the loop header.
+// TestCFGSelfLoop: a block that branches to itself is visited once, in
+// reverse postorder between the entry and the exit.
 func TestCFGSelfLoop(t *testing.T) {
 	fn := ir.NewFunc("selfloop", ir.I64)
 	v := fn.NewVReg(ir.I64)
@@ -87,13 +77,10 @@ func TestCFGSelfLoop(t *testing.T) {
 	fn.Renumber()
 
 	cfg := analysis.BuildCFG(fn)
-	if cfg.Idom[loop] != b0 {
-		t.Errorf("idom(loop) = %v, want entry", cfg.Idom[loop])
-	}
-	if !cfg.Dominates(loop, loop) || !cfg.Dominates(loop, exit) || cfg.Dominates(exit, loop) {
-		t.Error("self-loop dominance wrong")
-	}
 	if len(cfg.Blocks) != 3 || len(cfg.Unreachable) != 0 {
-		t.Errorf("blocks %d, unreachable %d", len(cfg.Blocks), len(cfg.Unreachable))
+		t.Fatalf("blocks %d, unreachable %d", len(cfg.Blocks), len(cfg.Unreachable))
+	}
+	if cfg.Blocks[0] != b0 || cfg.Blocks[1] != loop || cfg.Blocks[2] != exit {
+		t.Errorf("blocks = %v, want [b0 loop exit]", cfg.Blocks)
 	}
 }

@@ -74,12 +74,16 @@ func AnalyzeRanges(fn *ir.Func, cfg *CFG) *Ranges {
 	// edges (the successor is not later in reverse postorder than the
 	// block), including self-loops. Successors of a reachable block are
 	// reachable.
+	rpo := make([]int, fn.NumBlockIDs())
+	for bi, b := range cfg.Blocks {
+		rpo[b.ID] = bi
+	}
 	succs := make([][]int, nb)
 	widenAt := make([]bool, nb)
 	for bi, b := range cfg.Blocks {
 		succs[bi] = make([]int, len(b.Succs))
 		for si, s := range b.Succs {
-			sj := cfg.rpoIndex[s]
+			sj := rpo[s.ID]
 			succs[bi][si] = sj
 			if sj <= bi {
 				widenAt[sj] = true

@@ -57,19 +57,19 @@ func countUnpins(res *codegen.Result) int {
 // workload under the scheme, cross-checking every run's functional result
 // against the IR interpreter on both machine configurations. On a
 // fast-mode Suite the cycle counts are sampled estimates.
-func (s *Suite) AnalysisDelta(ws []Workload, scheme codegen.Scheme) ([]AnalysisDeltaRow, error) {
+func (r *Runs) AnalysisDelta(ws []Workload, scheme codegen.Scheme) ([]AnalysisDeltaRow, error) {
 	var rows []AnalysisDeltaRow
 	for i := range ws {
 		w := &ws[i]
 		row := AnalysisDeltaRow{Workload: w.Name, Scheme: scheme}
 		for _, analysis := range []bool{false, true} {
-			res, err := s.compile(w, codegen.Options{Scheme: scheme, Analysis: analysis})
+			res, err := r.s.compile(w, codegen.Options{Scheme: scheme, Analysis: analysis})
 			if err != nil {
 				return nil, err
 			}
 			var cycles [2]int64
 			for k, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
-				m, _, err := s.run(w, scheme, res, cfg, nil)
+				m, err := r.measure(w, scheme, res, cfg)
 				if err != nil {
 					return nil, fmt.Errorf("analysis=%v: %w", analysis, err)
 				}

@@ -1,8 +1,6 @@
 package bench_test
 
 import (
-	"errors"
-	"sync"
 	"testing"
 
 	"fpint/internal/bench"
@@ -10,38 +8,25 @@ import (
 	"fpint/internal/uarch"
 )
 
-// figureRows holds the Figure 9 (4-way) and Figure 10 (8-way) speedup rows,
-// measured once for every test that reads them. The two configurations are
-// measured concurrently: a test waiting on the fixture holds a parallel
-// test slot, so a serial fixture would leave a CPU idle.
-var figureRows = sync.OnceValues(func() ([2][]bench.SpeedupRow, error) {
-	s := bench.NewSuite()
-	var rows [2][]bench.SpeedupRow
-	var errs [2]error
-	var wg sync.WaitGroup
-	for i, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rows[i], errs[i] = s.FigureSpeedups(bench.IntWorkloads(), cfg)
-		}()
-	}
-	wg.Wait()
-	return rows, errors.Join(errs[:]...)
-})
+// suite and runs are shared by every test in the package: each workload's
+// frontend runs once, and each distinct binary is timed once per machine
+// configuration however many tests quote it.
+var (
+	suite = bench.NewSuite()
+	runs  = bench.NewRuns(suite)
+)
 
 // TestWorkloadsCompileAndAgree compiles every workload under every scheme
 // and cross-checks the functional results against the IR interpreter.
 func TestWorkloadsCompileAndAgree(t *testing.T) {
 	t.Parallel()
-	s := bench.NewSuite()
 	for _, w := range bench.Workloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			cfg := uarch.Config4Way()
 			for _, scheme := range []codegen.Scheme{codegen.SchemeNone, codegen.SchemeBasic, codegen.SchemeAdvanced} {
-				m, err := s.Measure(&w, scheme, cfg)
+				m, err := runs.Measure(&w, scheme, cfg)
 				if err != nil {
 					t.Fatalf("%v: %v", scheme, err)
 				}
@@ -61,8 +46,7 @@ func TestFigure8Shape(t *testing.T) {
 		t.Skip("full-suite measurement")
 	}
 	t.Parallel()
-	s := bench.NewSuite()
-	rows, err := s.FigurePartitionSizes(bench.IntWorkloads())
+	rows, err := suite.FigurePartitionSizes(bench.IntWorkloads())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +69,7 @@ func TestOverheadsSmall(t *testing.T) {
 		t.Skip("full-suite measurement")
 	}
 	t.Parallel()
-	s := bench.NewSuite()
-	rows, err := s.Overheads(bench.IntWorkloads())
+	rows, err := suite.Overheads(bench.IntWorkloads())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +92,10 @@ func TestFigure9Shape(t *testing.T) {
 		t.Skip("full-suite measurement")
 	}
 	t.Parallel()
-	figs, err := figureRows()
+	rows, err := runs.FigureSpeedups(bench.IntWorkloads(), uarch.Config4Way())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := figs[0]
 	var liAdv float64
 	maxAdv := -1e9
 	for _, r := range rows {
@@ -145,11 +127,15 @@ func TestFig10SmallerThanFig9(t *testing.T) {
 		t.Skip("full-suite measurement")
 	}
 	t.Parallel()
-	figs, err := figureRows()
+	// 8-way first: TestFigure9Shape is timing the 4-way runs meanwhile.
+	r8, err := runs.FigureSpeedups(bench.IntWorkloads(), uarch.Config8Way())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, r8 := figs[0], figs[1]
+	r4, err := runs.FigureSpeedups(bench.IntWorkloads(), uarch.Config4Way())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sum4, sum8 float64
 	for i := range r4 {
 		sum4 += r4[i].AdvancedPct

@@ -19,7 +19,6 @@
 package bench
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -120,13 +119,12 @@ func calibCandidates() []core.CostParams {
 
 // Calibrate fits o_copy/o_dupl for every configuration over the given
 // workloads. Every timing run is functionally cross-checked against the
-// IR interpreter; distinct candidates that compile to the same binary
-// share one timing run, so the grid costs far fewer simulations than its
+// IR interpreter; candidates that compile to the same binary share one
+// entry of the run table, so the grid costs far fewer simulations than its
 // size suggests.
-func (s *Suite) Calibrate(ws []Workload, cfgs []uarch.Config) (*Calibration, error) {
+func (r *Runs) Calibrate(ws []Workload, cfgs []uarch.Config) (*Calibration, error) {
 	type compiled struct {
 		profit float64
-		hash   [sha256.Size]byte
 		res    *codegen.Result
 	}
 	// Compile every workload under every candidate once (configs share the
@@ -136,7 +134,7 @@ func (s *Suite) Calibrate(ws []Workload, cfgs []uarch.Config) (*Calibration, err
 	for ci, cand := range cands {
 		for i := range ws {
 			w := &ws[i]
-			res, err := s.compile(w, codegen.Options{Scheme: codegen.SchemeAdvanced, Cost: cand})
+			res, err := r.s.compile(w, codegen.Options{Scheme: codegen.SchemeAdvanced, Cost: cand})
 			if err != nil {
 				return nil, fmt.Errorf("o_copy=%g o_dupl=%g: %w", cand.OCopy, cand.ODupl, err)
 			}
@@ -151,37 +149,19 @@ func (s *Suite) Calibrate(ws []Workload, cfgs []uarch.Config) (*Calibration, err
 					}
 				}
 			}
-			byCand[ci] = append(byCand[ci], compiled{
-				profit: profit,
-				hash:   sha256.Sum256([]byte(res.Prog.Disassemble())),
-				res:    res,
-			})
+			byCand[ci] = append(byCand[ci], compiled{profit: profit, res: res})
 		}
 	}
 
 	calib := &Calibration{Version: CalibVersion}
 	for _, cfg := range cfgs {
-		// Baseline cycles per workload, and a binary-hash → cycles cache so
-		// candidates that produce identical partitions time only once.
 		base := make([]int64, len(ws))
 		for i := range ws {
-			m, err := s.Measure(&ws[i], codegen.SchemeNone, cfg)
+			m, err := r.Measure(&ws[i], codegen.SchemeNone, cfg)
 			if err != nil {
 				return nil, err
 			}
 			base[i] = m.Cycles
-		}
-		cycleCache := make(map[[sha256.Size]byte]int64)
-		runCycles := func(w *Workload, c compiled) (int64, error) {
-			if cyc, ok := cycleCache[c.hash]; ok {
-				return cyc, nil
-			}
-			m, _, err := s.run(w, codegen.SchemeAdvanced, c.res, cfg, nil)
-			if err != nil {
-				return 0, fmt.Errorf("calibration run: %w", err)
-			}
-			cycleCache[c.hash] = m.Cycles
-			return m.Cycles, nil
 		}
 
 		best := -1
@@ -191,11 +171,11 @@ func (s *Suite) Calibrate(ws []Workload, cfgs []uarch.Config) (*Calibration, err
 			var sp2, spd, sd, sd2 float64
 			for i := range ws {
 				c := byCand[ci][i]
-				cyc, err := runCycles(&ws[i], c)
+				m, err := r.measure(&ws[i], codegen.SchemeAdvanced, c.res, cfg)
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("calibration run: %w", err)
 				}
-				d := base[i] - cyc
+				d := base[i] - m.Cycles
 				points[i] = CalibPoint{Workload: ws[i].Name, Profit: c.profit, CycleDelta: d}
 				df := float64(d)
 				sp2 += c.profit * c.profit

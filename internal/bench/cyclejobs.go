@@ -50,25 +50,27 @@ type FPProgramRow struct {
 }
 
 // FPProgramRows computes the §7.5 rows: advanced-scheme offload and
-// speedup for the FP programs on the 4-way machine.
-func (s *Suite) FPProgramRows() ([]FPProgramRow, error) {
-	ws := FpWorkloads()
-	parts, err := s.FigurePartitionSizes(ws)
+// speedup for the FP programs on the 4-way machine. The offload is the
+// functional count of the timed advanced run, which the speedup row has
+// already put in the table.
+func (r *Runs) FPProgramRows() ([]FPProgramRow, error) {
+	ws, cfg := FpWorkloads(), uarch.Config4Way()
+	speeds, err := r.FigureSpeedups(ws, cfg)
 	if err != nil {
 		return nil, err
 	}
-	speeds, err := s.FigureSpeedups(ws, uarch.Config4Way())
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]FPProgramRow, len(parts))
-	for i := range parts {
+	rows := make([]FPProgramRow, len(speeds))
+	for i, sp := range speeds {
+		adv, err := r.Measure(&ws[i], codegen.SchemeAdvanced, cfg)
+		if err != nil {
+			return nil, err
+		}
 		rows[i] = FPProgramRow{
-			Workload:   parts[i].Workload,
-			OffloadPct: parts[i].AdvancedPct,
-			SpeedupPct: speeds[i].AdvancedPct,
-			BaseCycles: speeds[i].BaseCycles,
-			AdvCycles:  speeds[i].AdvCycles,
+			Workload:   sp.Workload,
+			OffloadPct: 100 * adv.OffloadFrac,
+			SpeedupPct: sp.AdvancedPct,
+			BaseCycles: sp.BaseCycles,
+			AdvCycles:  sp.AdvCycles,
 		}
 	}
 	return rows, nil

@@ -29,10 +29,11 @@ type FaultRow struct {
 // schemes on cfg with the given fault plan configuration, asserting on the
 // way that each injected run still produces the reference output and a
 // closed stall ledger. The same seed is used for every cell, so the sweep
-// is deterministic end to end. Fault injection needs the detailed model,
-// so a fast-mode Suite is refused.
-func (s *Suite) FaultSensitivity(ws []Workload, cfg uarch.Config, fc faultinject.Config) ([]FaultRow, error) {
-	if s.fast != nil {
+// is deterministic end to end. The fault-free runs come from the run
+// table; the injected ones are armed and simulate every time. Fault
+// injection needs the detailed model, so a fast-mode Suite is refused.
+func (r *Runs) FaultSensitivity(ws []Workload, cfg uarch.Config, fc faultinject.Config) ([]FaultRow, error) {
+	if r.s.fast != nil {
 		return nil, errors.New("fault sensitivity needs the detailed model; the suite is in fast mode")
 	}
 	schemes := []codegen.Scheme{codegen.SchemeNone, codegen.SchemeBasic, codegen.SchemeAdvanced}
@@ -40,15 +41,15 @@ func (s *Suite) FaultSensitivity(ws []Workload, cfg uarch.Config, fc faultinject
 	for i := range ws {
 		w := &ws[i]
 		for _, scheme := range schemes {
-			res, err := s.Compile(w, scheme)
+			res, err := r.s.Compile(w, scheme)
 			if err != nil {
 				return nil, err
 			}
-			clean, _, err := s.run(w, scheme, res, cfg, nil)
+			clean, err := r.measure(w, scheme, res, cfg)
 			if err != nil {
 				return nil, err
 			}
-			inj, mach, err := s.run(w, scheme, res, cfg, func(m *uarch.Machine) {
+			inj, mach, err := r.s.run(w, scheme, res, cfg, func(m *uarch.Machine) {
 				m.SetFaultPlan(faultinject.NewPlan(fc))
 				m.SetProfiling(true)
 			})

@@ -82,7 +82,8 @@ type FastSummary struct {
 
 // Suite compiles and runs workloads, caching frontend results (the IR, the
 // self-profile and the interpreter reference) per source text so repeated
-// measurements stay cheap.
+// measurements stay cheap. It is safe for concurrent use once SetFast, if
+// called, has returned.
 type Suite struct {
 	mu      sync.Mutex
 	front   map[string]*frontRes
@@ -96,6 +97,10 @@ type Suite struct {
 type frontRes struct {
 	mod *ir.Module
 	ref *interp.Result
+	// mu serializes the users of mod: building a dependence graph and
+	// running the analyses renumber its instructions, so concurrent
+	// compiles of one source take turns.
+	mu sync.Mutex
 }
 
 // NewSuite returns an empty measurement cache.
@@ -161,7 +166,9 @@ func (s *Suite) compile(w *Workload, opts codegen.Options) (*codegen.Result, err
 		return nil, err
 	}
 	opts.Profile = fr.ref.Profile
+	fr.mu.Lock()
 	res, err := codegen.Compile(fr.mod, opts)
+	fr.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", w.Name, opts.Scheme, err)
 	}
@@ -169,7 +176,9 @@ func (s *Suite) compile(w *Workload, opts codegen.Options) (*codegen.Result, err
 }
 
 // Measure runs the workload under scheme on cfg and cross-checks the
-// functional result against the IR interpreter reference.
+// functional result against the IR interpreter reference. It simulates on
+// every call; the reports that quote the same runs read them from a Runs
+// table instead.
 func (s *Suite) Measure(w *Workload, scheme codegen.Scheme, cfg uarch.Config) (*Measurement, error) {
 	res, err := s.Compile(w, scheme)
 	if err != nil {
@@ -285,13 +294,13 @@ type SpeedupRow struct {
 
 // FigureSpeedups computes speedups (Figures 9 and 10) for the given
 // workloads on cfg, measuring each under figureSchemes.
-func (s *Suite) FigureSpeedups(ws []Workload, cfg uarch.Config) ([]SpeedupRow, error) {
+func (r *Runs) FigureSpeedups(ws []Workload, cfg uarch.Config) ([]SpeedupRow, error) {
 	var rows []SpeedupRow
 	for i := range ws {
 		w := &ws[i]
 		var cycles [len(figureSchemes)]int64
 		for j, sch := range figureSchemes {
-			m, err := s.Measure(w, sch, cfg)
+			m, err := r.Measure(w, sch, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -453,6 +462,7 @@ func (s *Suite) SliceStats(ws []Workload) ([]SliceRow, error) {
 			return nil, err
 		}
 		var total, ldst, br, sv float64
+		fr.mu.Lock()
 		for _, fn := range fr.mod.Funcs {
 			g := core.BuildGraph(fn, fr.ref.Profile)
 			st := g.ComputeSliceStats()
@@ -461,6 +471,7 @@ func (s *Suite) SliceStats(ws []Workload) ([]SliceRow, error) {
 			br += st.BranchWeight
 			sv += st.StoreValWeight
 		}
+		fr.mu.Unlock()
 		if total == 0 {
 			total = 1
 		}
@@ -483,11 +494,11 @@ type ImbalanceRow struct {
 }
 
 // Imbalance measures the §7.3 numbers for the given workloads on cfg.
-func (s *Suite) Imbalance(ws []Workload, cfg uarch.Config) ([]ImbalanceRow, error) {
+func (r *Runs) Imbalance(ws []Workload, cfg uarch.Config) ([]ImbalanceRow, error) {
 	var rows []ImbalanceRow
 	for i := range ws {
 		w := &ws[i]
-		m, err := s.Measure(w, codegen.SchemeAdvanced, cfg)
+		m, err := r.Measure(w, codegen.SchemeAdvanced, cfg)
 		if err != nil {
 			return nil, err
 		}

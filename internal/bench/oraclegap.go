@@ -40,19 +40,19 @@ type OracleGapRow struct {
 // workload on cfg: both schemes are compiled, timed on the detailed model,
 // and functionally cross-checked against the IR interpreter; the profit
 // totals come from the oracle reports the optimal compile records.
-func (s *Suite) OracleGaps(ws []Workload, cfg uarch.Config) ([]OracleGapRow, error) {
+func (r *Runs) OracleGaps(ws []Workload, cfg uarch.Config) ([]OracleGapRow, error) {
 	var rows []OracleGapRow
 	for i := range ws {
 		w := &ws[i]
-		adv, err := s.Measure(w, codegen.SchemeAdvanced, cfg)
+		adv, err := r.Measure(w, codegen.SchemeAdvanced, cfg)
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.Compile(w, codegen.SchemeOptimal)
+		res, err := r.s.Compile(w, codegen.SchemeOptimal)
 		if err != nil {
 			return nil, err
 		}
-		opt, _, err := s.run(w, codegen.SchemeOptimal, res, cfg, nil)
+		opt, err := r.measure(w, codegen.SchemeOptimal, res, cfg)
 		if err != nil {
 			return nil, err
 		}

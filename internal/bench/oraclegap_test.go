@@ -43,11 +43,10 @@ func TestOracleGapGolden(t *testing.T) {
 		t.Skip("full-suite measurement")
 	}
 	t.Parallel()
-	s := bench.NewSuite()
 	var buf bytes.Buffer
 	var all []bench.OracleGapRow
 	for _, cfg := range []uarch.Config{uarch.Config4Way(), uarch.Config8Way()} {
-		rows, err := s.OracleGaps(bench.IntWorkloads(), cfg)
+		rows, err := runs.OracleGaps(bench.IntWorkloads(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,13 +93,12 @@ func TestCalibrationFitAndFeedback(t *testing.T) {
 		t.Skip("detailed-model measurement")
 	}
 	t.Parallel()
-	s := bench.NewSuite()
 	var ws []bench.Workload
 	for _, name := range []string{"compress", "go", "perl"} {
 		ws = append(ws, *bench.Lookup(name))
 	}
 	cfg := uarch.Config4Way()
-	calib, err := s.Calibrate(ws, []uarch.Config{cfg})
+	calib, err := runs.Calibrate(ws, []uarch.Config{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

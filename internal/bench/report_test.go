@@ -84,18 +84,7 @@ func TestReportJSONEmpty(t *testing.T) {
 // with issue-active cycles back to the total cycle count.
 func TestMeasurementStallBreakdown(t *testing.T) {
 	t.Parallel()
-	s := bench.NewSuite()
-	ws := bench.IntWorkloads()
-	var w *bench.Workload
-	for i := range ws {
-		if ws[i].Name == "compress" {
-			w = &ws[i]
-		}
-	}
-	if w == nil {
-		t.Fatal("compress workload missing")
-	}
-	m, err := s.Measure(w, codegen.SchemeAdvanced, uarch.Config4Way())
+	m, err := runs.Measure(bench.Lookup("compress"), codegen.SchemeAdvanced, uarch.Config4Way())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,9 +294,13 @@ func (m *Machine) callFunc(fn *ir.Func, args []value) (value, error) {
 				} else {
 					b = regs[in.Args[1]].i
 				}
-				v, err := intALUOp(in.Op, a, b)
-				if err != nil {
-					return value{}, fmt.Errorf("interp: %w in %s", err, fn.Name)
+				v, ok := ir.EvalInt(in.Op, a, b)
+				if !ok {
+					msg := "division by zero"
+					if in.Op == ir.OpRem {
+						msg = "remainder by zero"
+					}
+					return value{}, fmt.Errorf("interp: %w in %s", trap.New(trap.KindDivideByZero, "interp", msg), fn.Name)
 				}
 				regs[in.Dst] = value{i: v}
 			case ir.OpFAdd:
@@ -419,53 +423,4 @@ func f2b(f float64) uint64 {
 
 func b2f(b uint64) float64 {
 	return floatFromBits(b)
-}
-
-// intALUOp evaluates an integer ALU operation.
-func intALUOp(op ir.Op, a, b int64) (int64, error) {
-	switch op {
-	case ir.OpAdd:
-		return a + b, nil
-	case ir.OpSub:
-		return a - b, nil
-	case ir.OpMul:
-		return a * b, nil
-	case ir.OpDiv:
-		if b == 0 {
-			return 0, trap.New(trap.KindDivideByZero, "interp", "division by zero")
-		}
-		return a / b, nil
-	case ir.OpRem:
-		if b == 0 {
-			return 0, trap.New(trap.KindDivideByZero, "interp", "remainder by zero")
-		}
-		return a % b, nil
-	case ir.OpAnd:
-		return a & b, nil
-	case ir.OpOr:
-		return a | b, nil
-	case ir.OpXor:
-		return a ^ b, nil
-	case ir.OpNor:
-		return ^(a | b), nil
-	case ir.OpShl:
-		return a << uint(b&63), nil
-	case ir.OpShrA:
-		return a >> uint(b&63), nil
-	case ir.OpShrL:
-		return int64(uint64(a) >> uint(b&63)), nil
-	case ir.OpCmpEQ:
-		return b2i(a == b), nil
-	case ir.OpCmpNE:
-		return b2i(a != b), nil
-	case ir.OpCmpLT:
-		return b2i(a < b), nil
-	case ir.OpCmpLE:
-		return b2i(a <= b), nil
-	case ir.OpCmpGT:
-		return b2i(a > b), nil
-	case ir.OpCmpGE:
-		return b2i(a >= b), nil
-	}
-	return 0, fmt.Errorf("bad ALU op %s", op)
 }

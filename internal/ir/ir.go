@@ -134,26 +134,64 @@ func (o Op) String() string {
 // IsTerminator reports whether the op ends a basic block.
 func (o Op) IsTerminator() bool { return o == OpBr || o == OpJmp || o == OpRet }
 
-// IsIntALU reports whether the op is a simple integer ALU operation that the
-// augmented floating-point subsystem could execute (integer multiply and
-// divide are excluded, per the paper).
-func (o Op) IsIntALU() bool {
-	switch o {
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpNor, OpShl, OpShrA, OpShrL,
-		OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpLE, OpCmpGT, OpCmpGE, OpCopy, OpConst:
-		return true
+// EvalInt evaluates the integer ALU operation op (OpAdd through OpCmpGE)
+// on a and b: shifts use the low six bits of b and comparisons give 0 or 1.
+// It reports false for division or remainder by zero and for any other op.
+// It is the one definition of the IR's integer semantics: the interpreter
+// traps on false and the optimizer leaves the instruction unfolded.
+func EvalInt(op Op, a, b int64) (int64, bool) {
+	switch op {
+	case OpAdd:
+		return a + b, true
+	case OpSub:
+		return a - b, true
+	case OpMul:
+		return a * b, true
+	case OpDiv:
+		if b == 0 {
+			return 0, false
+		}
+		return a / b, true
+	case OpRem:
+		if b == 0 {
+			return 0, false
+		}
+		return a % b, true
+	case OpAnd:
+		return a & b, true
+	case OpOr:
+		return a | b, true
+	case OpXor:
+		return a ^ b, true
+	case OpNor:
+		return ^(a | b), true
+	case OpShl:
+		return a << uint(b&63), true
+	case OpShrA:
+		return a >> uint(b&63), true
+	case OpShrL:
+		return int64(uint64(a) >> uint(b&63)), true
+	case OpCmpEQ:
+		return b2i(a == b), true
+	case OpCmpNE:
+		return b2i(a != b), true
+	case OpCmpLT:
+		return b2i(a < b), true
+	case OpCmpLE:
+		return b2i(a <= b), true
+	case OpCmpGT:
+		return b2i(a > b), true
+	case OpCmpGE:
+		return b2i(a >= b), true
 	}
-	return false
+	return 0, false
 }
 
-// IsFloatALU reports whether the op is a floating-point operation.
-func (o Op) IsFloatALU() bool {
-	switch o {
-	case OpFAdd, OpFSub, OpFMul, OpFDiv, OpFNeg,
-		OpFCmpEQ, OpFCmpNE, OpFCmpLT, OpFCmpLE, OpFCmpGT, OpFCmpGE:
-		return true
+func b2i(b bool) int64 {
+	if b {
+		return 1
 	}
-	return false
+	return 0
 }
 
 // Instr is a single IR instruction.

@@ -129,17 +129,6 @@ func TestLoopDepths(t *testing.T) {
 	}
 }
 
-func TestDominators(t *testing.T) {
-	fn, entry, header, body, exit := makeLoop(t)
-	idom := fn.Dominators()
-	if idom[header] != entry {
-		t.Errorf("idom(header) = b%d, want entry", idom[header].ID)
-	}
-	if idom[body] != header || idom[exit] != header {
-		t.Errorf("idom(body/exit) wrong")
-	}
-}
-
 func TestRemoveUnreachable(t *testing.T) {
 	fn, _, _, _, _ := makeLoop(t)
 	dead := fn.NewBlock()

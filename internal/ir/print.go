@@ -313,7 +313,7 @@ func (l *Loop) Contains(b *Block) bool { return b.ID < len(l.member) && l.member
 // each block's successors in order. A header with two back edges has two
 // loops.
 func (f *Func) NaturalLoops() []Loop {
-	_, idom := f.idoms()
+	idom := f.idoms()
 	var loops []Loop
 	var stack []*Block
 	for _, b := range f.Blocks {
@@ -366,28 +366,16 @@ func (f *Func) ComputeLoopDepths() {
 	}
 }
 
-// Dominators returns the immediate-dominator map (entry maps to itself)
-// of the blocks reachable from the entry.
-func (f *Func) Dominators() map[*Block]*Block {
-	order, idom := f.idoms()
-	m := make(map[*Block]*Block, len(order))
-	for _, b := range order {
-		m[b] = idom[b.ID]
-	}
-	return m
-}
-
-// idoms returns the blocks reachable from the entry in reverse postorder
-// and the immediate dominator of every block, indexed by Block.ID: the
-// entry is its own, an unreachable block has nil. It is the iterative
-// Cooper–Harvey–Kennedy algorithm.
-func (f *Func) idoms() (order, idom []*Block) {
-	order = f.ReversePostorder()
+// idoms returns the immediate dominator of every block, indexed by
+// Block.ID: the entry is its own, an unreachable block has nil. It is the
+// iterative Cooper–Harvey–Kennedy algorithm over reverse postorder.
+func (f *Func) idoms() []*Block {
+	order := f.ReversePostorder()
 	index := make([]int, f.nextBlockID)
 	for i, b := range order {
 		index[b.ID] = i
 	}
-	idom = make([]*Block, f.nextBlockID)
+	idom := make([]*Block, f.nextBlockID)
 	idom[f.Entry.ID] = f.Entry
 	changed := true
 	for changed {
@@ -423,7 +411,7 @@ func (f *Func) idoms() (order, idom []*Block) {
 			}
 		}
 	}
-	return order, idom
+	return idom
 }
 
 // dominates reports whether a dominates b, given idom indexed by Block.ID.

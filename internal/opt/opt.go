@@ -298,50 +298,9 @@ func tryFoldInt(in *ir.Instr, consts blockConsts) bool {
 		if !aok || !cok {
 			return false
 		}
-		var r int64
-		switch in.Op {
-		case ir.OpAdd:
-			r = a + c
-		case ir.OpSub:
-			r = a - c
-		case ir.OpMul:
-			r = a * c
-		case ir.OpDiv:
-			if c == 0 {
-				return false
-			}
-			r = a / c
-		case ir.OpRem:
-			if c == 0 {
-				return false
-			}
-			r = a % c
-		case ir.OpAnd:
-			r = a & c
-		case ir.OpOr:
-			r = a | c
-		case ir.OpXor:
-			r = a ^ c
-		case ir.OpNor:
-			r = ^(a | c)
-		case ir.OpShl:
-			r = a << uint(c&63)
-		case ir.OpShrA:
-			r = a >> uint(c&63)
-		case ir.OpShrL:
-			r = int64(uint64(a) >> uint(c&63))
-		case ir.OpCmpEQ:
-			r = b2i(a == c)
-		case ir.OpCmpNE:
-			r = b2i(a != c)
-		case ir.OpCmpLT:
-			r = b2i(a < c)
-		case ir.OpCmpLE:
-			r = b2i(a <= c)
-		case ir.OpCmpGT:
-			r = b2i(a > c)
-		case ir.OpCmpGE:
-			r = b2i(a >= c)
+		r, ok := ir.EvalInt(in.Op, a, c)
+		if !ok {
+			return false // division by zero traps at run time
 		}
 		in.Op = ir.OpConst
 		in.Args = nil
@@ -387,13 +346,6 @@ func tryFoldFloat(in *ir.Instr, consts blockConsts) bool {
 		return true
 	}
 	return false
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // cseKey identifies a pure expression for local CSE.
