@@ -52,6 +52,9 @@ func cmdGate(args []string, stdout io.Writer) error {
 			return fperr.New(fperr.ClassUsage, "-%s %g: want a finite percentage >= 0", tol.name, tol.v)
 		}
 	}
+	if *wallFloor < 0 {
+		return fperr.New(fperr.ClassUsage, "-wall-floor %v: want a duration >= 0", *wallFloor)
+	}
 
 	current, err := loadStore(*storePath)
 	if err != nil {

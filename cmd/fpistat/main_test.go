@@ -393,6 +393,30 @@ func TestGateRefusesEmptyComparison(t *testing.T) {
 	}
 }
 
+// TestGateZeroHostTolerance checks that -host-tolerance 0 tolerates no
+// host increase: a record with 10% more allocations than its baseline
+// fails the gate at 0 and 5, and passes at the default 25.
+func TestGateZeroHostTolerance(t *testing.T) {
+	dir := t.TempDir()
+	base, cur := filepath.Join(dir, "base.jsonl"), filepath.Join(dir, "cur.jsonl")
+	if err := runstore.Open(base).Append(fixtureSim(fixRev1, "alpha", "4-way", 100_000, 5_000_000, 3000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := runstore.Open(cur).Append(fixtureSim(fixRev2, "alpha", "4-way", 100_000, 5_000_000, 3300)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tol  string
+		want int
+	}{{"0", 5}, {"5", 5}, {"25", 0}} {
+		var buf bytes.Buffer
+		err := fpistatMain([]string{"gate", "-store", cur, "-baseline", base, "-host-tolerance", c.tol}, &buf)
+		if got := fperr.ExitCode(err); got != c.want {
+			t.Errorf("gate -host-tolerance %s: exit %d (err %v), want %d\n%s", c.tol, got, err, c.want, buf.String())
+		}
+	}
+}
+
 // TestGateRejectsBadTolerance checks that a tolerance which is not a
 // finite percentage >= 0 is a usage error. Against NaN every "change >
 // tolerance" test is false, so such a gate would pass the fixture's
@@ -404,6 +428,7 @@ func TestGateRejectsBadTolerance(t *testing.T) {
 		{"-guest-tolerance", "NaN"},
 		{"-host-tolerance", "+Inf"},
 		{"-guest-tolerance", "-1"},
+		{"-wall-floor", "-1ms"},
 	} {
 		var buf bytes.Buffer
 		err := fpistatMain(append([]string{"gate", "-store", store, "-baseline-rev", fixRev1}, args...), &buf)

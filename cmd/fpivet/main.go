@@ -1,6 +1,6 @@
 // Command fpivet is the repo's own micro-analyzer: a go/analysis-style
-// lint (stdlib go/parser + go/ast only, so it runs in CI without any
-// dependency) enforcing three conventions the compiler cannot:
+// lint (standard library go/ast and go/types only, so it runs in CI
+// without any dependency) enforcing four conventions the compiler cannot:
 //
 //   - Metric-name hygiene: no string literal starting with "uarch." or
 //     "service." outside internal/obs/names.go. Those prefixes namespace
@@ -21,12 +21,22 @@
 //     rule cannot see it. Parse a flag.NewFlagSet with ContinueOnError and
 //     wrap its error in fperr.ClassUsage.
 //
+//   - Dead functions (dead-func): every function and method declared in a
+//     non-test file outside benchmark/ must be reachable from a main, an
+//     init or a package-level initializer through non-test references,
+//     the frozen benchmark module's included. A method through which its
+//     type implements error or a named interface of an imported package
+//     counts as reached, and so do Unwrap, Is and As. The rule
+//     type-checks the tree, and the standard library, from source, so a
+//     method is told apart from others of the same name. A function only
+//     tests call belongs in a _test.go file.
+//
 // Usage:
 //
 //	fpivet [dir]        # lint the Go tree rooted at dir (default ".")
 //
-// Exit codes: 0 clean, 1 usage error, 2 input error (unparseable file),
-// 3 findings.
+// Exit codes: 0 clean, 1 usage error, 2 input error (a file that does
+// not parse, or a module that does not type-check), 3 findings.
 package main
 
 import (
@@ -101,7 +111,8 @@ func fpivetMain(args []string, w io.Writer) error {
 }
 
 // LintTree walks every .go file under root (skipping testdata and hidden
-// directories) and returns the findings in deterministic order.
+// directories), then, when root holds a go.mod, type-checks the module for
+// dead functions, and returns the findings in deterministic order.
 func LintTree(root string) ([]Finding, error) {
 	var files []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -132,7 +143,11 @@ func LintTree(root string) ([]Finding, error) {
 		}
 		findings = append(findings, fs...)
 	}
-	return findings, nil
+	dead, err := deadFuncs(root)
+	if err != nil {
+		return nil, err
+	}
+	return append(findings, dead...), nil
 }
 
 // LintFile parses one file and applies every check. root anchors the

@@ -161,9 +161,99 @@ func main() {
 	}
 }
 
-// Usage errors exit 1 and a tree that cannot be read exits 2.
+func TestDeadFuncRule(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod": "module ex\n\ngo 1.22\n",
+		"main.go": `package main
+
+import (
+	"errors"
+	"fmt"
+
+	"ex/lib"
+)
+
+type shape interface{ Area() int }
+
+type square struct{ n int }
+
+// Area is called only through shape.
+func (s square) Area() int { return s.n * s.n }
+
+type name string
+
+// String is called only by fmt.
+func (n name) String() string { return string(n) }
+
+type wrapped struct{ err error }
+
+func (w wrapped) Error() string { return "wrapped" }
+
+// Unwrap is called only by package errors.
+func (w wrapped) Unwrap() error { return w.err }
+
+func main() {
+	var s shape = square{2}
+	run := valueOnly
+	run()
+	fmt.Println(s.Area(), name("x"), lib.Used(), errors.Unwrap(wrapped{}))
+}
+
+func valueOnly() {}
+
+func unused() {}
+
+func testOnly() int { return 1 }
+
+func deadCaller() { deadCallee() }
+
+func deadCallee() {}
+`,
+		"main_test.go": `package main
+
+import "testing"
+
+func TestOnly(t *testing.T) { testOnly() }
+`,
+		"lib/lib.go": `package lib
+
+func Used() int { return 1 }
+
+func BenchOnly() int { return 2 }
+`,
+		// The benchmark's references count; its own functions are not
+		// reported.
+		"benchmark/main.go": `package main
+
+import "ex/lib"
+
+func main() { _ = lib.BenchOnly() }
+
+func benchUnused() {}
+`,
+	})
+	findings, err := LintTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		if f.Code != "dead-func" || !strings.HasSuffix(f.Pos.Filename, "main.go") || strings.Contains(f.Pos.Filename, "benchmark") {
+			t.Errorf("unexpected finding %s:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Code, f.Msg)
+			continue
+		}
+		got = append(got, strings.Fields(f.Msg)[1])
+	}
+	if want := "unused() testOnly() deadCaller() deadCallee()"; strings.Join(got, " ") != want {
+		t.Errorf("dead functions %v, want %s", got, want)
+	}
+}
+
+// Usage errors exit 1, and a tree that cannot be read or type-checked
+// exits 2.
 func TestExitCodes(t *testing.T) {
 	clean := writeTree(t, map[string]string{"ok.go": "package ok\n"})
+	illTyped := writeTree(t, map[string]string{"go.mod": "module ex\n", "main.go": "package main\n\nfunc main() { undefined() }\n"})
 	for _, c := range []struct {
 		args []string
 		want int
@@ -171,6 +261,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-bogus-flag"}, 1},
 		{[]string{clean, clean}, 1},
 		{[]string{filepath.Join(clean, "missing")}, 2},
+		{[]string{illTyped}, 2},
 		{[]string{"-h"}, 0},
 		{[]string{clean}, 0},
 	} {

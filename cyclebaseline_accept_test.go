@@ -1,10 +1,14 @@
 package fpint
 
 import (
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fpint/internal/bench"
+	"fpint/internal/codegen"
 	"fpint/internal/obs/runstore"
 	"fpint/internal/uarch"
 )
@@ -88,4 +92,94 @@ func TestCycleBaselineReproduces(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestExperimentsTablesMatchBaseline recomputes EXPERIMENTS.md's Figure 8,
+// 9 and 10 and §7.5 tables from the detailed cycle baseline and compares
+// them cell by cell, so a re-recorded baseline cannot leave the document
+// behind. It simulates nothing. Speedup is conventional cycles over scheme
+// cycles minus one, with a sign; offload is the record's offloadPct.
+func TestExperimentsTablesMatchBaseline(t *testing.T) {
+	latest := cycleBaseline(t)
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	guest := func(w, cfg string, sch codegen.Scheme) runstore.Guest {
+		k := runstore.Key{Kind: runstore.KindSim, Program: w, Config: cfg, Scheme: sch.String()}
+		rec, ok := latest[k]
+		if !ok {
+			t.Fatalf("%s: no record in BASELINE_RUNS.jsonl", k)
+		}
+		return rec.Guest
+	}
+	offload := func(w string, sch codegen.Scheme) string {
+		return fmt.Sprintf("%.1f%%", guest(w, "4-way", sch).OffloadPct)
+	}
+	speedup := func(w, cfg string, sch codegen.Scheme) string {
+		v := 100 * (float64(guest(w, cfg, codegen.SchemeNone).Cycles)/float64(guest(w, cfg, sch).Cycles) - 1)
+		return strings.Replace(fmt.Sprintf("%+.1f%%", v), "-", "\u2212", 1)
+	}
+	basic, adv := codegen.SchemeBasic, codegen.SchemeAdvanced
+	for _, tab := range []struct {
+		heading string
+		class   string
+		cells   func(w string) []string
+	}{
+		{"## Figure 8 ", "int", func(w string) []string { return []string{offload(w, basic), offload(w, adv)} }},
+		{"## Figure 9 ", "int", func(w string) []string { return []string{speedup(w, "4-way", basic), speedup(w, "4-way", adv)} }},
+		{"## Figure 10 ", "int", func(w string) []string { return []string{speedup(w, "8-way", basic), speedup(w, "8-way", adv)} }},
+		{"## §7.5 ", "fp", func(w string) []string { return []string{offload(w, adv), speedup(w, "4-way", adv)} }},
+	} {
+		rows := markdownTable(t, string(doc), tab.heading)
+		var names []string
+		for _, w := range bench.Workloads() {
+			if w.Class == tab.class {
+				names = append(names, w.Name)
+			}
+		}
+		if len(rows) != len(names) {
+			t.Errorf("%q table has %d rows, want one per %s workload (%d)", tab.heading, len(rows), tab.class, len(names))
+			continue
+		}
+		for i, w := range names {
+			want := tab.cells(w)
+			if row := rows[i]; row[0] != w || len(row) < 1+len(want) {
+				t.Errorf("%q row %d is %q, want %s with %d cells", tab.heading, i, row, w, len(want))
+				continue
+			}
+			for j, cell := range want {
+				if got := rows[i][1+j]; got != cell {
+					t.Errorf("%q %s column %d: document says %s, BASELINE_RUNS.jsonl gives %s", tab.heading, w, 1+j, got, cell)
+				}
+			}
+		}
+	}
+}
+
+// markdownTable returns the body rows, cells trimmed, of the first table
+// in the section of doc whose heading line starts with heading.
+func markdownTable(t *testing.T, doc, heading string) [][]string {
+	t.Helper()
+	i := strings.Index(doc, "\n"+heading)
+	if i < 0 {
+		t.Fatalf("EXPERIMENTS.md has no %q section", heading)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(doc[i+1:], "\n")[1:] {
+		if strings.HasPrefix(line, "## ") || len(rows) > 0 && !strings.HasPrefix(line, "|") {
+			break
+		}
+		if strings.HasPrefix(line, "|") {
+			cells := strings.Split(strings.Trim(line, "|"), "|")
+			for k := range cells {
+				cells[k] = strings.TrimSpace(cells[k])
+			}
+			rows = append(rows, cells)
+		}
+	}
+	if len(rows) < 2 {
+		t.Fatalf("EXPERIMENTS.md %q section has no table", heading)
+	}
+	return rows[2:] // the header and separator rows
 }

@@ -62,32 +62,6 @@ type Aliases struct {
 	Escaped map[Base]bool
 }
 
-// MayAlias reports whether the two memory instructions can touch a common
-// byte. Unknown bases alias everything; distinct known bases never alias;
-// the same base aliases when the 8-byte access spans can overlap.
-func (al *Aliases) MayAlias(id1, id2 int) bool {
-	l1, ok1 := al.Locs[id1]
-	l2, ok2 := al.Locs[id2]
-	if !ok1 || !ok2 {
-		return true
-	}
-	return locsMayOverlap(l1, l2)
-}
-
-func locsMayOverlap(l1, l2 Loc) bool {
-	if l1.Base.Kind == BaseUnknown || l2.Base.Kind == BaseUnknown {
-		return true
-	}
-	if l1.Base != l2.Base {
-		return false
-	}
-	if l1.Off.IsBot() || l2.Off.IsBot() {
-		return false
-	}
-	// Each access covers [start, start+7].
-	return satAdd(l1.Off.Lo, -7) <= l2.Off.Hi && satAdd(l2.Off.Lo, -7) <= l1.Off.Hi
-}
-
 // decomposer resolves address operands to (base, offset-interval) pairs by
 // recursing through reaching definitions, memoized per definition site.
 type decomposer struct {

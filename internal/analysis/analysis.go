@@ -100,9 +100,6 @@ func (ff *FuncFacts) SafeAddr(instrID int) (string, bool) {
 	return reason, ok
 }
 
-// SafeAddrCount reports how many memory accesses were proven safe.
-func (ff *FuncFacts) SafeAddrCount() int { return len(ff.safe) }
-
 // ParseOnOff parses the shared analysis on|off value of the -analysis CLI
 // flag and the fpintd request field.
 func ParseOnOff(v string) (bool, error) {

@@ -79,18 +79,6 @@ func (r *LoadReport) Sort() {
 	})
 }
 
-// Normalize zeroes the wall-clock-derived fields (elapsed time, throughput,
-// latency percentiles) and sorts the rows, so two runs that sent the same
-// mix and saw the same outcomes encode byte-identically. The golden
-// acceptance test compares normalized documents; the raw document keeps
-// the measurements.
-func (r *LoadReport) Normalize() {
-	r.ElapsedNS = 0
-	r.ThroughputRPS = 0
-	r.Latency = LoadLatency{}
-	r.Sort()
-}
-
 // WriteJSON encodes the report with two-space indentation; rows are
 // sorted first so the document is deterministic.
 func (r *LoadReport) WriteJSON(w io.Writer) error {

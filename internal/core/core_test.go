@@ -273,11 +273,17 @@ int main() {
 	g := core.BuildGraph(fn, prof)
 	// For each load: the backward slice of its value node must not contain
 	// its own address node (slices stop at load values).
+	addrOf := map[int]core.NodeID{}
+	for _, n := range g.Nodes {
+		if n.Kind == core.KindLoadAddr {
+			addrOf[n.Instr.ID] = n.ID
+		}
+	}
 	for _, n := range g.Nodes {
 		if n.Kind != core.KindLoadVal {
 			continue
 		}
-		addrID, ok := g.LoadAddrNode(n.Instr.ID)
+		addrID, ok := addrOf[n.Instr.ID]
 		if !ok {
 			t.Fatal("missing addr node")
 		}

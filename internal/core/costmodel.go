@@ -141,30 +141,6 @@ func (cm *costModel) transferSet(inINT []bool) (copies, dups map[NodeID]bool) {
 	return copies, dups
 }
 
-// priceAssignment prices a full assignment with the §6.1 model: benefit is
-// the profile weight of the FPa members; overhead is the copy/duplicate
-// traffic implied by the transfer set plus the §6.4 FPa→INT copies for
-// actual-argument members. Profit = benefit − overhead. This is the same
-// accounting the advanced scheme's phase 2 applies per component, summed
-// over the whole graph.
-func (cm *costModel) priceAssignment(inINT []bool) (benefit, overhead float64) {
-	copies, dups := cm.transferSet(inINT)
-	for _, n := range cm.g.Nodes {
-		switch {
-		case cm.partitionable(n.ID) && !inINT[n.ID]:
-			benefit += n.Count
-			if n.IsActualArg {
-				overhead += cm.copyCost[n.ID]
-			}
-		case copies[n.ID]:
-			overhead += cm.copyCost[n.ID]
-		case dups[n.ID]:
-			overhead += cm.params.ODupl * n.Count
-		}
-	}
-	return benefit, overhead
-}
-
 // compPricer prices assignments restricted to one undirected RDG component
 // without allocating per call — the oracle's branch-and-bound evaluates
 // thousands of leaves per component. Transfer needs never escape an

@@ -100,9 +100,6 @@ type OracleReport struct {
 	Degraded int
 }
 
-// Gap is the total profit left on the table by the greedy scheme.
-func (r *OracleReport) Gap() float64 { return r.OptimalProfit - r.GreedyProfit }
-
 // Err returns a ClassDegraded error if any component fell back to the
 // greedy result, nil otherwise. The partition is still valid and never
 // worse than the greedy scheme — the error only reports that optimality

@@ -95,6 +95,30 @@ func legalSet(g *Graph, inFPa []bool) bool {
 	return true
 }
 
+// priceAssignment prices a full assignment with the §6.1 model: benefit is
+// the profile weight of the FPa members; overhead is the copy/duplicate
+// traffic implied by the transfer set plus the §6.4 FPa→INT copies for
+// actual-argument members. Profit = benefit − overhead. This is the same
+// accounting the advanced scheme's phase 2 applies per component, summed
+// over the whole graph.
+func (cm *costModel) priceAssignment(inINT []bool) (benefit, overhead float64) {
+	copies, dups := cm.transferSet(inINT)
+	for _, n := range cm.g.Nodes {
+		switch {
+		case cm.partitionable(n.ID) && !inINT[n.ID]:
+			benefit += n.Count
+			if n.IsActualArg {
+				overhead += cm.copyCost[n.ID]
+			}
+		case copies[n.ID]:
+			overhead += cm.copyCost[n.ID]
+		case dups[n.ID]:
+			overhead += cm.params.ODupl * n.Count
+		}
+	}
+	return benefit, overhead
+}
+
 // bruteForceOptimal enumerates every legal FPa subset of the eligible
 // nodes and returns the maximum §6.1 profit, priced through the same cost
 // model as the oracle.

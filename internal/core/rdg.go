@@ -136,20 +136,8 @@ func (g *Graph) NodeForInstr(id int) (NodeID, bool) {
 // LoadValNode returns the value node of load instruction id.
 func (g *Graph) LoadValNode(id int) (NodeID, bool) { n, ok := g.loadVal[id]; return n, ok }
 
-// LoadAddrNode returns the address node of load instruction id.
-func (g *Graph) LoadAddrNode(id int) (NodeID, bool) { n, ok := g.loadAddr[id]; return n, ok }
-
 // StoreValNode returns the value node of store instruction id.
 func (g *Graph) StoreValNode(id int) (NodeID, bool) { n, ok := g.storeVal[id]; return n, ok }
-
-// StoreAddrNode returns the address node of store instruction id.
-func (g *Graph) StoreAddrNode(id int) (NodeID, bool) { n, ok := g.storeAddr[id]; return n, ok }
-
-// ParamNode returns the dummy node for parameter i.
-func (g *Graph) ParamNode(i int) NodeID { return g.paramNode[i] }
-
-// CountOf returns the execution-count estimate used by the cost model.
-func (g *Graph) CountOf(id NodeID) float64 { return g.Nodes[id].Count }
 
 // BuildGraph constructs the RDG for fn. The profile may be nil; functions
 // not covered by it get the probabilistic estimate p_B * 5^d_B, with both

@@ -1,8 +1,8 @@
 package core
 
 // Computational slices (§3). Because load/store nodes are split and the two
-// halves share no edge, backward slices stop at load-value nodes and forward
-// slices stop at address nodes, exactly as the paper defines.
+// halves share no edge, backward slices stop at load-value nodes, exactly as
+// the paper defines.
 
 // BackwardSlice returns the set of nodes from which any node in roots can be
 // reached (including the roots themselves).
@@ -25,27 +25,6 @@ func (g *Graph) BackwardSlice(roots ...NodeID) map[NodeID]bool {
 	return out
 }
 
-// ForwardSlice returns the set of nodes reachable from any node in roots
-// (including the roots themselves).
-func (g *Graph) ForwardSlice(roots ...NodeID) map[NodeID]bool {
-	out := make(map[NodeID]bool)
-	stack := append([]NodeID(nil), roots...)
-	for _, r := range roots {
-		out[r] = true
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range g.Nodes[n].Children {
-			if !out[c] {
-				out[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	return out
-}
-
 // LdStSlice returns the LdSt slice: the union of the backward slices of all
 // load/store address nodes (§3). The paper observes this is close to 50% of
 // dynamic instructions for integer codes.
@@ -59,38 +38,12 @@ func (g *Graph) LdStSlice() map[NodeID]bool {
 	return g.BackwardSlice(roots...)
 }
 
-// BranchSlice returns the backward slice of branch node br.
-func (g *Graph) BranchSlice(br NodeID) map[NodeID]bool { return g.BackwardSlice(br) }
-
 // StoreValueSlice returns the union of backward slices of all store value
 // nodes.
 func (g *Graph) StoreValueSlice() map[NodeID]bool {
 	var roots []NodeID
 	for _, n := range g.Nodes {
 		if n.Kind == KindStoreVal && n.Class != ClassFixedFP {
-			roots = append(roots, n.ID)
-		}
-	}
-	return g.BackwardSlice(roots...)
-}
-
-// CallArgSlice returns the union of backward slices of all call nodes
-// (their integer argument inputs).
-func (g *Graph) CallArgSlice() map[NodeID]bool {
-	var roots []NodeID
-	for _, n := range g.Nodes {
-		if n.Kind == KindCall {
-			roots = append(roots, n.ID)
-		}
-	}
-	return g.BackwardSlice(roots...)
-}
-
-// ReturnValueSlice returns the union of backward slices of return nodes.
-func (g *Graph) ReturnValueSlice() map[NodeID]bool {
-	var roots []NodeID
-	for _, n := range g.Nodes {
-		if n.Kind == KindRet && n.Class != ClassFixedFP {
 			roots = append(roots, n.ID)
 		}
 	}

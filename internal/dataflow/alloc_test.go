@@ -53,7 +53,7 @@ func TestReachingDefsAllocsPerFunction(t *testing.T) {
 		rd := dataflow.ComputeReachingDefs(fn)
 		for _, b := range fn.Blocks {
 			use := b.Instrs[len(b.Instrs)-1]
-			if defs := rd.UseDefs[use.ID][0]; len(defs) != 1 || !rd.IsParamSite(defs[0]) {
+			if defs := rd.UseDefs[use.ID][0]; len(defs) != 1 || defs[0] < fn.NumInstrs() {
 				t.Fatalf("backEdges=%v: b%d: reaching defs of c = %v, want its parameter site", backEdges, b.ID, defs)
 			}
 		}

@@ -29,9 +29,6 @@ func NewBitSets(k, n int) []BitSet {
 	return sets
 }
 
-// Len returns the capacity of the set.
-func (s *BitSet) Len() int { return s.n }
-
 // Set adds i to the set.
 func (s *BitSet) Set(i int) { s.words[i>>6] |= 1 << uint(i&63) }
 
@@ -40,13 +37,6 @@ func (s *BitSet) Clear(i int) { s.words[i>>6] &^= 1 << uint(i&63) }
 
 // Has reports whether i is in the set.
 func (s *BitSet) Has(i int) bool { return s.words[i>>6]&(1<<uint(i&63)) != 0 }
-
-// Copy returns a fresh copy of the set.
-func (s *BitSet) Copy() *BitSet {
-	c := &BitSet{words: make([]uint64, len(s.words)), n: s.n}
-	copy(c.words, s.words)
-	return c
-}
 
 // CopyFrom overwrites the set with o's contents.
 func (s *BitSet) CopyFrom(o *BitSet) { copy(s.words, o.words) }
@@ -64,23 +54,6 @@ func (s *BitSet) UnionWith(o *BitSet) bool {
 	return changed
 }
 
-// DiffWith removes all of o's members.
-func (s *BitSet) DiffWith(o *BitSet) {
-	for i, w := range o.words {
-		s.words[i] &^= w
-	}
-}
-
-// Equal reports set equality.
-func (s *BitSet) Equal(o *BitSet) bool {
-	for i, w := range o.words {
-		if s.words[i] != w {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls f for every member in increasing order.
 func (s *BitSet) ForEach(f func(int)) {
 	for wi, w := range s.words {
@@ -92,15 +65,4 @@ func (s *BitSet) ForEach(f func(int)) {
 	}
 }
 
-// Count returns the number of members.
-func (s *BitSet) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += popcount(w)
-	}
-	return c
-}
-
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
-
-func popcount(x uint64) int { return bits.OnesCount64(x) }

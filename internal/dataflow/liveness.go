@@ -1,7 +1,5 @@
 package dataflow
 
-import "fpint/internal/ir"
-
 // SolveLiveness solves backward liveness over blocks numbered
 // 0..len(succs)-1. succs[b] lists the successors of block b, use[b] the
 // values b reads before writing them and def[b] the values b writes; all
@@ -41,53 +39,4 @@ func SolveLiveness(succs [][]int, use, def []BitSet) (in, out []BitSet) {
 		}
 	}
 	return in, out
-}
-
-// Liveness holds per-block live-in/live-out virtual register sets.
-type Liveness struct {
-	Fn      *ir.Func
-	LiveIn  map[*ir.Block]*BitSet // indexed by VReg
-	LiveOut map[*ir.Block]*BitSet
-}
-
-// ComputeLiveness solves backward liveness over the virtual registers of
-// fn with SolveLiveness, numbering blocks in layout order. Every block,
-// reachable or not, gets live sets.
-func ComputeLiveness(fn *ir.Func) *Liveness {
-	n := fn.NumVRegs()
-	index := make(map[*ir.Block]int, len(fn.Blocks))
-	for i, b := range fn.Blocks {
-		index[b] = i
-	}
-	succs := make([][]int, len(fn.Blocks))
-	use := NewBitSets(len(fn.Blocks), n)
-	def := NewBitSets(len(fn.Blocks), n)
-	for i, b := range fn.Blocks {
-		for _, s := range b.Succs {
-			if si, ok := index[s]; ok {
-				succs[i] = append(succs[i], si)
-			}
-		}
-		for _, instr := range b.Instrs {
-			for _, a := range instr.Args {
-				if !def[i].Has(int(a)) {
-					use[i].Set(int(a))
-				}
-			}
-			if instr.Dst != 0 {
-				def[i].Set(int(instr.Dst))
-			}
-		}
-	}
-	in, out := SolveLiveness(succs, use, def)
-	lv := &Liveness{
-		Fn:      fn,
-		LiveIn:  make(map[*ir.Block]*BitSet, len(fn.Blocks)),
-		LiveOut: make(map[*ir.Block]*BitSet, len(fn.Blocks)),
-	}
-	for i, b := range fn.Blocks {
-		lv.LiveIn[b] = &in[i]
-		lv.LiveOut[b] = &out[i]
-	}
-	return lv
 }

@@ -15,8 +15,6 @@ type DefSite struct {
 // Definition sites are numbered: instruction IDs [0, NumInstrs) for
 // instructions with a destination register, then NumInstrs+i for parameter i.
 type ReachingDefs struct {
-	Fn *ir.Func
-
 	// numSites = fn.NumInstrs() + len(fn.Params).
 	numSites int
 
@@ -38,7 +36,6 @@ type ReachingDefs struct {
 func ComputeReachingDefs(fn *ir.Func) *ReachingDefs {
 	n := fn.NumInstrs()
 	rd := &ReachingDefs{
-		Fn:       fn,
 		numSites: n + len(fn.Params),
 		defsOf:   make([][]int, fn.NumVRegs()),
 		sites:    make([]DefSite, n+len(fn.Params)),
@@ -162,14 +159,5 @@ func ComputeReachingDefs(fn *ir.Func) *ReachingDefs {
 	return rd
 }
 
-// NumSites returns the total number of definition sites.
-func (rd *ReachingDefs) NumSites() int { return rd.numSites }
-
 // Site returns the description of def site idx.
 func (rd *ReachingDefs) Site(idx int) DefSite { return rd.sites[idx] }
-
-// IsParamSite reports whether def site idx is a function parameter.
-func (rd *ReachingDefs) IsParamSite(idx int) bool { return idx >= rd.Fn.NumInstrs() }
-
-// DefsOf returns the def sites of register v.
-func (rd *ReachingDefs) DefsOf(v ir.VReg) []int { return rd.defsOf[v] }

@@ -60,8 +60,6 @@ const (
 	// KindAny draws uniformly among the kinds applicable to the
 	// instruction under decision.
 	KindAny
-
-	numKinds = int(KindAny)
 )
 
 var kindNames = [...]string{

@@ -202,14 +202,3 @@ func Classes() []Class {
 	}
 	return out
 }
-
-// ParseClass inverts Class.String for the defined classes, letting clients
-// round-trip the class carried in a response body.
-func ParseClass(name string) (Class, bool) {
-	for c := ClassNone; c < numClasses; c++ {
-		if classNames[c] == name {
-			return c, true
-		}
-	}
-	return ClassNone, false
-}

@@ -144,19 +144,6 @@ func (m *Machine) SetRunHook(hook func(steps int64) error, every int64) {
 	m.hookLeft = every
 }
 
-// GlobalAddr returns the base address assigned to global name.
-func (m *Machine) GlobalAddr(name string) int64 { return m.globalAddr[name] }
-
-// ReadGlobalInt reads word idx of an integer global after a run.
-func (m *Machine) ReadGlobalInt(name string, idx int64) int64 {
-	return m.loadInt(m.globalAddr[name] + idx*wordBytes)
-}
-
-// ReadGlobalFloat reads word idx of a float global after a run.
-func (m *Machine) ReadGlobalFloat(name string, idx int64) float64 {
-	return m.loadFloat(m.globalAddr[name] + idx*wordBytes)
-}
-
 // storeInt writes a little-endian word, growing the arena to hold it.
 // addr must be in [0, memSize-wordBytes].
 func (m *Machine) storeInt(addr int64, v int64) {

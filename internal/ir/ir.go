@@ -436,16 +436,6 @@ func (f *Func) Renumber() {
 // NumInstrs returns the instruction count as of the last Renumber.
 func (f *Func) NumInstrs() int { return f.instrCount }
 
-// Instrs returns all instructions in block order. The slice is freshly
-// allocated.
-func (f *Func) Instrs() []*Instr {
-	out := make([]*Instr, 0, f.instrCount)
-	for _, b := range f.Blocks {
-		out = append(out, b.Instrs...)
-	}
-	return out
-}
-
 // NumBlockIDs returns one past the largest block ID the function has
 // handed out: the length of any state indexed by Block.ID.
 func (f *Func) NumBlockIDs() int { return f.nextBlockID }

@@ -67,13 +67,13 @@ func TestConcurrentRegistries(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.Counter("shared_name").Add(1)
 				r.Gauge("g").Set(float64(j))
-				r.Histogram("h", []float64{1, 10, 100}).Observe(float64(j % 128))
+				r.Histogram("h", []float64{1, 10, 100}).ObserveN(float64(j%128), 1)
 			}
 		}()
 	}
 	wg.Wait()
 	for i, r := range regs {
-		if got := r.CounterValue("shared_name"); got != 1000 {
+		if got := r.Counter("shared_name").v; got != 1000 {
 			t.Fatalf("registry %d: counter = %d, want 1000", i, got)
 		}
 	}
@@ -98,7 +98,7 @@ func TestConcurrentRegistrationWithLock(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.CounterValue("total"); got != 8*500*2 {
+	if got := r.Counter("total").v; got != 8*500*2 {
 		t.Fatalf("counter = %d, want %d", got, 8*500*2)
 	}
 }

@@ -18,7 +18,6 @@ package hostmetrics
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"fpint/internal/obs"
@@ -56,20 +55,6 @@ func Measure(f func()) Sample {
 	}
 }
 
-// MeasureN runs f n times and returns one sample per run. Repeated samples
-// are the raw material for the min/median noise estimators below; callers
-// that gate on host metrics should record at least three.
-func MeasureN(n int, f func()) []Sample {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]Sample, n)
-	for i := range out {
-		out[i] = Measure(f)
-	}
-	return out
-}
-
 // SimsPerSec converts a simulated-cycle count and a wall time into the
 // throughput headline number (simulated cycles per host second).
 func SimsPerSec(cycles int64, wallNS int64) float64 {
@@ -93,20 +78,6 @@ func MinWallNS(samples []Sample) int64 {
 		return 0
 	}
 	return min
-}
-
-// MedianWallNS returns the median wall time over the samples — the
-// estimator for "what does a typical run cost".
-func MedianWallNS(samples []Sample) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	v := make([]int64, len(samples))
-	for i, s := range samples {
-		v[i] = s.WallNS
-	}
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-	return v[len(v)/2]
 }
 
 // MinAllocs returns the smallest allocation count over the samples.

@@ -27,16 +27,6 @@ func TestMeasureCapturesWorkDeltas(t *testing.T) {
 	}
 }
 
-func TestMeasureN(t *testing.T) {
-	samples := MeasureN(3, func() {})
-	if len(samples) != 3 {
-		t.Fatalf("MeasureN(3) returned %d samples", len(samples))
-	}
-	if got := MeasureN(0, func() {}); len(got) != 1 {
-		t.Fatalf("MeasureN(0) returned %d samples, want clamped to 1", len(got))
-	}
-}
-
 func TestAggregates(t *testing.T) {
 	samples := []Sample{
 		{WallNS: 30, Allocs: 12, Bytes: 300},
@@ -46,16 +36,13 @@ func TestAggregates(t *testing.T) {
 	if got := MinWallNS(samples); got != 10 {
 		t.Errorf("MinWallNS = %d, want 10", got)
 	}
-	if got := MedianWallNS(samples); got != 20 {
-		t.Errorf("MedianWallNS = %d, want 20", got)
-	}
 	if got := MinAllocs(samples); got != 10 {
 		t.Errorf("MinAllocs = %d, want 10", got)
 	}
 	if got := MinBytes(samples); got != 100 {
 		t.Errorf("MinBytes = %d, want 100", got)
 	}
-	if MinWallNS(nil) != 0 || MedianWallNS(nil) != 0 || MinAllocs(nil) != 0 || MinBytes(nil) != 0 {
+	if MinWallNS(nil) != 0 || MinAllocs(nil) != 0 || MinBytes(nil) != 0 {
 		t.Error("empty-sample aggregates must be 0")
 	}
 }

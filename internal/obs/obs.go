@@ -34,9 +34,6 @@ type Counter struct {
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.v += n }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v }
-
 // Gauge is a point-in-time float metric.
 type Gauge struct {
 	v float64
@@ -44,9 +41,6 @@ type Gauge struct {
 
 // Set overwrites the gauge value.
 func (g *Gauge) Set(v float64) { g.v = v }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return g.v }
 
 // Histogram is a fixed-bucket histogram: Bounds[i] is the inclusive upper
 // bound of bucket i, and one implicit overflow bucket catches everything
@@ -58,9 +52,6 @@ type Histogram struct {
 	sum    float64
 }
 
-// Observe records one observation of v.
-func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
-
 // ObserveN records n observations of v at once (bulk import from
 // pre-aggregated counters, e.g. per-cycle occupancy arrays).
 func (h *Histogram) ObserveN(v float64, n int64) {
@@ -71,20 +62,6 @@ func (h *Histogram) ObserveN(v float64, n int64) {
 	h.counts[i] += n
 	h.count += n
 	h.sum += v * float64(n)
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Mean returns the average observed value (0 for an empty histogram).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
 }
 
 // Registry is a named collection of metrics. It is not safe for concurrent
@@ -137,14 +114,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		r.histograms[name] = h
 	}
 	return h
-}
-
-// CounterValue returns the value of a counter, or 0 if absent.
-func (r *Registry) CounterValue(name string) int64 {
-	if c, ok := r.counters[name]; ok {
-		return c.v
-	}
-	return 0
 }
 
 // formatFloat renders a float deterministically for both encoders. NaN and

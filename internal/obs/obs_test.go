@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -15,9 +16,9 @@ func sampleRegistry() *Registry {
 	r.Gauge("rate").Set(0.5)
 	r.Gauge("weird\"name").Set(1.25)
 	h := r.Histogram("occ", []float64{0, 1, 2})
-	h.Observe(0)
+	h.ObserveN(0, 1)
 	h.ObserveN(1, 3)
-	h.Observe(9) // overflow bucket
+	h.ObserveN(9, 1) // overflow bucket
 	return r
 }
 
@@ -105,22 +106,19 @@ func TestFormatFloatClampsNonFinite(t *testing.T) {
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", []float64{10, 20})
-	h.Observe(10) // bounds are inclusive upper bounds
-	h.Observe(10.5)
-	h.Observe(25)
+	h.ObserveN(10, 1) // bounds are inclusive upper bounds
+	h.ObserveN(10.5, 1)
+	h.ObserveN(25, 1)
 	h.ObserveN(5, 0)  // n<=0 is a no-op
 	h.ObserveN(5, -3) // n<=0 is a no-op
-	if h.Count() != 3 {
-		t.Errorf("count = %d, want 3", h.Count())
+	if h.count != 3 {
+		t.Errorf("count = %d, want 3", h.count)
 	}
-	if h.Sum() != 45.5 {
-		t.Errorf("sum = %v, want 45.5", h.Sum())
+	if h.sum != 45.5 {
+		t.Errorf("sum = %v, want 45.5", h.sum)
 	}
-	if got := h.Mean(); math.Abs(got-45.5/3) > 1e-12 {
-		t.Errorf("mean = %v", got)
-	}
-	if (&Histogram{}).Mean() != 0 {
-		t.Error("empty histogram mean should be 0")
+	if got := fmt.Sprint(h.counts); got != "[1 1 1]" {
+		t.Errorf("bucket counts = %s, want [1 1 1]", got)
 	}
 }
 
@@ -201,16 +199,24 @@ func TestPassLogJSONAndDelta(t *testing.T) {
 	if l.Records[0].Delta() != -3 {
 		t.Errorf("delta = %d, want -3", l.Records[0].Delta())
 	}
+	// The log reaches JSON as compiler spans of a trace document.
 	var sb strings.Builder
-	if err := l.WriteJSON(&sb); err != nil {
+	if err := WriteTrace(&sb, l.TraceEvents(2)); err != nil {
 		t.Fatal(err)
 	}
-	var recs []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &recs); err != nil {
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Ph   string
+			Args map[string]string
+		}
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
 		t.Fatalf("pass log JSON invalid: %v\n%s", err, sb.String())
 	}
-	if len(recs) != 1 || recs[0]["pass"] != "dce" || recs[0]["delta"] != float64(-3) {
-		t.Errorf("pass log JSON wrong: %v", recs)
+	if n := len(doc.TraceEvents); n != 2 || doc.TraceEvents[1].Name != "dce" ||
+		doc.TraceEvents[1].Args["unit"] != "main" || doc.TraceEvents[1].Args["instrs"] != "10->7" {
+		t.Errorf("pass log JSON wrong: %+v", doc.TraceEvents)
 	}
 	if !strings.Contains(l.String(), "dce") {
 		t.Error("String() missing pass name")

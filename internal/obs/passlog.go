@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -83,22 +82,4 @@ func (l *PassLog) String() string {
 		fmt.Fprintf(&sb, "%-20s %-20s %12d %7d %7d %+7d\n", r.Pass, r.Unit, r.Nanos, r.Before, r.After, r.Delta())
 	}
 	return sb.String()
-}
-
-// WriteJSON encodes the log as a JSON array in execution order. Wall times
-// are real measurements and therefore not run-stable; every other field
-// is deterministic.
-func (l *PassLog) WriteJSON(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString("[\n")
-	for i, r := range l.Records {
-		if i > 0 {
-			sb.WriteString(",\n")
-		}
-		fmt.Fprintf(&sb, "  {\"pass\": %s, \"unit\": %s, \"nanos\": %d, \"before\": %d, \"after\": %d, \"delta\": %d}",
-			quote(r.Pass), quote(r.Unit), r.Nanos, r.Before, r.After, r.Delta())
-	}
-	sb.WriteString("\n]\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
 }

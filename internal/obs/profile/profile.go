@@ -60,15 +60,6 @@ type LineSample struct {
 	StaticInsts int
 }
 
-// StallTotal returns the line's total stall cycles.
-func (s *LineSample) StallTotal() int64 {
-	var n int64
-	for _, v := range s.Stall {
-		n += v
-	}
-	return n
-}
-
 // OffloadFraction returns the fraction of the line's retired instructions
 // executed in the FPa subsystem (the paper's per-site offload measure).
 func (s *LineSample) OffloadFraction() float64 {
@@ -239,14 +230,4 @@ func (p *Profile) HotFuncs() []*FuncSample {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// LineCycleSum returns Σ Cycles over all line buckets; equal to
-// TotalCycles by construction (the invariant the acceptance test pins).
-func (p *Profile) LineCycleSum() int64 {
-	var n int64
-	for _, s := range p.Lines {
-		n += s.Cycles
-	}
-	return n
 }

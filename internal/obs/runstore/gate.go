@@ -26,31 +26,21 @@ type GateOptions struct {
 	GuestTolerancePct float64
 	// HostTolerancePct is the maximum tolerated increase in min wall time,
 	// min allocations or min allocated bytes, in percent. Host numbers are
-	// noisy; the default (when 0 is passed, DefaultHostTolerancePct)
-	// absorbs scheduler and GC jitter while still catching
-	// order-of-magnitude regressions.
+	// noisy; DefaultHostTolerancePct absorbs scheduler and GC jitter while
+	// still catching order-of-magnitude regressions. 0 tolerates nothing.
 	HostTolerancePct float64
 	// MinHostWallNS is the wall-time floor below which host wall
 	// regressions are ignored: a 2× slowdown of a 40µs run is measurement
-	// noise, not a finding. Defaults to DefaultMinHostWallNS when 0.
+	// noise, not a finding. DefaultMinHostWallNS is the usual floor; 0
+	// judges every wall time.
 	MinHostWallNS int64
 }
 
-// Default gate thresholds.
+// Default gate thresholds: the fpistat gate flags' defaults.
 const (
 	DefaultHostTolerancePct = 25.0
 	DefaultMinHostWallNS    = int64(2 * time.Millisecond)
 )
-
-func (o GateOptions) withDefaults() GateOptions {
-	if o.HostTolerancePct == 0 {
-		o.HostTolerancePct = DefaultHostTolerancePct
-	}
-	if o.MinHostWallNS == 0 {
-		o.MinHostWallNS = DefaultMinHostWallNS
-	}
-	return o
-}
 
 // Delta is one compared metric of one trend line.
 type Delta struct {
@@ -91,7 +81,6 @@ func (g *GateReport) Regressions() []Delta {
 // on only one side are reported as skipped, not failed: the gate judges
 // performance drift, not record-set drift.
 func Gate(baseline, current []Record, opts GateOptions) *GateReport {
-	opts = opts.withDefaults()
 	base := LatestPerKey(baseline)
 	cur := LatestPerKey(current)
 	rep := &GateReport{Opts: opts}

@@ -100,9 +100,6 @@ type Host struct {
 // MinWallNS returns the noise-robust minimum wall time over the samples.
 func (h *Host) MinWallNS() int64 { return hostmetrics.MinWallNS(h.Samples) }
 
-// MedianWallNS returns the median wall time over the samples.
-func (h *Host) MedianWallNS() int64 { return hostmetrics.MedianWallNS(h.Samples) }
-
 // MinAllocs returns the minimum allocation count over the samples.
 func (h *Host) MinAllocs() uint64 { return hostmetrics.MinAllocs(h.Samples) }
 

@@ -225,23 +225,24 @@ func TestSelection(t *testing.T) {
 
 func TestGateVerdicts(t *testing.T) {
 	base := []Record{testRecord("aaaa11112222", 5000)}
+	opts := GateOptions{HostTolerancePct: DefaultHostTolerancePct, MinHostWallNS: DefaultMinHostWallNS}
 	// Same guest, same host: clean gate.
 	cur := []Record{testRecord("bbbb33334444", 5000)}
-	rep := Gate(base, cur, GateOptions{})
+	rep := Gate(base, cur, opts)
 	if len(rep.Regressions()) != 0 {
 		t.Fatalf("identical records regressed: %+v", rep.Regressions())
 	}
 
 	// One guest cycle more: exact gate must fail (tolerance 0).
 	worse := testRecord("bbbb33334444", 5001)
-	rep = Gate(base, []Record{worse}, GateOptions{})
+	rep = Gate(base, []Record{worse}, opts)
 	reg := rep.Regressions()
 	if len(reg) != 1 || reg[0].Metric != "guest.cycles" {
 		t.Fatalf("1-cycle guest regression not caught: %+v", reg)
 	}
 
 	// Within a loose guest tolerance it passes again.
-	rep = Gate(base, []Record{worse}, GateOptions{GuestTolerancePct: 1})
+	rep = Gate(base, []Record{worse}, GateOptions{GuestTolerancePct: 1, HostTolerancePct: DefaultHostTolerancePct, MinHostWallNS: DefaultMinHostWallNS})
 	if len(rep.Regressions()) != 0 {
 		t.Fatalf("regression within tolerance still failed: %+v", rep.Regressions())
 	}
@@ -251,7 +252,7 @@ func TestGateVerdicts(t *testing.T) {
 	for i := range slow.Host.Samples {
 		slow.Host.Samples[i].WallNS *= 10
 	}
-	rep = Gate(base, []Record{slow}, GateOptions{})
+	rep = Gate(base, []Record{slow}, opts)
 	reg = rep.Regressions()
 	if len(reg) != 1 || reg[0].Metric != "host.min_wall_ns" {
 		t.Fatalf("10x host wall regression not caught: %+v", reg)
@@ -264,7 +265,7 @@ func TestGateVerdicts(t *testing.T) {
 		tiny.Host.Samples[i].WallNS = 40_000 // 40µs
 		tinySlow.Host.Samples[i].WallNS = 120_000
 	}
-	rep = Gate([]Record{tiny}, []Record{tinySlow}, GateOptions{})
+	rep = Gate([]Record{tiny}, []Record{tinySlow}, opts)
 	if len(rep.Regressions()) != 0 {
 		t.Fatalf("sub-floor host jitter treated as regression: %+v", rep.Regressions())
 	}
@@ -274,7 +275,7 @@ func TestGateVerdicts(t *testing.T) {
 	for i := range leaky.Host.Samples {
 		leaky.Host.Samples[i].Allocs *= 3
 	}
-	rep = Gate(base, []Record{leaky}, GateOptions{})
+	rep = Gate(base, []Record{leaky}, opts)
 	reg = rep.Regressions()
 	if len(reg) != 1 || reg[0].Metric != "host.min_allocs" {
 		t.Fatalf("3x alloc regression not caught: %+v", reg)
@@ -286,10 +287,20 @@ func TestGateVerdicts(t *testing.T) {
 		bloated.Host.Samples[i].Allocs++
 		bloated.Host.Samples[i].Bytes += 16 << 20
 	}
-	rep = Gate(base, []Record{bloated}, GateOptions{})
+	rep = Gate(base, []Record{bloated}, opts)
 	reg = rep.Regressions()
 	if len(reg) != 1 || reg[0].Metric != "host.min_bytes" {
 		t.Fatalf("16 MiB byte regression not caught: %+v", reg)
+	}
+
+	// Zero tolerances mean zero: the one extra allocation regresses too,
+	// and with no floor so does the sub-floor wall jitter.
+	reg = Gate(base, []Record{bloated}, GateOptions{}).Regressions()
+	if len(reg) != 2 || reg[0].Metric != "host.min_allocs" || reg[1].Metric != "host.min_bytes" {
+		t.Fatalf("zero host tolerance: %+v, want min_allocs and min_bytes", reg)
+	}
+	if reg = Gate([]Record{tiny}, []Record{tinySlow}, GateOptions{}).Regressions(); len(reg) != 1 {
+		t.Fatalf("zero wall floor: %+v, want the wall regression", reg)
 	}
 
 	// Keys on one side only are skipped, not failed.
@@ -297,7 +308,7 @@ func TestGateVerdicts(t *testing.T) {
 	other.Program = "sieve"
 	other.Hash = ""
 	other.Seal()
-	rep = Gate(base, []Record{other}, GateOptions{})
+	rep = Gate(base, []Record{other}, opts)
 	if len(rep.Deltas) != 0 || len(rep.Skipped) != 2 {
 		t.Fatalf("disjoint keys: deltas=%d skipped=%d, want 0/2", len(rep.Deltas), len(rep.Skipped))
 	}
@@ -337,10 +348,21 @@ func TestGitRevision(t *testing.T) {
 		t.Errorf("GitRevision(no repo) = %q, want unknown", got)
 	}
 
-	// This very repository must resolve to something real.
-	if got := GitRevision("."); got == "unknown" || len(got) != 12 {
-		t.Errorf("GitRevision(repo) = %q, want a 12-digit revision", got)
-	}
+	// This very repository must resolve to something real when it is a
+	// git checkout; a source export (git archive) has no .git.
+	t.Run("this repository", func(t *testing.T) {
+		for dir, _ := filepath.Abs("."); ; dir = filepath.Dir(dir) {
+			if _, err := os.Stat(filepath.Join(dir, ".git")); err == nil {
+				break
+			}
+			if dir == filepath.Dir(dir) {
+				t.Skip("no .git above the package directory: not a git checkout")
+			}
+		}
+		if got := GitRevision("."); got == "unknown" || len(got) != 12 {
+			t.Errorf("GitRevision(repo) = %q, want a 12-digit revision", got)
+		}
+	})
 }
 
 func TestKeyString(t *testing.T) {

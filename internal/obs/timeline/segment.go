@@ -68,9 +68,6 @@ type Phase struct {
 	DominantStallFrac float64 `json:"dominant_stall_frac"`
 }
 
-// Windows returns the number of windows in the phase.
-func (p *Phase) Windows() int { return p.LastWindow - p.FirstWindow + 1 }
-
 // Segment runs change-point detection over the timeline and returns its
 // phases. The phases partition [0, len(Windows)): every window belongs to
 // exactly one phase, so summing phase cycles reproduces TotalCycles.

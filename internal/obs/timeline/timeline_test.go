@@ -229,8 +229,8 @@ func TestSegmentAbsorbsOutlier(t *testing.T) {
 	if len(phases) != 1 {
 		t.Fatalf("outlier window split the run into %d phases: %+v", len(phases), phases)
 	}
-	if phases[0].Windows() != 16 {
-		t.Errorf("phase covers %d windows, want 16", phases[0].Windows())
+	if n := phases[0].LastWindow - phases[0].FirstWindow + 1; n != 16 {
+		t.Errorf("phase covers %d windows, want 16", n)
 	}
 }
 

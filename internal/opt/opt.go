@@ -32,11 +32,6 @@ func OptimizeObserved(mod *ir.Module, obs PassObserver) {
 	}
 }
 
-// OptimizeFunc runs the pass pipeline on one function.
-func OptimizeFunc(fn *ir.Func) {
-	OptimizeFuncObserved(fn, nil)
-}
-
 // OptimizeFuncObserved runs the pass pipeline on one function, reporting
 // every executed pass to obs (when non-nil).
 func OptimizeFuncObserved(fn *ir.Func, obs PassObserver) {

@@ -168,23 +168,3 @@ func (c *cache) do(key string, share bool, compute func() (*Artifact, error)) (*
 	c.mu.Unlock()
 	return art, false, err
 }
-
-// len reports the live entry count (tests).
-func (c *cache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// tamper mutates the stored entry for key through fn, re-marshalling
-// nothing — the seal is left stale on purpose. Test hook for the
-// tamper-refusal contract.
-func (c *cache) tamper(key string, fn func(*Artifact)) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a, ok := c.entries[key]
-	if ok {
-		fn(a)
-	}
-	return ok
-}

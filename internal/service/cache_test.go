@@ -7,6 +7,25 @@ import (
 	"fpint/internal/fperr"
 )
 
+// len reports the live entry count.
+func (c *cache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
+// tamper mutates the stored entry for key through fn, re-marshalling
+// nothing — the seal is left stale on purpose.
+func (c *cache) tamper(key string, fn func(*Artifact)) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a, ok := c.entries[key]
+	if ok {
+		fn(a)
+	}
+	return ok
+}
+
 // TestCacheKeyStability pins the content address of a fixed job to a
 // literal. The key is the cache's identity across process restarts and
 // the dedup boundary between daemons; an accidental change to the key

@@ -194,11 +194,6 @@ func (m *Machine) loadWord(addr int64) uint64 {
 	return w
 }
 
-// ReadGlobalInt reads word idx of a global after a run.
-func (m *Machine) ReadGlobalInt(name string, idx int64) int64 {
-	return int64(m.loadWord(m.prog.GlobalAddr[name] + idx*8))
-}
-
 // Run executes the program from the start stub until HALT.
 //
 // The returned Result is owned by the machine and remains valid only until

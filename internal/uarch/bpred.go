@@ -65,14 +65,6 @@ func (p *GsharePredictor) PredictAndUpdate(pc int, taken bool) bool {
 	return true
 }
 
-// Accuracy returns the fraction of correct conditional-branch predictions.
-func (p *GsharePredictor) Accuracy() float64 {
-	if p.Lookups == 0 {
-		return 1
-	}
-	return 1 - float64(p.Mispredicts)/float64(p.Lookups)
-}
-
 func b2u(b bool) uint64 {
 	if b {
 		return 1

@@ -2,7 +2,6 @@ package uarch
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"fpint/internal/isa"
@@ -83,12 +82,6 @@ func (j *Journal) TraceEvents() []obs.TraceEvent {
 		}
 	}
 	return events
-}
-
-// WriteTrace writes the journal as a Perfetto/chrome://tracing-loadable
-// trace-event JSON document.
-func (j *Journal) WriteTrace(w io.Writer) error {
-	return obs.WriteTrace(w, j.TraceEvents())
 }
 
 // String renders the journal as a pipetrace table.

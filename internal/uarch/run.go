@@ -52,9 +52,6 @@ func NewMachine(cfg Config) *Machine {
 	return &Machine{cfg: cfg, pipe: newPipeline(cfg), fm: fm, feed: newFeed(fm)}
 }
 
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // SetStepLimit bounds the dynamic instruction count of every subsequent
 // run (0 restores the functional simulator's default). Exceeding the
 // budget aborts the run with a trap.KindStepLimit trap — the same watchdog

@@ -136,7 +136,7 @@ func TestJournalFetchAtIsTrueFetchCycle(t *testing.T) {
 func TestJournalWriteTraceValidJSON(t *testing.T) {
 	_, j := timeWithJournal(t, loopSrc, codegen.SchemeAdvanced, uarch.Config4Way(), 200)
 	var sb strings.Builder
-	if err := j.WriteTrace(&sb); err != nil {
+	if err := obs.WriteTrace(&sb, j.TraceEvents()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -180,9 +180,6 @@ func (r *TimelineRecorder) flush(p *pipeline) {
 	}
 }
 
-// Windows returns the number of windows recorded so far.
-func (r *TimelineRecorder) Windows() int { return r.n }
-
 // Build renders the recording as an fpint-timeline/v1 document. The
 // document totals come from the final boundary snapshot — the pipeline's
 // own cumulative counters — so Validate genuinely cross-checks the window

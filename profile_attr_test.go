@@ -16,6 +16,25 @@ import (
 	"fpint/internal/uarch"
 )
 
+// lineCycleSum returns Σ Cycles over all line buckets of p; equal to
+// TotalCycles by construction.
+func lineCycleSum(p *profile.Profile) int64 {
+	var n int64
+	for _, s := range p.Lines {
+		n += s.Cycles
+	}
+	return n
+}
+
+// stallTotal returns the line's total stall cycles.
+func stallTotal(s *profile.LineSample) int64 {
+	var n int64
+	for _, v := range s.Stall {
+		n += v
+	}
+	return n
+}
+
 // TestProfileAttributionClosed is the profiler's acceptance test: for every
 // sample program, on both Table 1 machine configurations, the per-line cycle
 // attribution must sum exactly to the simulator's total cycle count. The
@@ -52,7 +71,7 @@ func TestProfileAttributionClosed(t *testing.T) {
 					if pr.TotalCycles != st.Cycles {
 						t.Fatalf("profile total %d != simulator cycles %d", pr.TotalCycles, st.Cycles)
 					}
-					if sum := pr.LineCycleSum(); sum != st.Cycles {
+					if sum := lineCycleSum(pr); sum != st.Cycles {
 						t.Fatalf("per-line cycle sum %d != total cycles %d", sum, st.Cycles)
 					}
 					if pr.Instructions != st.Instructions {
@@ -62,9 +81,9 @@ func TestProfileAttributionClosed(t *testing.T) {
 					// Every line bucket is internally consistent: the
 					// active/stall split and subsystem split both cover it.
 					for k, s := range pr.Lines {
-						if s.Active+s.StallTotal() != s.Cycles {
+						if stall := stallTotal(s); s.Active+stall != s.Cycles {
 							t.Errorf("%s:L%d active %d + stall %d != cycles %d",
-								k.Func, k.Line, s.Active, s.StallTotal(), s.Cycles)
+								k.Func, k.Line, s.Active, stall, s.Cycles)
 						}
 						var bySub int64
 						for _, n := range s.BySub {

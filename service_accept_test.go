@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"fpint/internal/bench"
 	"fpint/internal/obs"
 	"fpint/internal/service"
 	"fpint/internal/service/loadgen"
@@ -29,11 +30,21 @@ func startService(t *testing.T, opts service.Options) (*service.Server, *httptes
 	return svc, ts
 }
 
+// normalizeLoadReport zeroes the wall-clock-derived fields (elapsed time,
+// throughput, latency percentiles) and sorts the rows, so two runs that
+// sent the same mix and saw the same outcomes encode byte-identically.
+func normalizeLoadReport(r *bench.LoadReport) {
+	r.ElapsedNS = 0
+	r.ThroughputRPS = 0
+	r.Latency = bench.LoadLatency{}
+	r.Sort()
+}
+
 // TestServiceLoadgenGolden drives the deterministic slice of the load
 // harness — one loadgen worker, fixed seed — through a real HTTP
 // round-trip and pins the normalized fpint-load/v1 document byte for
 // byte. Sequential execution makes every outcome (statuses, cache hits,
-// mix) reproducible; Normalize zeroes the wall-clock fields. Regenerate
+// mix) reproducible; normalizeLoadReport zeroes the wall-clock fields. Regenerate
 // with `go test -run TestServiceLoadgenGolden -update .`.
 func TestServiceLoadgenGolden(t *testing.T) {
 	_, ts := startService(t, service.Options{Workers: 2, Chaos: true})
@@ -47,7 +58,7 @@ func TestServiceLoadgenGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loadgen: %v", err)
 	}
-	rep.Normalize()
+	normalizeLoadReport(rep)
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatalf("encode report: %v", err)
