@@ -48,8 +48,6 @@ type Loc struct {
 // analysis of one function: the abstract location of every load and store,
 // keyed by instruction ID.
 type Aliases struct {
-	Fn *ir.Func
-
 	// Locs[instrID] is the location accessed by that load/store. Every
 	// load/store of the function has an entry; undecomposable addresses
 	// get BaseUnknown with a Top offset.
@@ -194,7 +192,7 @@ func (d *decomposer) valueOfArg(instr *ir.Instr, k int) Interval {
 // AnalyzeAliases computes the abstract location of every memory access and
 // the escaped-base set for fn.
 func AnalyzeAliases(fn *ir.Func, rd *dataflow.ReachingDefs, ranges *Ranges) *Aliases {
-	al := &Aliases{Fn: fn, Locs: make(map[int]Loc), Escaped: make(map[Base]bool)}
+	al := &Aliases{Locs: make(map[int]Loc), Escaped: make(map[Base]bool)}
 	d := &decomposer{fn: fn, rd: rd, ranges: ranges,
 		memo: make(map[int]decomp), state: make(map[int]uint8)}
 

@@ -18,8 +18,8 @@ func arenaSrc(idx int64, body string) string {
 // TestArenaBoundary: the arena grows with the stores a run makes, but the
 // trap bound stays where a flat 16 MiB arena puts it. The last in-range
 // word round-trips, a never-written word reads 0, and one word further,
-// or below address 0, traps. The simulator keeps its stack at the top of
-// the same space, so this boundary is the interpreter's alone.
+// or below address 0, traps. internal/trap's TestLastWordRunsClean holds
+// the simulator to the same edge.
 func TestArenaBoundary(t *testing.T) {
 	const last = 2097150 // 8 + 2097150*8 = memSize - 8
 	// a[idx - 1048574] is a[1048576], 8 MiB in and never written: it is

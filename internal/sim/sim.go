@@ -5,9 +5,14 @@
 // records (Machine.Step) — the classic SimpleScalar-style functional-first
 // organization. A record carries only what varies between executions of
 // one static instruction; the timing model decodes the rest once per PC.
+//
+// Guest memory is a 16 MiB address space held in 4 KiB pages: a page
+// exists only once the current run stores into it, and a never-written
+// byte reads 0, so a machine costs what its program writes.
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -16,8 +21,9 @@ import (
 	"fpint/internal/trap"
 )
 
-// MemSize is the flat memory arena (16 MiB): data segment at the bottom,
-// stack at the top growing down.
+// MemSize is the size of the guest address space (16 MiB): data segment at
+// the bottom, stack at the top growing down. An access outside
+// [0, MemSize-8] traps.
 const MemSize = 16 << 20
 
 // Record describes one committed dynamic instruction for the timing model:
@@ -58,19 +64,20 @@ type Result struct {
 	Stats  Stats
 }
 
-// Memory is cleared between runs page by page; only pages dirtied by a
-// store (or the data-segment init) are touched, so resetting a machine
-// costs proportional to the memory the previous program actually wrote,
-// not to the 16 MiB arena.
+// The address space is held in 4 KiB pages (see Machine.pages).
 const (
-	memPageShift = 12 // 4 KiB pages
-	numMemPages  = MemSize >> memPageShift
+	pageShift = 12 // 4 KiB pages
+	pageSize  = 1 << pageShift
+	numPages  = MemSize >> pageShift
 )
 
+type page [pageSize]byte
+
 // Machine is the functional simulator state. A machine is reusable: build
-// one with NewMachine, then Reset it onto successive programs — the memory
-// arena, output buffer, statistics map, and Result are allocated once and
-// recycled, so a warm machine runs without heap traffic.
+// one with NewMachine, then Reset it onto successive programs. The page
+// table, the pages a run wrote, the output buffer, statistics map and
+// Result are recycled, so a warm machine runs without heap traffic once it
+// holds as many pages as its largest run wrote.
 type Machine struct {
 	prog *isa.Program
 
@@ -78,9 +85,14 @@ type Machine struct {
 	F  [32]uint64 // FP registers (raw 64-bit patterns)
 	PC int
 
-	mem   []byte
-	dirty []bool // per-page store tracking for cheap Reset
-	out   []byte
+	// pages maps each page of the address space, nil until the run stores
+	// into it. written lists the mapped page numbers in mapping order, and
+	// pool[i] backs written[i]: pool holds every page the machine owns, and
+	// its tail past len(written) is the free list of zeroed pages.
+	pages   [numPages]*page
+	written []int32
+	pool    []*page
+	out     []byte
 
 	// byOp counts executed opcodes during a run, indexed by opcode; Step
 	// copies the nonzero entries into Stats.ByOp at HALT, keeping the map
@@ -113,8 +125,6 @@ const DefaultHookInterval = 1024
 // NewMachine builds an unbound machine. Call Reset to load a program.
 func NewMachine() *Machine {
 	return &Machine{
-		mem:      make([]byte, MemSize),
-		dirty:    make([]bool, numMemPages),
 		res:      &Result{Stats: Stats{ByOp: make(map[isa.Opcode]int64)}},
 		maxSteps: 4_000_000_000,
 	}
@@ -127,19 +137,18 @@ func New(prog *isa.Program) *Machine {
 	return m
 }
 
-// Reset rebinds the machine to prog and restores the power-on state:
-// dirtied memory pages are zeroed, registers and statistics cleared, the
-// data segment re-initialized, and the step limit restored to its default.
-// The run hook is preserved. The Result returned by a previous run
-// (including its Stats.ByOp map and Output) is invalidated.
+// Reset rebinds the machine to prog and restores the power-on state: the
+// pages the previous run wrote are zeroed and unmapped, returning to the
+// free list, registers and statistics cleared, the data segment
+// re-initialized, and the step limit restored to its default. The run hook
+// is preserved. The Result returned by a previous run (including its
+// Stats.ByOp map and Output) is invalidated.
 func (m *Machine) Reset(prog *isa.Program) {
-	for page, d := range m.dirty {
-		if d {
-			lo := page << memPageShift
-			clear(m.mem[lo : lo+(1<<memPageShift)])
-			m.dirty[page] = false
-		}
+	for i, n := range m.written {
+		clear(m.pool[i][:])
+		m.pages[n] = nil
 	}
+	m.written = m.written[:0]
 	m.prog = prog
 	m.R = [32]int64{}
 	m.F = [32]uint64{}
@@ -178,20 +187,68 @@ func (m *Machine) SetRunHook(hook func(steps int64) error, every int64) {
 	m.hookLeft = every
 }
 
+// storeWord writes the little-endian word at addr, which checkAddr has
+// bounded to [0, MemSize-8].
 func (m *Machine) storeWord(addr int64, w uint64) {
-	for i := 0; i < 8; i++ {
-		m.mem[addr+int64(i)] = byte(w >> (8 * uint(i)))
+	off := addr & (pageSize - 1)
+	if off > pageSize-8 {
+		m.storeSplit(addr, w)
+		return
 	}
-	m.dirty[addr>>memPageShift] = true
-	m.dirty[(addr+7)>>memPageShift] = true
+	binary.LittleEndian.PutUint64(m.storePage(addr >> pageShift)[off:], w)
 }
 
+// loadWord reads the little-endian word at addr, which checkAddr has
+// bounded to [0, MemSize-8]. A page no store has mapped reads 0.
 func (m *Machine) loadWord(addr int64) uint64 {
+	off := addr & (pageSize - 1)
+	if off > pageSize-8 {
+		return m.loadSplit(addr)
+	}
+	if p := m.pages[addr>>pageShift]; p != nil {
+		return binary.LittleEndian.Uint64(p[off:])
+	}
+	return 0
+}
+
+// storeSplit and loadSplit move a word whose bytes straddle two pages one
+// byte at a time. Compiled code keeps its words aligned and never makes
+// one; hand-assembled code can.
+func (m *Machine) storeSplit(addr int64, w uint64) {
+	for i := int64(0); i < 8; i++ {
+		a := addr + i
+		m.storePage(a >> pageShift)[a&(pageSize-1)] = byte(w >> (8 * i))
+	}
+}
+
+func (m *Machine) loadSplit(addr int64) uint64 {
 	var w uint64
-	for i := 7; i >= 0; i-- {
-		w = w<<8 | uint64(m.mem[addr+int64(i)])
+	for i := int64(7); i >= 0; i-- {
+		a := addr + i
+		var b byte
+		if p := m.pages[a>>pageShift]; p != nil {
+			b = p[a&(pageSize-1)]
+		}
+		w = w<<8 | uint64(b)
 	}
 	return w
+}
+
+// storePage returns page n for a store. The run's first store into it maps
+// the next zeroed page of the pool, allocating one only when the run has
+// written more pages than any earlier run of the machine.
+func (m *Machine) storePage(n int64) *page {
+	if p := m.pages[n]; p != nil {
+		return p
+	}
+	k := len(m.written)
+	if k == len(m.pool) {
+		m.pool = append(m.pool, new(page))
+	}
+	p := m.pool[k]
+	m.pages[n] = p
+	m.written = append(m.written, int32(n))
+	return p
 }
 
 // Run executes the program from the start stub until HALT.
@@ -411,8 +468,8 @@ func (m *Machine) Step(buf []Record) (n int, res *Result, err error) {
 	return n, nil, nil
 }
 
-// checkAddr traps a memory access outside the arena. The bound is written
-// so that no address, however large, can overflow it.
+// checkAddr traps a memory access outside the address space. The bound is
+// written so that no address, however large, can overflow it.
 func (m *Machine) checkAddr(addr int64, in *isa.Inst) error {
 	if addr < 0 || addr > MemSize-8 {
 		return trap.New(trap.KindOutOfBounds, "sim", "memory access %#x out of range at PC %d (%s)", addr, m.PC, in)

@@ -19,7 +19,7 @@ type Kind int
 const (
 	KindNone         Kind = iota
 	KindDivideByZero      // integer division or remainder with zero divisor
-	KindOutOfBounds       // memory access outside the arena
+	KindOutOfBounds       // memory access outside the 16 MiB address space
 	KindStepLimit         // dynamic instruction budget exhausted
 	// KindCancelled is raised by the cooperative run hook (SetRunHook on the
 	// execution engines) when an external authority — a daemon deadline, a

@@ -33,6 +33,16 @@ int main() { return a[idx]; }`},
 int a[4];
 int idx = 1073741824;
 int main() { a[idx] = 1; return 0; }`},
+	// a sits at address 8, so a[2097151] is the word at 16 MiB, one past
+	// the last in-range word of both engines (TestLastWordRunsClean).
+	{trap.KindOutOfBounds, "load-edge", `
+int a[4];
+int idx = 2097151;
+int main() { return a[idx]; }`},
+	{trap.KindOutOfBounds, "store-edge", `
+int a[4];
+int idx = 2097151;
+int main() { a[idx] = 1; return 0; }`},
 	// a[idx] sits 7 bytes below MaxInt64, where addr+8 wraps negative.
 	{trap.KindOutOfBounds, "load-maxint", `
 int a[4];
@@ -97,6 +107,48 @@ func TestTrapKindsRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLastWordRunsClean: the interpreter and the simulator bound memory
+// by separate 16 MiB constants, and agree on the edge. The last in-range
+// word, a[(MemSize-16)/8] with a at address 8, stores and loads clean on
+// the interpreter and on the simulator under every scheme, beside a
+// never-written word that reads 0; the load-edge and store-edge rows of
+// TestTrapKindsRoundTrip trap one word further.
+func TestLastWordRunsClean(t *testing.T) {
+	const src = `
+int a[4];
+int idx = 2097150;
+int main() { a[idx] = 12345; return a[idx] + a[idx - 1]; }`
+	if 8+2097150*8 != sim.MemSize-8 {
+		t.Fatalf("a[2097150] is not the last word below MemSize %d", sim.MemSize)
+	}
+	mod, err := codegen.Frontend(src, nil)
+	if err != nil {
+		t.Fatalf("frontend: %v", err)
+	}
+	ires, err := interp.New(mod).Run()
+	if err != nil {
+		t.Fatalf("interp: %v", err)
+	}
+	if ires.Ret != 12345 {
+		t.Errorf("interp: ret %d, want 12345", ires.Ret)
+	}
+	for _, scheme := range []codegen.Scheme{codegen.SchemeNone, codegen.SchemeBasic, codegen.SchemeAdvanced} {
+		res, err := codegen.Compile(mod, codegen.Options{Scheme: scheme})
+		if err != nil {
+			t.Fatalf("%v: compile: %v", scheme, err)
+		}
+		if got := res.Prog.GlobalAddr["a"]; got != 8 {
+			t.Fatalf("%v: sim: a at %d, want 8", scheme, got)
+		}
+		sres, err := sim.New(res.Prog).Run()
+		if err != nil {
+			t.Errorf("%v: sim: %v", scheme, err)
+		} else if sres.Ret != 12345 {
+			t.Errorf("%v: sim: ret %d, want 12345", scheme, sres.Ret)
+		}
 	}
 }
 

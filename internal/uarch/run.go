@@ -8,10 +8,11 @@ import (
 
 // Machine couples a reusable functional simulator with a reusable timing
 // pipeline for one machine configuration. Build one with NewMachine and
-// call Run repeatedly: the memory arena, ROB ring, cache and predictor
-// tables, statistics buffers, static instruction table and record buffers
-// are all allocated once, so a warm machine simulates without heap
-// traffic — the property TestPipelineZeroSteadyStateAllocs pins.
+// call Run repeatedly: the ROB ring, cache and predictor tables,
+// statistics buffers, static instruction table and record buffers are
+// allocated once, and the functional simulator keeps the guest memory
+// pages its runs wrote, so a warm machine simulates without heap traffic
+// — the property TestPipelineZeroSteadyStateAllocs pins.
 //
 // Each run steps the functional simulator on a goroutine of its own, one
 // ring of record buffers ahead of the timing model (see feed); the timing
