@@ -382,7 +382,7 @@ func run(src string, sch codegen.Scheme, opts codegen.Options, rc runConfig) (in
 			tl.Estimated = true
 			tl.SampledFraction = sst.SampledFraction
 		}
-		phases = tl.Segment(timeline.DefaultSegConfig())
+		phases = tl.Segment()
 	}
 
 	if journal != nil && rc.traceJSON != "" {

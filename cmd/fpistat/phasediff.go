@@ -56,8 +56,7 @@ func pct(a, b float64) string {
 
 // writePhasediff renders the aligned phase comparison.
 func writePhasediff(w io.Writer, nameA, nameB string, ta, tb *timeline.Timeline) error {
-	cfg := timeline.DefaultSegConfig()
-	pa, pb := ta.Segment(cfg), tb.Segment(cfg)
+	pa, pb := ta.Segment(), tb.Segment()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "A: %s  %s\n", nameA, describe(ta))
 	fmt.Fprintf(&sb, "B: %s  %s\n\n", nameB, describe(tb))

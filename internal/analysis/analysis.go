@@ -24,13 +24,12 @@ type FuncFacts struct {
 
 // Facts holds the analysis results of a whole module.
 type Facts struct {
-	Mod   *ir.Module
 	Funcs map[string]*FuncFacts
 }
 
 // AnalyzeModule runs every analysis over every function of mod.
 func AnalyzeModule(mod *ir.Module) *Facts {
-	f := &Facts{Mod: mod, Funcs: make(map[string]*FuncFacts, len(mod.Funcs))}
+	f := &Facts{Funcs: make(map[string]*FuncFacts, len(mod.Funcs))}
 	for _, fn := range mod.Funcs {
 		f.Funcs[fn.Name] = AnalyzeFunc(fn, mod)
 	}

@@ -21,8 +21,6 @@ import (
 // CFG is the control-flow view of one function: the reachable blocks in
 // reverse postorder and the blocks the entry cannot reach at all.
 type CFG struct {
-	Fn *ir.Func
-
 	// Blocks are the reachable blocks in reverse postorder (entry first).
 	Blocks []*ir.Block
 
@@ -33,7 +31,7 @@ type CFG struct {
 // BuildCFG computes the CFG of fn: the reverse postorder of the reachable
 // blocks and the unreachable set.
 func BuildCFG(fn *ir.Func) *CFG {
-	c := &CFG{Fn: fn, Blocks: fn.ReversePostorder()}
+	c := &CFG{Blocks: fn.ReversePostorder()}
 	reached := make([]bool, fn.NumBlockIDs())
 	for _, b := range c.Blocks {
 		reached[b.ID] = true

@@ -11,8 +11,6 @@ import (
 // execution (flow-sensitive within the function, with branch-edge
 // refinement from comparison guards and widening on loop-carried values).
 type Ranges struct {
-	Fn *ir.Func
-
 	// ValOut[instrID] is the interval of the value defined by that
 	// instruction's Dst. Only I64 definitions appear. A value produced by
 	// an instruction that never appears executed is bottom.
@@ -67,7 +65,7 @@ const wideningThreshold = 8
 // block, joined and widened in place, plus two scratch environments for
 // the block being transferred and the edge being refined.
 func AnalyzeRanges(fn *ir.Func, cfg *CFG) *Ranges {
-	r := &Ranges{Fn: fn, ValOut: make(map[int]Interval), DivisorIn: make(map[int]Interval)}
+	r := &Ranges{ValOut: make(map[int]Interval), DivisorIn: make(map[int]Interval)}
 	nb, nv := len(cfg.Blocks), fn.NumVRegs()
 
 	// Successor numbers, and the widening points: targets of retreating

@@ -33,8 +33,6 @@ type Measurement struct {
 	Cycles             int64
 	IPC                float64
 	IntIdleFPaBusyFrac float64
-	BpredAccuracy      float64
-	DCacheMissRate     float64
 
 	// IssueActiveCycles plus the per-cause stall cycles in Stalls sum to
 	// Cycles (the uarch top-down accounting invariant).
@@ -63,12 +61,10 @@ type Measurement struct {
 
 // SampledInfo is the fast-mode provenance of a measurement.
 type SampledInfo struct {
-	Windows              int
-	MeasuredInstructions int64
-	SampledFraction      float64
-	FinalPeriod          int
-	RelCI                float64
-	Exact                bool
+	SampledFraction float64
+	FinalPeriod     int
+	RelCI           float64
+	Exact           bool
 }
 
 // FastSummary aggregates the SampledInfo of every fast-mode measurement a
@@ -218,12 +214,10 @@ func (s *Suite) run(w *Workload, scheme codegen.Scheme, res *codegen.Result, cfg
 		out, sst, err = mach.RunSampled(res.Prog, *s.fast)
 		st = sst.Stats
 		sampled = &SampledInfo{
-			Windows:              sst.Windows,
-			MeasuredInstructions: sst.MeasuredInstructions,
-			SampledFraction:      sst.SampledFraction,
-			FinalPeriod:          sst.FinalPeriod,
-			RelCI:                sst.RelCI,
-			Exact:                sst.Exact,
+			SampledFraction: sst.SampledFraction,
+			FinalPeriod:     sst.FinalPeriod,
+			RelCI:           sst.RelCI,
+			Exact:           sst.Exact,
 		}
 	})
 	if err == nil {
@@ -252,13 +246,8 @@ func (s *Suite) run(w *Workload, scheme codegen.Scheme, res *codegen.Result, cfg
 		Stores:              out.Stats.Stores,
 		Cycles:              st.Cycles,
 		IPC:                 st.IPC(),
-		BpredAccuracy:       1,
-		DCacheMissRate:      st.DCacheMissRate,
 		Faults:              st.FaultsInjected,
 		FaultRecoveryCycles: st.FaultRecoveryCycles,
-	}
-	if st.BpredLookups > 0 {
-		m.BpredAccuracy = 1 - float64(st.BpredMispredicts)/float64(st.BpredLookups)
 	}
 	if st.Cycles > 0 {
 		m.IntIdleFPaBusyFrac = float64(st.IntIdleFPaBusy) / float64(st.Cycles)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fpint/internal/codegen"
-	"fpint/internal/obs/timeline"
 	"fpint/internal/uarch"
 )
 
@@ -55,7 +54,7 @@ func (s *Suite) Phases(ws []Workload, cfg uarch.Config, width int64) ([]PhaseRow
 			tl.Estimated = true
 			tl.SampledFraction = meas.Sampled.SampledFraction
 		}
-		for _, p := range tl.Segment(timeline.DefaultSegConfig()) {
+		for _, p := range tl.Segment() {
 			rows = append(rows, PhaseRow{
 				Workload:          w.Name,
 				Config:            cfg.Name,

@@ -170,7 +170,6 @@ func Compile(mod *ir.Module, opts Options) (*Result, error) {
 		}
 		addr += g.Words * 8
 	}
-	prog.DataTop = addr
 
 	// Start stub.
 	prog.Insts = append(prog.Insts,
@@ -382,8 +381,6 @@ func addFrame(f *mfunc, ra regallocStats) {
 	if frame%16 != 0 {
 		frame += 16 - frame%16
 	}
-	f.usedCalleeInt = ra.UsedCalleeInt
-	f.usedCalleeFp = ra.UsedCalleeFp
 
 	var pro []minst
 	pro = append(pro,

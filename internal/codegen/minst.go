@@ -50,62 +50,6 @@ func (m minst) String() string {
 		m.op, m.rd, m.rs, m.rt, m.imm, m.sym, m.target)
 }
 
-// regClasses returns the register class of each operand field of op.
-// Fields that the op does not use are reported as IntReg; defsUses
-// determines which fields matter.
-func regClasses(op isa.Opcode) (rd, rs, rt isa.RegClass) {
-	switch op {
-	case isa.LID, isa.FMOV, isa.FNEG:
-		return isa.FpReg, isa.FpReg, isa.FpReg
-	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV:
-		return isa.FpReg, isa.FpReg, isa.FpReg
-	case isa.FSEQ, isa.FSNE, isa.FSLT, isa.FSLE, isa.FSGT, isa.FSGE:
-		return isa.IntReg, isa.FpReg, isa.FpReg
-	case isa.CVTIF:
-		return isa.FpReg, isa.IntReg, isa.IntReg
-	case isa.CVTFI:
-		return isa.IntReg, isa.FpReg, isa.FpReg
-	case isa.LD, isa.LWFA:
-		return isa.FpReg, isa.IntReg, isa.IntReg // dest fp, base int
-	case isa.SD, isa.SWFA:
-		return isa.IntReg, isa.FpReg, isa.IntReg // src fp, base int
-	case isa.PRNF:
-		return isa.IntReg, isa.FpReg, isa.IntReg
-	case isa.LIA, isa.MOVA, isa.ADDA, isa.SUBA, isa.ANDA, isa.ORA,
-		isa.XORA, isa.NORA, isa.SLLA, isa.SRAA, isa.SRLA,
-		isa.SEQA, isa.SNEA, isa.SLTA, isa.SLEA, isa.SGTA, isa.SGEA,
-		isa.BNEZA:
-		return isa.FpReg, isa.FpReg, isa.FpReg
-	case isa.CP2FP:
-		return isa.FpReg, isa.IntReg, isa.IntReg
-	case isa.CP2INT:
-		return isa.IntReg, isa.FpReg, isa.FpReg
-	}
-	return isa.IntReg, isa.IntReg, isa.IntReg
-}
-
-// defsUses reports which operand fields op defines and uses:
-// dDef — rd is written; sUse/tUse — rs/rt are read.
-func defsUses(op isa.Opcode) (dDef, sUse, tUse bool) {
-	switch op {
-	case isa.NOP, isa.HALT, isa.J:
-		return false, false, false
-	case isa.JAL:
-		return false, false, false // RA def handled as a clobber
-	case isa.JR, isa.PRNI, isa.PRNF, isa.BNEZ, isa.BEQZ, isa.BNEZA:
-		return false, true, false
-	case isa.SW, isa.SD, isa.SWFA:
-		return false, true, true // rs = value, rt = base
-	case isa.LI, isa.LID, isa.LIA:
-		return true, false, false
-	case isa.MOV, isa.FMOV, isa.MOVA, isa.FNEG, isa.CVTIF, isa.CVTFI,
-		isa.CP2FP, isa.CP2INT, isa.LW, isa.LD, isa.LWFA:
-		return true, true, false
-	}
-	// Three-operand ALU forms.
-	return true, true, true
-}
-
 // mblock is a machine basic block mirroring an IR block.
 type mblock struct {
 	id    int // IR block ID (or epilogueBlockID)
@@ -115,21 +59,18 @@ type mblock struct {
 
 // mfunc is a function in machine IR.
 type mfunc struct {
-	name       string
 	line       int // source line of the function declaration (debug info)
 	blocks     []*mblock
 	nextVirt   [2]int  // next virtual register per class
 	localWords int64   // frame words used by IR local slots
 	slotOff    []int64 // byte offset of each IR local slot within the frame
 
-	// Filled by register allocation / assembly.
-	spillWords    int64
-	usedCalleeInt []int
-	usedCalleeFp  []int
+	// Filled by register allocation.
+	spillWords int64
 }
 
-func newMfunc(name string) *mfunc {
-	f := &mfunc{name: name}
+func newMfunc() *mfunc {
+	f := &mfunc{}
 	f.nextVirt[isa.IntReg] = firstVirtual
 	f.nextVirt[isa.FpReg] = firstVirtual
 	return f

@@ -128,22 +128,23 @@ type operandRef struct {
 }
 
 // virtOperands returns the virtual-register operands of m in the wanted
-// class, uses (rs, rt) before the def (rd), in ops[:n].
+// class, uses (rs, rt) before the def (rd), in ops[:n]. The fields, their
+// files and their sense come from isa's operand-role table, in which only
+// Rd is ever written; JAL's write of RA is no field, and the allocator
+// treats it as a clobber.
 func virtOperands(m *minst, class isa.RegClass) (ops [3]operandRef, n int) {
-	rdC, rsC, rtC := regClasses(m.op)
-	dDef, sUse, tUse := defsUses(m.op)
-	if sUse && rsC == class && m.rs >= firstVirtual {
-		ops[n] = operandRef{&m.rs, false}
-		n++
+	ro := isa.RolesOf(m.op)
+	add := func(u isa.Use, r *int) {
+		if u != isa.Unused && u.Class() == class && *r >= firstVirtual {
+			ops[n] = operandRef{r, u.IsWrite()}
+			n++
+		}
 	}
-	if tUse && rtC == class && m.rt >= firstVirtual {
-		ops[n] = operandRef{&m.rt, false}
-		n++
+	add(ro.Rs, &m.rs)
+	if !m.useImm || !ro.ImmForm {
+		add(ro.Rt, &m.rt)
 	}
-	if dDef && rdC == class && m.rd >= firstVirtual {
-		ops[n] = operandRef{&m.rd, true}
-		n++
-	}
+	add(ro.Rd, &m.rd)
 	return ops, n
 }
 

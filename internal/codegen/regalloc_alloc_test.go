@@ -13,7 +13,7 @@ import (
 // block; with forward successors each block falls into the next and
 // liveness settles in one pass. Blocks and instructions are the same.
 func chainFunc(n int, backward bool) *mfunc {
-	f := newMfunc("chain")
+	f := newMfunc()
 	v := f.newVirt(isa.IntReg)
 	w := f.newVirt(isa.IntReg)
 	for i := 0; i < n; i++ {

@@ -136,7 +136,7 @@ func selectFunc(fn *ir.Func, p *core.Partition, plan *FPArgPlan) (*mfunc, error)
 	s := &selector{
 		fn:        fn,
 		pi:        newPartInfo(p),
-		mf:        newMfunc(fn.Name),
+		mf:        newMfunc(),
 		plan:      plan,
 		intHome:   make(map[ir.VReg]int),
 		fpHome:    make(map[ir.VReg]int),

@@ -250,7 +250,6 @@ type solution struct {
 
 // bbState is one component's branch-and-bound search.
 type bbState struct {
-	cm      *costModel
 	pricer  *compPricer
 	scratch []bool
 
@@ -347,7 +346,7 @@ func runBB(cm *costModel, pricer *compPricer, members []NodeID, eligible []bool,
 // mandatory-transfer root candidates, and the per-variable bound terms.
 func newBBState(cm *costModel, pricer *compPricer, scratch []bool, vars []NodeID, budget *int64) *bbState {
 	b := &bbState{
-		cm: cm, pricer: pricer, scratch: scratch,
+		pricer: pricer, scratch: scratch,
 		vars: vars, budget: budget,
 	}
 	sort.Slice(b.vars, func(i, j int) bool {

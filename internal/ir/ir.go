@@ -309,9 +309,6 @@ type Block struct {
 	// LoopDepth is the static loop nesting depth, used by the
 	// probabilistic profile estimate (p_B * 5^d_B).
 	LoopDepth int
-
-	// Fn is the containing function.
-	Fn *Func
 }
 
 // Append adds an instruction at the end of the block.
@@ -375,9 +372,6 @@ type Func struct {
 	LocalSlots  []int64 // size in words of each slot
 	nextBlockID int
 	instrCount  int
-
-	// Mod is the containing module.
-	Mod *Module
 }
 
 // NewFunc creates an empty function.
@@ -405,7 +399,7 @@ func (f *Func) NumVRegs() int { return len(f.vregTypes) }
 
 // NewBlock creates a new basic block in the function.
 func (f *Func) NewBlock() *Block {
-	b := &Block{ID: f.nextBlockID, Fn: f}
+	b := &Block{ID: f.nextBlockID}
 	f.nextBlockID++
 	f.Blocks = append(f.Blocks, b)
 	return b
@@ -504,7 +498,6 @@ func NewModule() *Module {
 
 // AddFunc appends fn to the module.
 func (m *Module) AddFunc(fn *Func) {
-	fn.Mod = m
 	m.Funcs = append(m.Funcs, fn)
 	m.funcByName[fn.Name] = fn
 }

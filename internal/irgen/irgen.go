@@ -56,7 +56,6 @@ type loopCtx struct {
 
 type funcLowerer struct {
 	mod *ir.Module
-	fd  *lang.FuncDecl
 	fn  *ir.Func
 	cur *ir.Block
 
@@ -73,8 +72,7 @@ type funcLowerer struct {
 
 type varBinding struct {
 	reg    ir.VReg // scalar register, or array base address register (params)
-	typ    lang.Type
-	slot   int64 // local array slot index when isSlot
+	slot   int64   // local array slot index when isSlot
 	isSlot bool
 }
 
@@ -91,7 +89,7 @@ func irType(t lang.Type) ir.Type {
 }
 
 func lowerFunc(mod *ir.Module, fd *lang.FuncDecl) (*ir.Func, error) {
-	fl := &funcLowerer{mod: mod, fd: fd}
+	fl := &funcLowerer{mod: mod}
 	fn := ir.NewFunc(fd.Name, irType(fd.Ret))
 	fn.Line = fd.Pos.Line
 	fl.curLine = fd.Pos.Line
@@ -107,7 +105,7 @@ func lowerFunc(mod *ir.Module, fd *lang.FuncDecl) (*ir.Func, error) {
 			reg = fn.NewVReg(irType(prm.Type))
 		}
 		fn.Params = append(fn.Params, reg)
-		fl.bind(prm.Name, varBinding{reg: reg, typ: prm.Type})
+		fl.bind(prm.Name, varBinding{reg: reg})
 	}
 	if err := fl.stmt(fd.Body); err != nil {
 		return nil, err
@@ -212,7 +210,7 @@ func (fl *funcLowerer) stmt(s lang.Stmt) error {
 	case *lang.VarDeclStmt:
 		if st.Type.IsArray() {
 			slot := fl.fn.AddLocalSlot(st.ArrayLen)
-			fl.bind(st.Name, varBinding{typ: st.Type, slot: slot, isSlot: true})
+			fl.bind(st.Name, varBinding{slot: slot, isSlot: true})
 			return nil
 		}
 		reg := fl.fn.NewVReg(irType(st.Type))
@@ -225,7 +223,7 @@ func (fl *funcLowerer) stmt(s lang.Stmt) error {
 		} else {
 			fl.emit(&ir.Instr{Op: ir.OpConst, Dst: reg, IsFloat: st.Type == lang.TypeFloat})
 		}
-		fl.bind(st.Name, varBinding{reg: reg, typ: st.Type})
+		fl.bind(st.Name, varBinding{reg: reg})
 		return nil
 	case *lang.ExprStmt:
 		_, err := fl.expr(st.X)

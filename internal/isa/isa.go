@@ -18,7 +18,11 @@
 //     LI/LIA/LID.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Opcode enumerates machine operations.
 type Opcode uint8
@@ -204,8 +208,10 @@ func IsControl(op Opcode) bool { return IsCondBranch(op) || IsJump(op) }
 // Latency returns the execution latency in cycles, per Table 1 ("6 cycle
 // mul, 12 cycle div, 1 cycle" otherwise for integer ops). Conventional FP
 // arithmetic uses typical multi-cycle latencies; the FPa integer ops are
-// single-cycle by the paper's key hardware assumption (§6.6). Loads take 1
-// cycle plus cache access time (charged by the memory model).
+// single-cycle by the paper's key hardware assumption (§6.6). A load costs
+// its cache access alone, which the timing model charges in place of this
+// value: DCacheHit (1 cycle) in all on a hit, plus the miss penalty on a
+// miss.
 func Latency(op Opcode) int {
 	switch op {
 	case MUL:
@@ -231,6 +237,94 @@ const (
 	FpReg
 )
 
+// Use is how an instruction uses one register field: not at all, or read
+// or written in one register file.
+type Use uint8
+
+// Field uses.
+const (
+	Unused Use = iota
+	ReadInt
+	ReadFP
+	WriteInt
+	WriteFP
+)
+
+// Class returns the register file a used field names.
+func (u Use) Class() RegClass {
+	if u == ReadFP || u == WriteFP {
+		return FpReg
+	}
+	return IntReg
+}
+
+// IsWrite reports whether the field is written.
+func (u Use) IsWrite() bool { return u >= WriteInt }
+
+// Roles is one opcode's row of the operand-role table: how it uses its
+// Rd, Rs and Rt fields (only Rd is ever written), and whether it has an
+// immediate form (Inst.UseImm) that reads Imm in place of Rt.
+type Roles struct {
+	Rd, Rs, Rt Use
+	ImmForm    bool
+}
+
+// Fields returns the uses of Rd, Rs and Rt, in that order. In the
+// immediate form Rt is Unused.
+func (r Roles) Fields(useImm bool) [3]Use {
+	if useImm && r.ImmForm {
+		return [3]Use{r.Rd, r.Rs, Unused}
+	}
+	return [3]Use{r.Rd, r.Rs, r.Rt}
+}
+
+// Rows shared by more than one opcode.
+var (
+	intALU = Roles{WriteInt, ReadInt, ReadInt, true} // Rd = Rs op (Rt | Imm)
+	fpaALU = Roles{WriteFP, ReadFP, ReadFP, true}
+	fpALU  = Roles{WriteFP, ReadFP, ReadFP, false}
+	fpCmp  = Roles{WriteInt, ReadFP, ReadFP, false}
+	intMov = Roles{Rd: WriteInt, Rs: ReadInt} // also LW: Rd = mem[Rs+Imm]
+	fpMov  = Roles{Rd: WriteFP, Rs: ReadFP}
+	toFP   = Roles{Rd: WriteFP, Rs: ReadInt} // also LD/LWFA: Fd = mem[Rs+Imm]
+	toInt  = Roles{Rd: WriteInt, Rs: ReadFP}
+	fpStor = Roles{Rs: ReadFP, Rt: ReadInt} // mem[Rt+Imm] = Fs
+	intUse = Roles{Rs: ReadInt}
+	fpUse  = Roles{Rs: ReadFP}
+)
+
+// opRoles is the operand-role table, the one statement of which register
+// file each field of each opcode names. Operands, the disassembler and the
+// register allocator all read it; NOP, J, JAL and HALT name no field (JAL's
+// write of RA is implicit).
+var opRoles = [NumOpcodes]Roles{
+	LI: {Rd: WriteInt}, MOV: intMov,
+	ADD: intALU, SUB: intALU, MUL: intALU, DIV: intALU, REM: intALU,
+	AND: intALU, OR: intALU, XOR: intALU, NOR: intALU,
+	SLL: intALU, SRA: intALU, SRL: intALU,
+	SEQ: intALU, SNE: intALU, SLT: intALU, SLE: intALU, SGT: intALU, SGE: intALU,
+	LW: intMov, SW: {Rs: ReadInt, Rt: ReadInt},
+	BNEZ: intUse, BEQZ: intUse, JR: intUse, PRNI: intUse,
+	LID: {Rd: WriteFP}, FMOV: fpMov,
+	FADD: fpALU, FSUB: fpALU, FMUL: fpALU, FDIV: fpALU, FNEG: fpMov,
+	FSEQ: fpCmp, FSNE: fpCmp, FSLT: fpCmp, FSLE: fpCmp, FSGT: fpCmp, FSGE: fpCmp,
+	CVTIF: toFP, CVTFI: toInt, LD: toFP, SD: fpStor, PRNF: fpUse,
+	LIA: {Rd: WriteFP}, MOVA: fpMov,
+	ADDA: fpaALU, SUBA: fpaALU, ANDA: fpaALU, ORA: fpaALU, XORA: fpaALU, NORA: fpaALU,
+	SLLA: fpaALU, SRAA: fpaALU, SRLA: fpaALU,
+	SEQA: fpaALU, SNEA: fpaALU, SLTA: fpaALU, SLEA: fpaALU, SGTA: fpaALU, SGEA: fpaALU,
+	BNEZA: fpUse, CP2FP: toFP, CP2INT: toInt, LWFA: toFP, SWFA: fpStor,
+}
+
+// RolesOf returns op's row of the operand-role table; an opcode outside
+// the table names no field.
+func RolesOf(op Opcode) Roles {
+	if int(op) < len(opRoles) {
+		return opRoles[op]
+	}
+	return Roles{}
+}
+
 // NoReg marks an absent operand in Operands' results.
 const NoReg = int16(-1)
 
@@ -243,53 +337,29 @@ func EncodeReg(class RegClass, n uint8) int16 {
 
 // Operands decodes the registers an instruction writes (dst) and reads
 // (src1, src2), encoded with EncodeReg; NoReg marks an absent one. Sources
-// fill src1 first. A store reads its value register (Rs) as src1 and its
-// base (Rt) as src2; the immediate ALU forms have no src2; JAL writes RA;
-// a write to R0 still names register 0. HALT, NOP and J name no register.
+// fill src1 first, in field order: a store reads its value register (Rs)
+// as src1 and its base (Rt) as src2; the immediate ALU forms have no src2;
+// JAL writes RA; a write to R0 still names register 0. HALT, NOP and J
+// name no register.
 func Operands(in *Inst) (dst, src1, src2 int16) {
-	i := func(n uint8) int16 { return EncodeReg(IntReg, n) }
-	f := func(n uint8) int16 { return EncodeReg(FpReg, n) }
-	rt := func(reg func(uint8) int16) int16 {
-		if in.UseImm {
-			return NoReg
+	dst, src1, src2 = NoReg, NoReg, NoReg
+	if in.Op == JAL {
+		dst = EncodeReg(IntReg, RegRA)
+	}
+	regs := [3]uint8{in.Rd, in.Rs, in.Rt}
+	for i, u := range RolesOf(in.Op).Fields(in.UseImm) {
+		r := EncodeReg(u.Class(), regs[i])
+		switch {
+		case u == Unused:
+		case u.IsWrite():
+			dst = r
+		case src1 == NoReg:
+			src1 = r
+		default:
+			src2 = r
 		}
-		return reg(in.Rt)
 	}
-	switch in.Op {
-	case LI:
-		return i(in.Rd), NoReg, NoReg
-	case MOV, LW:
-		return i(in.Rd), i(in.Rs), NoReg
-	case ADD, SUB, MUL, DIV, REM, AND, OR, XOR, NOR, SLL, SRA, SRL,
-		SEQ, SNE, SLT, SLE, SGT, SGE:
-		return i(in.Rd), i(in.Rs), rt(i)
-	case SW:
-		return NoReg, i(in.Rs), i(in.Rt)
-	case BNEZ, BEQZ, JR, PRNI:
-		return NoReg, i(in.Rs), NoReg
-	case JAL:
-		return i(RegRA), NoReg, NoReg
-	case LID, LIA:
-		return f(in.Rd), NoReg, NoReg
-	case FMOV, FNEG, MOVA:
-		return f(in.Rd), f(in.Rs), NoReg
-	case FADD, FSUB, FMUL, FDIV:
-		return f(in.Rd), f(in.Rs), f(in.Rt)
-	case FSEQ, FSNE, FSLT, FSLE, FSGT, FSGE:
-		return i(in.Rd), f(in.Rs), f(in.Rt)
-	case CVTIF, LD, CP2FP, LWFA:
-		return f(in.Rd), i(in.Rs), NoReg
-	case CVTFI, CP2INT:
-		return i(in.Rd), f(in.Rs), NoReg
-	case SD, SWFA:
-		return NoReg, f(in.Rs), i(in.Rt)
-	case PRNF, BNEZA:
-		return NoReg, f(in.Rs), NoReg
-	case ADDA, SUBA, ANDA, ORA, XORA, NORA, SLLA, SRAA, SRLA,
-		SEQA, SNEA, SLTA, SLEA, SGTA, SGEA:
-		return f(in.Rd), f(in.Rs), rt(f)
-	}
-	return NoReg, NoReg, NoReg
+	return dst, src1, src2
 }
 
 // Distinguished integer registers.
@@ -348,81 +418,41 @@ type Inst struct {
 	IROp uint8
 }
 
-// String disassembles the instruction.
+// String disassembles the instruction: the mnemonic, then the fields the
+// role table names in Rd, Rs, Rt order, each with its file's prefix. A
+// memory access prints its base (the last field) as Imm(base), and the
+// immediate form prints Imm in place of Rt.
 func (in Inst) String() string {
-	r := func(n uint8) string { return fmt.Sprintf("$%d", n) }
-	f := func(n uint8) string { return fmt.Sprintf("$f%d", n) }
-	switch in.Op {
-	case NOP, HALT:
+	ro := RolesOf(in.Op)
+	uses := ro.Fields(in.UseImm)
+	args := make([]string, 0, 4)
+	for i, n := range [3]uint8{in.Rd, in.Rs, in.Rt} {
+		switch u := uses[i]; {
+		case u == Unused:
+		case u.Class() == FpReg:
+			args = append(args, "$f"+strconv.Itoa(int(n)))
+		default:
+			args = append(args, "$"+strconv.Itoa(int(n)))
+		}
+	}
+	switch op := in.Op; {
+	case in.UseImm && ro.ImmForm, (op == LI || op == LIA) && in.Sym == "":
+		args = append(args, strconv.FormatInt(in.Imm, 10))
+	case op == LI || op == LIA:
+		args = append(args, fmt.Sprintf("%s(=%d)", in.Sym, in.Imm))
+	case op == LID:
+		args = append(args, fmt.Sprintf("%g", in.FImm))
+	case IsMem(op):
+		args[len(args)-1] = fmt.Sprintf("%d(%s)", in.Imm, args[len(args)-1])
+	case (op == J || op == JAL) && in.Sym != "":
+		args = append(args, fmt.Sprintf("%s(@%d)", in.Sym, in.Target))
+	case IsCondBranch(op) || op == J || op == JAL:
+		args = append(args, fmt.Sprintf("@%d", in.Target))
+	}
+	if len(args) == 0 {
 		return in.Op.String()
-	case LI:
-		if in.Sym != "" {
-			return fmt.Sprintf("li %s, %s(=%d)", r(in.Rd), in.Sym, in.Imm)
-		}
-		return fmt.Sprintf("li %s, %d", r(in.Rd), in.Imm)
-	case LIA:
-		if in.Sym != "" {
-			return fmt.Sprintf("li,a %s, %s(=%d)", f(in.Rd), in.Sym, in.Imm)
-		}
-		return fmt.Sprintf("li,a %s, %d", f(in.Rd), in.Imm)
-	case LID:
-		return fmt.Sprintf("li.d %s, %g", f(in.Rd), in.FImm)
-	case MOV:
-		return fmt.Sprintf("mov %s, %s", r(in.Rd), r(in.Rs))
-	case FMOV, MOVA:
-		return fmt.Sprintf("%s %s, %s", in.Op, f(in.Rd), f(in.Rs))
-	case LW:
-		return fmt.Sprintf("lw %s, %d(%s)", r(in.Rd), in.Imm, r(in.Rs))
-	case LD:
-		return fmt.Sprintf("l.d %s, %d(%s)", f(in.Rd), in.Imm, r(in.Rs))
-	case LWFA:
-		return fmt.Sprintf("lw,a %s, %d(%s)", f(in.Rd), in.Imm, r(in.Rs))
-	case SW:
-		return fmt.Sprintf("sw %s, %d(%s)", r(in.Rs), in.Imm, r(in.Rt))
-	case SD:
-		return fmt.Sprintf("s.d %s, %d(%s)", f(in.Rs), in.Imm, r(in.Rt))
-	case SWFA:
-		return fmt.Sprintf("sw,a %s, %d(%s)", f(in.Rs), in.Imm, r(in.Rt))
-	case BNEZ, BEQZ:
-		return fmt.Sprintf("%s %s, @%d", in.Op, r(in.Rs), in.Target)
-	case BNEZA:
-		return fmt.Sprintf("bnez,a %s, @%d", f(in.Rs), in.Target)
-	case J, JAL:
-		if in.Sym != "" {
-			return fmt.Sprintf("%s %s(@%d)", in.Op, in.Sym, in.Target)
-		}
-		return fmt.Sprintf("%s @%d", in.Op, in.Target)
-	case JR:
-		return fmt.Sprintf("jr %s", r(in.Rs))
-	case PRNI:
-		return fmt.Sprintf("prni %s", r(in.Rs))
-	case PRNF:
-		return fmt.Sprintf("prnf %s", f(in.Rs))
-	case CP2FP:
-		return fmt.Sprintf("cp2fp %s, %s", f(in.Rd), r(in.Rs))
-	case CP2INT:
-		return fmt.Sprintf("cp2int %s, %s", r(in.Rd), f(in.Rs))
-	case CVTIF:
-		return fmt.Sprintf("cvt.d.l %s, %s", f(in.Rd), r(in.Rs))
-	case CVTFI:
-		return fmt.Sprintf("cvt.l.d %s, %s", r(in.Rd), f(in.Rs))
-	case FSEQ, FSNE, FSLT, FSLE, FSGT, FSGE:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, r(in.Rd), f(in.Rs), f(in.Rt))
-	case FADD, FSUB, FMUL, FDIV:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, f(in.Rd), f(in.Rs), f(in.Rt))
-	case FNEG:
-		return fmt.Sprintf("neg.d %s, %s", f(in.Rd), f(in.Rs))
 	}
-	if ExecSubsystem(in.Op) == SubFPa {
-		if in.UseImm {
-			return fmt.Sprintf("%s %s, %s, %d", in.Op, f(in.Rd), f(in.Rs), in.Imm)
-		}
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, f(in.Rd), f(in.Rs), f(in.Rt))
-	}
-	if in.UseImm {
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, r(in.Rd), r(in.Rs), in.Imm)
-	}
-	return fmt.Sprintf("%s %s, %s, %s", in.Op, r(in.Rd), r(in.Rs), r(in.Rt))
+	return in.Op.String() + " " + strings.Join(args, ", ")
 }
 
 // Program is an assembled executable: a flat instruction array plus the
@@ -440,8 +470,6 @@ type Program struct {
 	GlobalAddr map[string]int64
 	// DataWords holds initial data-segment contents (address → raw word).
 	DataWords map[int64]uint64
-	// DataTop is the first byte past the data segment.
-	DataTop int64
 }
 
 // Disassemble renders the program listing.

@@ -108,25 +108,129 @@ func TestControlClassifiers(t *testing.T) {
 	}
 }
 
+// TestDisassembly pins one row per opcode: the register form, the
+// immediate form where the opcode has one, and the symbolic forms of LI,
+// LIA, J and JAL. Every instruction carries the same field values, so
+// each row shows which fields its opcode prints and in which file.
 func TestDisassembly(t *testing.T) {
 	cases := []struct {
-		in   isa.Inst
-		want string
+		op     isa.Opcode
+		useImm bool
+		sym    string
+		want   string
 	}{
-		{isa.Inst{Op: isa.ADD, Rd: 8, Rs: 9, Rt: 10}, "add $8, $9, $10"},
-		{isa.Inst{Op: isa.ADD, Rd: 8, Rs: 9, Imm: 5, UseImm: true}, "add $8, $9, 5"},
-		{isa.Inst{Op: isa.ADDA, Rd: 4, Rs: 5, Rt: 6}, "add,a $f4, $f5, $f6"},
-		{isa.Inst{Op: isa.LW, Rd: 8, Rs: 29, Imm: 16}, "lw $8, 16($29)"},
-		{isa.Inst{Op: isa.LWFA, Rd: 3, Rs: 29, Imm: 8}, "lw,a $f3, 8($29)"},
-		{isa.Inst{Op: isa.SWFA, Rs: 3, Rt: 29, Imm: 8}, "sw,a $f3, 8($29)"},
-		{isa.Inst{Op: isa.CP2FP, Rd: 2, Rs: 16}, "cp2fp $f2, $16"},
-		{isa.Inst{Op: isa.CP2INT, Rd: 16, Rs: 2}, "cp2int $16, $f2"},
-		{isa.Inst{Op: isa.BNEZA, Rs: 4, Target: 12}, "bnez,a $f4, @12"},
-		{isa.Inst{Op: isa.LI, Rd: 8, Imm: -7}, "li $8, -7"},
+		{isa.NOP, false, "", "nop"},
+		{isa.LI, false, "", "li $1, -4"},
+		{isa.LI, false, "g", "li $1, g(=-4)"},
+		{isa.MOV, false, "", "mov $1, $2"},
+		{isa.ADD, false, "", "add $1, $2, $3"},
+		{isa.ADD, true, "", "add $1, $2, -4"},
+		{isa.SUB, false, "", "sub $1, $2, $3"},
+		{isa.SUB, true, "", "sub $1, $2, -4"},
+		{isa.MUL, false, "", "mul $1, $2, $3"},
+		{isa.MUL, true, "", "mul $1, $2, -4"},
+		{isa.DIV, false, "", "div $1, $2, $3"},
+		{isa.DIV, true, "", "div $1, $2, -4"},
+		{isa.REM, false, "", "rem $1, $2, $3"},
+		{isa.REM, true, "", "rem $1, $2, -4"},
+		{isa.AND, false, "", "and $1, $2, $3"},
+		{isa.AND, true, "", "and $1, $2, -4"},
+		{isa.OR, false, "", "or $1, $2, $3"},
+		{isa.OR, true, "", "or $1, $2, -4"},
+		{isa.XOR, false, "", "xor $1, $2, $3"},
+		{isa.XOR, true, "", "xor $1, $2, -4"},
+		{isa.NOR, false, "", "nor $1, $2, $3"},
+		{isa.NOR, true, "", "nor $1, $2, -4"},
+		{isa.SLL, false, "", "sll $1, $2, $3"},
+		{isa.SLL, true, "", "sll $1, $2, -4"},
+		{isa.SRA, false, "", "sra $1, $2, $3"},
+		{isa.SRA, true, "", "sra $1, $2, -4"},
+		{isa.SRL, false, "", "srl $1, $2, $3"},
+		{isa.SRL, true, "", "srl $1, $2, -4"},
+		{isa.SEQ, false, "", "seq $1, $2, $3"},
+		{isa.SEQ, true, "", "seq $1, $2, -4"},
+		{isa.SNE, false, "", "sne $1, $2, $3"},
+		{isa.SNE, true, "", "sne $1, $2, -4"},
+		{isa.SLT, false, "", "slt $1, $2, $3"},
+		{isa.SLT, true, "", "slt $1, $2, -4"},
+		{isa.SLE, false, "", "sle $1, $2, $3"},
+		{isa.SLE, true, "", "sle $1, $2, -4"},
+		{isa.SGT, false, "", "sgt $1, $2, $3"},
+		{isa.SGT, true, "", "sgt $1, $2, -4"},
+		{isa.SGE, false, "", "sge $1, $2, $3"},
+		{isa.SGE, true, "", "sge $1, $2, -4"},
+		{isa.LW, false, "", "lw $1, -4($2)"},
+		{isa.SW, false, "", "sw $2, -4($3)"},
+		{isa.BNEZ, false, "", "bnez $2, @7"},
+		{isa.BEQZ, false, "", "beqz $2, @7"},
+		{isa.J, false, "", "j @7"},
+		{isa.J, false, "g", "j g(@7)"},
+		{isa.JAL, false, "", "jal @7"},
+		{isa.JAL, false, "g", "jal g(@7)"},
+		{isa.JR, false, "", "jr $2"},
+		{isa.HALT, false, "", "halt"},
+		{isa.PRNI, false, "", "prni $2"},
+		{isa.LID, false, "", "li.d $f1, 0.5"},
+		{isa.FMOV, false, "", "mov.d $f1, $f2"},
+		{isa.FADD, false, "", "add.d $f1, $f2, $f3"},
+		{isa.FSUB, false, "", "sub.d $f1, $f2, $f3"},
+		{isa.FMUL, false, "", "mul.d $f1, $f2, $f3"},
+		{isa.FDIV, false, "", "div.d $f1, $f2, $f3"},
+		{isa.FNEG, false, "", "neg.d $f1, $f2"},
+		{isa.FSEQ, false, "", "c.eq.d $1, $f2, $f3"},
+		{isa.FSNE, false, "", "c.ne.d $1, $f2, $f3"},
+		{isa.FSLT, false, "", "c.lt.d $1, $f2, $f3"},
+		{isa.FSLE, false, "", "c.le.d $1, $f2, $f3"},
+		{isa.FSGT, false, "", "c.gt.d $1, $f2, $f3"},
+		{isa.FSGE, false, "", "c.ge.d $1, $f2, $f3"},
+		{isa.CVTIF, false, "", "cvt.d.l $f1, $2"},
+		{isa.CVTFI, false, "", "cvt.l.d $1, $f2"},
+		{isa.LD, false, "", "l.d $f1, -4($2)"},
+		{isa.SD, false, "", "s.d $f2, -4($3)"},
+		{isa.PRNF, false, "", "prnf $f2"},
+		{isa.LIA, false, "", "li,a $f1, -4"},
+		{isa.LIA, false, "g", "li,a $f1, g(=-4)"},
+		{isa.MOVA, false, "", "mov,a $f1, $f2"},
+		{isa.ADDA, false, "", "add,a $f1, $f2, $f3"},
+		{isa.ADDA, true, "", "add,a $f1, $f2, -4"},
+		{isa.SUBA, false, "", "sub,a $f1, $f2, $f3"},
+		{isa.SUBA, true, "", "sub,a $f1, $f2, -4"},
+		{isa.ANDA, false, "", "and,a $f1, $f2, $f3"},
+		{isa.ANDA, true, "", "and,a $f1, $f2, -4"},
+		{isa.ORA, false, "", "or,a $f1, $f2, $f3"},
+		{isa.ORA, true, "", "or,a $f1, $f2, -4"},
+		{isa.XORA, false, "", "xor,a $f1, $f2, $f3"},
+		{isa.XORA, true, "", "xor,a $f1, $f2, -4"},
+		{isa.NORA, false, "", "nor,a $f1, $f2, $f3"},
+		{isa.NORA, true, "", "nor,a $f1, $f2, -4"},
+		{isa.SLLA, false, "", "sll,a $f1, $f2, $f3"},
+		{isa.SLLA, true, "", "sll,a $f1, $f2, -4"},
+		{isa.SRAA, false, "", "sra,a $f1, $f2, $f3"},
+		{isa.SRAA, true, "", "sra,a $f1, $f2, -4"},
+		{isa.SRLA, false, "", "srl,a $f1, $f2, $f3"},
+		{isa.SRLA, true, "", "srl,a $f1, $f2, -4"},
+		{isa.SEQA, false, "", "seq,a $f1, $f2, $f3"},
+		{isa.SEQA, true, "", "seq,a $f1, $f2, -4"},
+		{isa.SNEA, false, "", "sne,a $f1, $f2, $f3"},
+		{isa.SNEA, true, "", "sne,a $f1, $f2, -4"},
+		{isa.SLTA, false, "", "slt,a $f1, $f2, $f3"},
+		{isa.SLTA, true, "", "slt,a $f1, $f2, -4"},
+		{isa.SLEA, false, "", "sle,a $f1, $f2, $f3"},
+		{isa.SLEA, true, "", "sle,a $f1, $f2, -4"},
+		{isa.SGTA, false, "", "sgt,a $f1, $f2, $f3"},
+		{isa.SGTA, true, "", "sgt,a $f1, $f2, -4"},
+		{isa.SGEA, false, "", "sge,a $f1, $f2, $f3"},
+		{isa.SGEA, true, "", "sge,a $f1, $f2, -4"},
+		{isa.BNEZA, false, "", "bnez,a $f2, @7"},
+		{isa.CP2FP, false, "", "cp2fp $f1, $2"},
+		{isa.CP2INT, false, "", "cp2int $1, $f2"},
+		{isa.LWFA, false, "", "lw,a $f1, -4($2)"},
+		{isa.SWFA, false, "", "sw,a $f2, -4($3)"},
 	}
 	for _, c := range cases {
-		if got := c.in.String(); got != c.want {
-			t.Errorf("disasm = %q, want %q", got, c.want)
+		in := isa.Inst{Op: c.op, Rd: 1, Rs: 2, Rt: 3, Imm: -4, FImm: 0.5, Target: 7, UseImm: c.useImm, Sym: c.sym}
+		if got := in.String(); got != c.want {
+			t.Errorf("%v useImm=%v sym=%q: disasm = %q, want %q", c.op, c.useImm, c.sym, got, c.want)
 		}
 	}
 }

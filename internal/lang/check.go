@@ -4,7 +4,6 @@ import "fmt"
 
 // FuncSig describes a callable signature for checking.
 type FuncSig struct {
-	Name   string
 	Ret    Type
 	Params []Type
 }
@@ -16,14 +15,13 @@ type FuncSig struct {
 //	__itof(int) float   — int→float conversion
 //	__ftoi(float) int   — float→int (truncating) conversion
 var Builtins = map[string]FuncSig{
-	"print":   {Name: "print", Ret: TypeVoid, Params: []Type{TypeInt}},
-	"printf_": {Name: "printf_", Ret: TypeVoid, Params: []Type{TypeFloat}},
-	"__itof":  {Name: "__itof", Ret: TypeFloat, Params: []Type{TypeInt}},
-	"__ftoi":  {Name: "__ftoi", Ret: TypeInt, Params: []Type{TypeFloat}},
+	"print":   {Ret: TypeVoid, Params: []Type{TypeInt}},
+	"printf_": {Ret: TypeVoid, Params: []Type{TypeFloat}},
+	"__itof":  {Ret: TypeFloat, Params: []Type{TypeInt}},
+	"__ftoi":  {Ret: TypeInt, Params: []Type{TypeFloat}},
 }
 
 type checker struct {
-	prog    *Program
 	funcs   map[string]FuncSig
 	globals map[string]Type
 	// Current function state.
@@ -35,7 +33,6 @@ type checker struct {
 // It returns the first error found.
 func Check(prog *Program) error {
 	c := &checker{
-		prog:    prog,
 		funcs:   make(map[string]FuncSig),
 		globals: make(map[string]Type),
 	}
@@ -60,7 +57,7 @@ func Check(prog *Program) error {
 		if _, dup := c.funcs[fn.Name]; dup {
 			return fmt.Errorf("%s: duplicate function %q", fn.Pos, fn.Name)
 		}
-		sig := FuncSig{Name: fn.Name, Ret: fn.Ret}
+		sig := FuncSig{Ret: fn.Ret}
 		for _, prm := range fn.Params {
 			sig.Params = append(sig.Params, prm.Type)
 		}

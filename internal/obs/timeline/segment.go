@@ -3,45 +3,26 @@ package timeline
 // Online phase segmentation: change-point detection over the per-window
 // feature vectors (see Timeline.Features). The algorithm keeps a running
 // mean of the current phase's features; a window whose L1 distance from
-// that mean exceeds Threshold starts a candidate change, and Confirm
+// that mean exceeds segThreshold starts a candidate change, and segConfirm
 // consecutive divergent windows confirm it — a single outlier window
 // (e.g. a cold-start or fault-recovery spike) is absorbed rather than
 // split into its own phase. Phases always partition the window sequence,
 // so phase statistics computed from exact window sums inherit the
 // timeline's closure.
 
-// SegConfig tunes the segmenter.
-type SegConfig struct {
-	// MinWindows is the minimum phase length: a phase absorbs at least
+// The segmenter's parameters, shared by every surface that prints phases
+// (fpisim, fpibench, fpistat phasediff), so their phase tables line up.
+const (
+	// segMinWindows is the minimum phase length: a phase absorbs at least
 	// this many windows before a change can be called.
-	MinWindows int
-	// Threshold is the L1 feature distance beyond which a window counts
+	segMinWindows = 4
+	// segThreshold is the L1 feature distance beyond which a window counts
 	// as divergent from the current phase's running mean.
-	Threshold float64
-	// Confirm is how many consecutive divergent windows confirm a change
-	// point.
-	Confirm int
-}
-
-// DefaultSegConfig returns the defaults shared by every CLI surface
-// (fpisim, fpibench, fpistat phasediff), so phase tables from different
-// tools line up.
-func DefaultSegConfig() SegConfig {
-	return SegConfig{MinWindows: 4, Threshold: 0.35, Confirm: 2}
-}
-
-func (c SegConfig) sane() SegConfig {
-	if c.MinWindows < 1 {
-		c.MinWindows = 1
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = DefaultSegConfig().Threshold
-	}
-	if c.Confirm < 1 {
-		c.Confirm = 1
-	}
-	return c
-}
+	segThreshold = 0.35
+	// segConfirm is how many consecutive divergent windows confirm a
+	// change point.
+	segConfirm = 2
+)
 
 // Phase is one segment of the run: a contiguous window range with
 // aggregate statistics computed from exact window sums.
@@ -71,12 +52,11 @@ type Phase struct {
 // Segment runs change-point detection over the timeline and returns its
 // phases. The phases partition [0, len(Windows)): every window belongs to
 // exactly one phase, so summing phase cycles reproduces TotalCycles.
-func (t *Timeline) Segment(cfg SegConfig) []Phase {
+func (t *Timeline) Segment() []Phase {
 	n := len(t.Windows)
 	if n == 0 {
 		return nil
 	}
-	cfg = cfg.sane()
 
 	// Change-point pass: find phase start indices.
 	dim := 2 + len(t.StallCauses)
@@ -100,7 +80,7 @@ func (t *Timeline) Segment(cfg SegConfig) []Phase {
 	}
 	for i := 0; i < n; i++ {
 		feat = t.Features(&t.Windows[i], feat)
-		if count < cfg.MinWindows {
+		if count < segMinWindows {
 			add(feat)
 			continue
 		}
@@ -112,7 +92,7 @@ func (t *Timeline) Segment(cfg SegConfig) []Phase {
 			}
 			dist += d
 		}
-		if dist <= cfg.Threshold {
+		if dist <= segThreshold {
 			// Converged again: any pending divergent windows were an
 			// outlier blip — absorb them.
 			if streak > 0 {
@@ -129,7 +109,7 @@ func (t *Timeline) Segment(cfg SegConfig) []Phase {
 			streakAt = i
 		}
 		streak++
-		if streak < cfg.Confirm {
+		if streak < segConfirm {
 			continue
 		}
 		// Confirmed change: the new phase starts at the first divergent

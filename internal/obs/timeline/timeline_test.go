@@ -193,7 +193,7 @@ func TestCounterEvents(t *testing.T) {
 
 func TestSegmentTwoPhase(t *testing.T) {
 	tl := twoPhase()
-	phases := tl.Segment(DefaultSegConfig())
+	phases := tl.Segment()
 	if len(phases) != 2 {
 		t.Fatalf("got %d phases, want 2: %+v", len(phases), phases)
 	}
@@ -225,7 +225,7 @@ func TestSegmentAbsorbsOutlier(t *testing.T) {
 		}
 		return 90, 40, 0
 	})
-	phases := tl.Segment(DefaultSegConfig())
+	phases := tl.Segment()
 	if len(phases) != 1 {
 		t.Fatalf("outlier window split the run into %d phases: %+v", len(phases), phases)
 	}
@@ -236,12 +236,12 @@ func TestSegmentAbsorbsOutlier(t *testing.T) {
 
 func TestSegmentDegenerate(t *testing.T) {
 	one := synth(1, 50, func(int) (int64, int64, int) { return 30, 5, 0 })
-	phases := one.Segment(DefaultSegConfig())
+	phases := one.Segment()
 	if len(phases) != 1 || phases[0].Cycles != 50 {
 		t.Fatalf("single-window timeline: %+v", phases)
 	}
 	var empty Timeline
-	if got := empty.Segment(DefaultSegConfig()); got != nil {
+	if got := empty.Segment(); got != nil {
 		t.Fatalf("empty timeline produced phases: %+v", got)
 	}
 }

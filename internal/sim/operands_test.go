@@ -74,7 +74,6 @@ func oneInst(in isa.Inst) *isa.Program {
 		FuncEntry:  map[string]int{"main": 0},
 		GlobalAddr: map[string]int64{"mem": 0},
 		DataWords:  map[int64]uint64{},
-		DataTop:    memBase + 8*16,
 	}
 	for k := int64(0); k < 16; k++ {
 		p.DataWords[memBase+8*k] = uint64(1000 + k)

@@ -22,7 +22,6 @@ func prog(insts ...isa.Inst) *isa.Program {
 		FuncEntry:  map[string]int{"main": 2},
 		GlobalAddr: map[string]int64{},
 		DataWords:  map[int64]uint64{},
-		DataTop:    8,
 	}
 	for range all {
 		p.FuncOf = append(p.FuncOf, "main")

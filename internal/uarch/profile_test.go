@@ -14,7 +14,6 @@ func buildProfProg() *isa.Program {
 		FuncEntry:  map[string]int{"main": 0},
 		GlobalAddr: map[string]int64{"g": 8},
 		DataWords:  map[int64]uint64{8: 5},
-		DataTop:    16,
 	}
 	prog.Insts = []isa.Inst{
 		{Op: isa.LI, Rd: 8, Imm: 8, SrcLine: 1},                       // 0: addr of g

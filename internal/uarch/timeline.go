@@ -53,15 +53,12 @@ func (s *tlSnapshot) capture(p *pipeline) {
 	s.stalls = p.stats.StallBySub
 }
 
-// tlStride is the length of one window's flattened stall matrix.
-const tlStride = 3 * NumStallCauses
-
-// TimelineRecorder samples the pipeline's cumulative counters at
-// fixed-width cycle boundaries into struct-of-arrays columns. The columns
-// are recycled across runs on a warm Machine (reset truncates, append
-// reuses capacity), so once a machine has run a program, re-running with
-// the recorder armed allocates nothing — the property the zero-alloc
-// test pins with the recorder enabled.
+// TimelineRecorder keeps the pipeline's cumulative counters at each
+// fixed-width cycle boundary; window i is the difference of snapshots i
+// and i+1. The snapshot slice is recycled across runs on a warm Machine
+// (reset truncates, append reuses capacity), so once a machine has run a
+// program, re-running with the recorder armed allocates nothing — the
+// property the zero-alloc test pins with the recorder enabled.
 //
 // In fast (sampled-timing) mode the pipeline clock only advances during
 // detailed windows, so the recorded timeline covers the detailed
@@ -71,100 +68,29 @@ const tlStride = 3 * NumStallCauses
 type TimelineRecorder struct {
 	width        int64
 	nextBoundary int64
-	base         tlSnapshot
 	closed       bool
-
-	n            int
-	startCycle   []int64
-	cycles       []int64
-	instructions []int64
-	issueActive  []int64
-	issuedINT    []int64
-	issuedFP     []int64
-	issuedFPa    []int64
-	loads        []int64
-	stores       []int64
-	intOccSum    []int64
-	fpOccSum     []int64
-	robOccSum    []int64
-	bpLookups    []int64
-	bpMisp       []int64
-	icAcc        []int64
-	icMiss       []int64
-	dcAcc        []int64
-	dcMiss       []int64
-	faults       []int64
-	stalls       []int64 // n × tlStride, row-major [sub][cause]
+	// snaps[0] is the zero state at the run's start, then one snapshot
+	// per closed window.
+	snaps []tlSnapshot
 }
 
 // reset rearms the recorder for a new run of the given window width,
-// keeping column capacity.
+// keeping the snapshots' capacity.
 func (r *TimelineRecorder) reset(width int64) {
-	if width < 1 {
-		width = 1
-	}
-	r.width = width
-	r.nextBoundary = width
-	r.base = tlSnapshot{}
+	r.width = max(width, 1)
+	r.nextBoundary = r.width
 	r.closed = false
-	r.n = 0
-	r.startCycle = r.startCycle[:0]
-	r.cycles = r.cycles[:0]
-	r.instructions = r.instructions[:0]
-	r.issueActive = r.issueActive[:0]
-	r.issuedINT = r.issuedINT[:0]
-	r.issuedFP = r.issuedFP[:0]
-	r.issuedFPa = r.issuedFPa[:0]
-	r.loads = r.loads[:0]
-	r.stores = r.stores[:0]
-	r.intOccSum = r.intOccSum[:0]
-	r.fpOccSum = r.fpOccSum[:0]
-	r.robOccSum = r.robOccSum[:0]
-	r.bpLookups = r.bpLookups[:0]
-	r.bpMisp = r.bpMisp[:0]
-	r.icAcc = r.icAcc[:0]
-	r.icMiss = r.icMiss[:0]
-	r.dcAcc = r.dcAcc[:0]
-	r.dcMiss = r.dcMiss[:0]
-	r.faults = r.faults[:0]
-	r.stalls = r.stalls[:0]
+	r.snaps = append(r.snaps[:0], tlSnapshot{})
 }
 
-// roll closes the window ending at the current cycle: it captures a
-// boundary snapshot, appends the delta against the previous boundary as
-// one window, and advances the boundary. Called from the pipeline's
+// roll closes the window ending at the current cycle: it appends a
+// boundary snapshot and advances the boundary. Called from the pipeline's
 // per-cycle step when the clock reaches nextBoundary, and from flush for
 // the final partial window.
 func (r *TimelineRecorder) roll(p *pipeline) {
-	var now tlSnapshot
+	r.snaps = append(r.snaps, tlSnapshot{})
+	now := &r.snaps[len(r.snaps)-1]
 	now.capture(p)
-	b := &r.base
-	r.startCycle = append(r.startCycle, b.cycle)
-	r.cycles = append(r.cycles, now.cycle-b.cycle)
-	r.instructions = append(r.instructions, now.instructions-b.instructions)
-	r.issueActive = append(r.issueActive, now.issueActive-b.issueActive)
-	r.issuedINT = append(r.issuedINT, now.issuedINT-b.issuedINT)
-	r.issuedFP = append(r.issuedFP, now.issuedFP-b.issuedFP)
-	r.issuedFPa = append(r.issuedFPa, now.issuedFPa-b.issuedFPa)
-	r.loads = append(r.loads, now.loads-b.loads)
-	r.stores = append(r.stores, now.stores-b.stores)
-	r.intOccSum = append(r.intOccSum, now.intOccSum-b.intOccSum)
-	r.fpOccSum = append(r.fpOccSum, now.fpOccSum-b.fpOccSum)
-	r.robOccSum = append(r.robOccSum, now.robOccSum-b.robOccSum)
-	r.bpLookups = append(r.bpLookups, now.bpLookups-b.bpLookups)
-	r.bpMisp = append(r.bpMisp, now.bpMisp-b.bpMisp)
-	r.icAcc = append(r.icAcc, now.icAcc-b.icAcc)
-	r.icMiss = append(r.icMiss, now.icMiss-b.icMiss)
-	r.dcAcc = append(r.dcAcc, now.dcAcc-b.dcAcc)
-	r.dcMiss = append(r.dcMiss, now.dcMiss-b.dcMiss)
-	r.faults = append(r.faults, now.faults-b.faults)
-	for sub := 0; sub < 3; sub++ {
-		for c := 0; c < NumStallCauses; c++ {
-			r.stalls = append(r.stalls, now.stalls[sub][c]-b.stalls[sub][c])
-		}
-	}
-	r.n++
-	r.base = now
 	r.nextBoundary = now.cycle + r.width
 }
 
@@ -175,9 +101,42 @@ func (r *TimelineRecorder) flush(p *pipeline) {
 		return
 	}
 	r.closed = true
-	if p.cycle > r.base.cycle {
+	if p.cycle > r.snaps[len(r.snaps)-1].cycle {
 		r.roll(p)
 	}
+}
+
+// window returns the counter deltas from snapshot b to s as window i.
+func (s *tlSnapshot) window(i int, b *tlSnapshot) timeline.Window {
+	w := timeline.Window{
+		Index:            i,
+		StartCycle:       b.cycle,
+		Cycles:           s.cycle - b.cycle,
+		Instructions:     s.instructions - b.instructions,
+		IssueActive:      s.issueActive - b.issueActive,
+		IssuedINT:        s.issuedINT - b.issuedINT,
+		IssuedFP:         s.issuedFP - b.issuedFP,
+		IssuedFPa:        s.issuedFPa - b.issuedFPa,
+		Loads:            s.loads - b.loads,
+		Stores:           s.stores - b.stores,
+		IntOccSum:        s.intOccSum - b.intOccSum,
+		FpOccSum:         s.fpOccSum - b.fpOccSum,
+		ROBOccSum:        s.robOccSum - b.robOccSum,
+		BpredLookups:     s.bpLookups - b.bpLookups,
+		BpredMispredicts: s.bpMisp - b.bpMisp,
+		ICacheAccesses:   s.icAcc - b.icAcc,
+		ICacheMisses:     s.icMiss - b.icMiss,
+		DCacheAccesses:   s.dcAcc - b.dcAcc,
+		DCacheMisses:     s.dcMiss - b.dcMiss,
+		Faults:           s.faults - b.faults,
+		Stalls:           make([]int64, 0, 3*NumStallCauses),
+	}
+	for sub := range s.stalls {
+		for c := range s.stalls[sub] {
+			w.Stalls = append(w.Stalls, s.stalls[sub][c]-b.stalls[sub][c])
+		}
+	}
+	return w
 }
 
 // Build renders the recording as an fpint-timeline/v1 document. The
@@ -186,17 +145,21 @@ func (r *TimelineRecorder) flush(p *pipeline) {
 // sums against the run. Build allocates; call it after the run, not from
 // the measured region.
 func (r *TimelineRecorder) Build(program string, cfg Config) *timeline.Timeline {
+	var last tlSnapshot // zero before the first run
+	if len(r.snaps) > 0 {
+		last = r.snaps[len(r.snaps)-1]
+	}
 	t := &timeline.Timeline{
 		Schema:            timeline.Schema,
 		Program:           program,
 		Config:            cfg.Name,
 		WindowWidth:       r.width,
 		IssueWidth:        cfg.IssueWidth,
-		TotalCycles:       r.base.cycle,
-		TotalInstructions: r.base.instructions,
+		TotalCycles:       last.cycle,
+		TotalInstructions: last.instructions,
 		Subsystems:        make([]string, 3),
 		StallCauses:       make([]string, NumStallCauses),
-		Windows:           make([]timeline.Window, r.n),
+		Windows:           make([]timeline.Window, max(len(r.snaps)-1, 0)),
 	}
 	for sub := 0; sub < 3; sub++ {
 		t.Subsystems[sub] = isa.Subsystem(sub).String()
@@ -204,30 +167,8 @@ func (r *TimelineRecorder) Build(program string, cfg Config) *timeline.Timeline 
 	for c := 0; c < NumStallCauses; c++ {
 		t.StallCauses[c] = StallCause(c).String()
 	}
-	for i := 0; i < r.n; i++ {
-		t.Windows[i] = timeline.Window{
-			Index:            i,
-			StartCycle:       r.startCycle[i],
-			Cycles:           r.cycles[i],
-			Instructions:     r.instructions[i],
-			IssueActive:      r.issueActive[i],
-			IssuedINT:        r.issuedINT[i],
-			IssuedFP:         r.issuedFP[i],
-			IssuedFPa:        r.issuedFPa[i],
-			Loads:            r.loads[i],
-			Stores:           r.stores[i],
-			IntOccSum:        r.intOccSum[i],
-			FpOccSum:         r.fpOccSum[i],
-			ROBOccSum:        r.robOccSum[i],
-			BpredLookups:     r.bpLookups[i],
-			BpredMispredicts: r.bpMisp[i],
-			ICacheAccesses:   r.icAcc[i],
-			ICacheMisses:     r.icMiss[i],
-			DCacheAccesses:   r.dcAcc[i],
-			DCacheMisses:     r.dcMiss[i],
-			Faults:           r.faults[i],
-			Stalls:           append([]int64(nil), r.stalls[i*tlStride:(i+1)*tlStride]...),
-		}
+	for i := range t.Windows {
+		t.Windows[i] = r.snaps[i+1].window(i, &r.snaps[i])
 	}
 	return t
 }

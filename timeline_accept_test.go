@@ -126,7 +126,7 @@ func checkTimelineClosed(t *testing.T, tl *timeline.Timeline, cycles, instrs, is
 // cycle counts that are exact window sums.
 func checkSegmentation(t *testing.T, tl *timeline.Timeline) {
 	t.Helper()
-	phases := tl.Segment(timeline.DefaultSegConfig())
+	phases := tl.Segment()
 	if len(tl.Windows) == 0 {
 		if len(phases) != 0 {
 			t.Fatalf("empty timeline segmented into %d phases", len(phases))
