@@ -1,6 +1,7 @@
 // Command fpintd is the compile-and-simulate daemon: an HTTP/JSON service
-// accepting compile, partition, and simulate jobs over a sharded bounded
-// worker pool with a content-addressed artifact cache.
+// accepting compile, partition, and simulate jobs over a bounded worker
+// pool with a content-addressed artifact cache. Responses are compact JSON
+// documents, one per line.
 //
 // Usage:
 //
@@ -17,7 +18,8 @@
 //
 // Robustness: worker panics are recovered into 500s; per-job deadlines
 // ("deadlineMs") and step budgets ("stepBudget") abort runs cooperatively
-// with 422; a full queue sheds with 503 + Retry-After. SIGTERM/SIGINT
+// with 422; every worker takes jobs from one queue of -workers × -queue
+// slots, and a full queue sheds with 503 + Retry-After. SIGTERM/SIGINT
 // starts a graceful drain: in-flight jobs finish, queued jobs are shed,
 // then the listener closes. A drain still running after -grace
 // force-cancels in-flight jobs via their run hooks.
@@ -57,8 +59,8 @@ func fpintdMain(args []string) error {
 	fs := flag.NewFlagSet("fpintd", flag.ContinueOnError)
 	var (
 		addr    = fs.String("addr", "127.0.0.1:8080", "listen address")
-		workers = fs.Int("workers", 4, "worker pool shards")
-		queue   = fs.Int("queue", 16, "per-shard queue depth before shedding")
+		workers = fs.Int("workers", 4, "worker goroutines")
+		queue   = fs.Int("queue", 16, "queued jobs per worker before shedding")
 		cache   = fs.Int("cache", 1024, "artifact cache capacity (entries)")
 		chaos   = fs.Bool("chaos", false, "honor panic-injection jobs (load-testing only)")
 		grace   = fs.Duration("grace", 30*time.Second, "drain grace before force-cancelling in-flight jobs")

@@ -474,16 +474,16 @@ type Program struct {
 
 // Disassemble renders the program listing.
 func (p *Program) Disassemble() string {
-	s := ""
 	entryNames := make(map[int]string)
 	for name, idx := range p.FuncEntry {
 		entryNames[idx] = name
 	}
+	var b strings.Builder
 	for i, in := range p.Insts {
 		if name, ok := entryNames[i]; ok {
-			s += fmt.Sprintf("%s:\n", name)
+			fmt.Fprintf(&b, "%s:\n", name)
 		}
-		s += fmt.Sprintf("  %4d: %s\n", i, in.String())
+		fmt.Fprintf(&b, "  %4d: %s\n", i, in.String())
 	}
-	return s
+	return b.String()
 }

@@ -1,6 +1,8 @@
 package isa_test
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -243,4 +245,29 @@ func TestAllOpcodesHaveNames(t *testing.T) {
 			t.Errorf("opcode %d has no name", op)
 		}
 	}
+}
+
+// TestDisassembleAllocsLinear: the listing is written into one buffer, so
+// the bytes a call allocates grow with the listing's length, not with its
+// square.
+func TestDisassembleAllocsLinear(t *testing.T) {
+	perByte := func(n int) float64 {
+		p := &isa.Program{FuncEntry: map[string]int{}}
+		for i := 0; i < n; i++ {
+			if i%50 == 0 {
+				p.FuncEntry[fmt.Sprintf("f%d", i)] = i
+			}
+			p.Insts = append(p.Insts, isa.Inst{Op: isa.ADD, Rd: 1, Rs: 2, Rt: 3})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		size := len(p.Disassemble())
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(size)
+	}
+	small, large := perByte(100), perByte(1600)
+	if large > 2*small {
+		t.Errorf("Disassemble allocates %.1f bytes per listing byte at 1,600 instructions and %.1f at 100, want at most twice as many", large, small)
+	}
+	t.Logf("%.1f and %.1f bytes allocated per listing byte", small, large)
 }

@@ -37,7 +37,7 @@ func TestGracefulDrain(t *testing.T) {
 	// Queued job: sits in the single worker's queue when the drain starts.
 	queued := make(chan result, 1)
 	go func() { queued <- postRaw(ts, "/v1/compile", `{"source": `+jsonStr(okSrc+"// q")+`}`) }()
-	waitFor(t, func() bool { return len(s.pool.shards[0]) == 1 })
+	waitFor(t, func() bool { return len(s.pool.queue) == 1 })
 
 	drained := make(chan struct{})
 	go func() {

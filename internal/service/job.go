@@ -1,6 +1,6 @@
 // Package service implements fpintd: a fault-isolated HTTP/JSON daemon
-// that accepts compile, partition, and simulate jobs over a sharded
-// bounded worker pool, with a content-addressed artifact cache in front.
+// that accepts compile, partition, and simulate jobs over a bounded worker
+// pool, with a content-addressed artifact cache in front.
 //
 // Robustness contract:
 //
@@ -15,7 +15,7 @@
 //   - Per-job deadlines and step budgets ride the engines' cooperative
 //     run hooks (sim/interp/uarch SetRunHook), aborting runs at step
 //     boundaries with a structured cancelled/step-limit trap → 422.
-//   - Admission is bounded: a full shard queue or a draining process
+//   - Admission is bounded: a full pool queue or a draining process
 //     sheds with 503 + Retry-After instead of queueing unboundedly.
 //   - SIGTERM drains gracefully: in-flight jobs finish, queued jobs are
 //     shed with 503, then the listener closes.

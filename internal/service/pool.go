@@ -1,15 +1,14 @@
 package service
 
 import (
-	"hash/fnv"
 	"sync"
 
 	"fpint/internal/fperr"
 	"fpint/internal/uarch"
 )
 
-// errShed is returned by submit when the shard queue is full or the pool
-// is draining; the HTTP rim turns it into 503 + Retry-After.
+// errShed is returned by submit when the queue is full or the pool is
+// draining; the HTTP rim turns it into 503 + Retry-After.
 var errShed = fperr.New(fperr.ClassUnavailable, "server overloaded or draining; retry later")
 
 // task is one queued job. The worker fills art (or leaves shed=true when
@@ -44,28 +43,27 @@ func (ws *workerState) machine(cfg uarch.Config) *uarch.Machine {
 // reset discards the warm machines (after a recovered panic).
 func (ws *workerState) reset() { ws.machines = make(map[string]*uarch.Machine) }
 
-// pool is the sharded bounded worker pool. Each shard is one worker with
-// one bounded queue; jobs hash to shards by cache key, so identical jobs
-// serialize on the same worker (complementing the cache's singleflight)
-// and a pathological job class cannot occupy every worker.
+// pool is the bounded worker pool: one queue that every worker reads, so
+// a job waits only while every worker is busy. Identical jobs need no
+// routing to one worker: the cache's singleflight merges them before they
+// are queued.
 type pool struct {
 	mu       sync.RWMutex
 	draining bool
-	shards   []chan *task
+	queue    chan *task
 	wg       sync.WaitGroup
 }
 
-// newPool starts workers goroutines, each with a queue of depth slots.
+// newPool starts workers goroutines reading one queue of workers×depth
+// slots.
 func newPool(workers, depth int) *pool {
-	p := &pool{shards: make([]chan *task, workers)}
-	for i := range p.shards {
-		ch := make(chan *task, depth)
-		p.shards[i] = ch
-		p.wg.Add(1)
+	p := &pool{queue: make(chan *task, workers*depth)}
+	p.wg.Add(workers)
+	for range workers {
 		go func() {
 			defer p.wg.Done()
 			ws := &workerState{machines: make(map[string]*uarch.Machine)}
-			for t := range ch {
+			for t := range p.queue {
 				if p.isDraining() {
 					// The job was queued when the drain started: shed it
 					// rather than starting new work.
@@ -87,21 +85,17 @@ func (p *pool) isDraining() bool {
 	return p.draining
 }
 
-// submit enqueues t on key's shard, or refuses with errShed when the
-// shard queue is full or the pool is draining. The read lock spans the
-// send so a submit cannot race the drain's channel close.
-func (p *pool) submit(key string, t *task) error {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	shard := p.shards[h.Sum32()%uint32(len(p.shards))]
-
+// submit enqueues t, or refuses with errShed when the queue is full or the
+// pool is draining. The read lock spans the send so a submit cannot race
+// the drain's channel close.
+func (p *pool) submit(t *task) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.draining {
 		return errShed
 	}
 	select {
-	case shard <- t:
+	case p.queue <- t:
 		return nil
 	default:
 		return errShed
@@ -112,14 +106,9 @@ func (p *pool) submit(key string, t *task) error {
 // still queued, and waits for the workers to exit.
 func (p *pool) drain() {
 	p.mu.Lock()
-	if p.draining {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
-	}
-	p.draining = true
-	for _, ch := range p.shards {
-		close(ch)
+	if !p.draining {
+		p.draining = true
+		close(p.queue)
 	}
 	p.mu.Unlock()
 	p.wg.Wait()

@@ -14,12 +14,12 @@ import (
 // Options configures a Server. The zero value is usable; zero fields take
 // the documented defaults.
 type Options struct {
-	// Workers is the number of pool shards (default 4). Each shard is one
-	// worker goroutine with its own bounded queue and warm simulation
-	// machines.
+	// Workers is the number of worker goroutines (default 4), each with
+	// its own warm simulation machines.
 	Workers int
-	// QueueDepth is the per-shard queue bound (default 16). A full shard
-	// sheds with 503 rather than queueing unboundedly.
+	// QueueDepth is the queue bound per worker (default 16): the pool's
+	// one queue holds Workers×QueueDepth jobs, and a full queue sheds with
+	// 503 rather than queueing unboundedly.
 	QueueDepth int
 	// CacheCap bounds the artifact cache entry count (default 1024).
 	CacheCap int
@@ -145,7 +145,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind string) 
 		t := &task{done: make(chan struct{}), run: func(ws *workerState) *Artifact {
 			return s.execute(j, key, ws)
 		}}
-		if err := s.pool.submit(key, t); err != nil {
+		if err := s.pool.submit(t); err != nil {
 			return nil, err
 		}
 		<-t.done
@@ -183,14 +183,13 @@ func (s *Server) writeError(w http.ResponseWriter, kind, key string, err error) 
 	s.writeResponse(w, class.HTTPStatus(), errorResponse(kind, key, err), class)
 }
 
-// writeResponse emits the terminal response and records its outcome.
+// writeResponse emits the terminal response, compact JSON and a newline,
+// and records its outcome.
 func (s *Server) writeResponse(w http.ResponseWriter, status int, resp *Response, class fperr.Class) {
 	s.stats.outcome(class)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(resp) // a write error here means the client went away
+	json.NewEncoder(w).Encode(resp) // a write error here means the client went away
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

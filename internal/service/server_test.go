@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -194,28 +195,51 @@ func TestPanicRequiresChaos(t *testing.T) {
 	}
 }
 
-// TestCacheServesRepeats: the second identical job is a cache hit carrying
-// the same document.
+// TestCacheServesRepeats: the second identical job is a cache hit whose
+// body is the miss's, byte for byte, but for the cached flag. Both bodies
+// are compact JSON ending in one newline.
 func TestCacheServesRepeats(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 2})
 	body := `{"source": ` + jsonStr(okSrc) + `, "timing": "functional"}`
-	status1, doc1, _ := post(t, ts, "/v1/simulate", body)
-	status2, doc2, _ := post(t, ts, "/v1/simulate", body)
-	if status1 != 200 || status2 != 200 {
-		t.Fatalf("statuses %d/%d, want 200/200", status1, status2)
+	miss, hit := postBody(t, ts, "/v1/simulate", body), postBody(t, ts, "/v1/simulate", body)
+	for _, raw := range [][]byte{miss, hit} {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, raw); err != nil {
+			t.Fatalf("body is not JSON: %v\n%s", err, raw)
+		}
+		compact.WriteByte('\n')
+		if !bytes.Equal(raw, compact.Bytes()) {
+			t.Errorf("body is not compact JSON and one newline:\n%s", raw)
+		}
 	}
-	if doc1.Cached || !doc2.Cached {
-		t.Errorf("cached flags %v/%v, want false/true", doc1.Cached, doc2.Cached)
+	if want := bytes.Replace(miss, []byte(`"cached":false`), []byte(`"cached":true`), 1); !bytes.Equal(hit, want) {
+		t.Errorf("hit body is not the miss body with cached set:\nmiss %s\nhit  %s", miss, hit)
 	}
-	if doc1.Key == "" || doc1.Key != doc2.Key {
-		t.Errorf("keys %q/%q, want equal and non-empty", doc1.Key, doc2.Key)
-	}
-	if doc1.Simulate.Exit != doc2.Simulate.Exit || !bytes.Equal(doc1.Simulate.Metrics, doc2.Simulate.Metrics) {
-		t.Error("cached document differs from the computed one")
+	var doc Response
+	if err := json.Unmarshal(hit, &doc); err != nil || doc.Key == "" || doc.Simulate == nil {
+		t.Errorf("hit body decodes to key %q, simulate %v (err %v), want both set", doc.Key, doc.Simulate, err)
 	}
 	if hits := s.stats.cacheHits.Load(); hits != 1 {
 		t.Errorf("cache hits = %d, want 1", hits)
 	}
+}
+
+// postBody sends one job that must answer 200 and returns the raw body.
+func postBody(t *testing.T, ts *httptest.Server, path, body string) []byte {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("POST %s: read body: %v", path, err)
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, raw)
+	}
+	return raw
 }
 
 // TestSingleflightDedup: concurrent identical jobs execute once. Run with
@@ -284,14 +308,13 @@ func TestLoadShedding(t *testing.T) {
 	}()
 	<-started
 
-	// Fill the single queue slot (different source → different key, but
-	// one worker means one shard).
+	// Fill the single queue slot.
 	queued := make(chan *Response, 1)
 	go func() {
 		_, doc, _ := post(t, ts, "/v1/compile", `{"source": `+jsonStr(okSrc+"// b")+`}`)
 		queued <- doc
 	}()
-	waitFor(t, func() bool { return len(s.pool.shards[0]) == 1 })
+	waitFor(t, func() bool { return len(s.pool.queue) == 1 })
 
 	// The next distinct job must shed.
 	status, doc, hdr := post(t, ts, "/v1/compile", `{"source": `+jsonStr(okSrc+"// c")+`}`)
@@ -311,6 +334,48 @@ func TestLoadShedding(t *testing.T) {
 	}
 	if doc := <-queued; doc.Class != "none" {
 		t.Errorf("queued job finished %q, want none", doc.Class)
+	}
+}
+
+// TestIdleWorkerTakesNextJob: while one of two workers is wedged, distinct
+// jobs sent one after another all complete on the other. A pool that
+// routed jobs to workers by key would park about half of them behind the
+// wedge.
+func TestIdleWorkerTakesNextJob(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	started := make(chan struct{})
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	var calls atomic.Int64
+	s.testCompileOptions = func(opts *codegen.Options) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+	}
+
+	wedged := make(chan result, 1)
+	go func() { wedged <- postRaw(ts, "/v1/compile", `{"source": `+jsonStr(okSrc)+`}`) }()
+	<-started
+
+	for i := range 8 {
+		done := make(chan result, 1)
+		body := `{"source": ` + jsonStr(fmt.Sprintf("%s// %d", okSrc, i)) + `}`
+		go func() { done <- postRaw(ts, "/v1/compile", body) }()
+		select {
+		case r := <-done:
+			if r.status != 200 || r.class != "none" {
+				t.Fatalf("job %d: %d %q (%s), want 200 none", i, r.status, r.class, r.errMsg)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %d waited behind the wedged worker while the other was idle", i)
+		}
+	}
+
+	releaseOnce()
+	if r := <-wedged; r.status != 200 || r.class != "none" {
+		t.Errorf("wedged job: %d %q, want 200 none", r.status, r.class)
 	}
 }
 
