@@ -44,9 +44,9 @@ func (ws *workerState) machine(cfg uarch.Config) *uarch.Machine {
 func (ws *workerState) reset() { ws.machines = make(map[string]*uarch.Machine) }
 
 // pool is the bounded worker pool: one queue that every worker reads, so
-// a job waits only while every worker is busy. Identical jobs need no
-// routing to one worker: the cache's singleflight merges them before they
-// are queued.
+// a job waits only while every worker is busy. Identical shareable jobs
+// need no routing to one worker: the cache's singleflight merges them
+// before they are queued.
 type pool struct {
 	mu       sync.RWMutex
 	draining bool
