@@ -212,12 +212,15 @@ func TestCacheServesRepeats(t *testing.T) {
 			t.Errorf("body is not compact JSON and one newline:\n%s", raw)
 		}
 	}
+	var missDoc, doc Response
+	if err := json.Unmarshal(miss, &missDoc); err != nil || missDoc.Cached {
+		t.Fatalf("miss body decodes to cached=%v (err %v), want false", missDoc.Cached, err)
+	}
 	if want := bytes.Replace(miss, []byte(`"cached":false`), []byte(`"cached":true`), 1); !bytes.Equal(hit, want) {
 		t.Errorf("hit body is not the miss body with cached set:\nmiss %s\nhit  %s", miss, hit)
 	}
-	var doc Response
-	if err := json.Unmarshal(hit, &doc); err != nil || doc.Key == "" || doc.Simulate == nil {
-		t.Errorf("hit body decodes to key %q, simulate %v (err %v), want both set", doc.Key, doc.Simulate, err)
+	if err := json.Unmarshal(hit, &doc); err != nil || !doc.Cached || doc.Key == "" || doc.Simulate == nil {
+		t.Errorf("hit body decodes to cached=%v, key %q, simulate %v (err %v), want all set", doc.Cached, doc.Key, doc.Simulate, err)
 	}
 	if hits := s.stats.cacheHits.Load(); hits != 1 {
 		t.Errorf("cache hits = %d, want 1", hits)
