@@ -1,6 +1,6 @@
 // Command fpintd is the compile-and-simulate daemon: an HTTP/JSON service
-// accepting compile, partition, and simulate jobs over a bounded worker
-// pool with a content-addressed artifact cache. Responses are compact JSON
+// accepting compile, partition, and simulate jobs, with bounded admission
+// and a content-addressed artifact cache. Responses are compact JSON
 // documents, one per line.
 //
 // Usage:
@@ -18,11 +18,12 @@
 //
 // Robustness: worker panics are recovered into 500s; per-job deadlines
 // ("deadlineMs") and step budgets ("stepBudget") abort runs cooperatively
-// with 422; every worker takes jobs from one queue of -workers × -queue
-// slots, and a full queue sheds with 503 + Retry-After. SIGTERM/SIGINT
-// starts a graceful drain: in-flight jobs finish, queued jobs are shed,
-// then the listener closes. A drain still running after -grace
-// force-cancels in-flight jobs via their run hooks.
+// with 422. Each job runs on its request's goroutine with one of -workers
+// sets of warm simulation machines: -workers jobs run at once, -queue per
+// worker wait for a free set, and one more sheds with 503 + Retry-After.
+// SIGTERM/SIGINT starts a graceful drain: in-flight jobs finish, waiting
+// jobs are shed, then the listener closes. A drain still running after
+// -grace force-cancels in-flight jobs via their run hooks.
 //
 // -chaos enables the fault-injection surface ("panic": true jobs) used by
 // the load harness to prove the recover barrier; never enable it facing
@@ -59,8 +60,8 @@ func fpintdMain(args []string) error {
 	fs := flag.NewFlagSet("fpintd", flag.ContinueOnError)
 	var (
 		addr    = fs.String("addr", "127.0.0.1:8080", "listen address")
-		workers = fs.Int("workers", 4, "worker goroutines")
-		queue   = fs.Int("queue", 16, "queued jobs per worker before shedding")
+		workers = fs.Int("workers", 4, "jobs that run at once, each with its own warm machines")
+		queue   = fs.Int("queue", 16, "jobs per worker that may wait for a free one before shedding")
 		cache   = fs.Int("cache", 1024, "artifact cache capacity (entries)")
 		chaos   = fs.Bool("chaos", false, "honor panic-injection jobs (load-testing only)")
 		grace   = fs.Duration("grace", 30*time.Second, "drain grace before force-cancelling in-flight jobs")
@@ -91,14 +92,14 @@ func fpintdMain(args []string) error {
 	drained := make(chan struct{})
 	go func() {
 		sig := <-sigs
-		fmt.Fprintf(os.Stderr, "fpintd: %v: draining (in-flight jobs finish, queued jobs shed)\n", sig)
+		fmt.Fprintf(os.Stderr, "fpintd: %v: draining (in-flight jobs finish, waiting jobs shed)\n", sig)
 		forceTimer := time.AfterFunc(*grace, func() {
 			fmt.Fprintf(os.Stderr, "fpintd: drain exceeded %v: force-cancelling in-flight jobs\n", *grace)
 			svc.Abort()
 		})
 		svc.Drain()
 		forceTimer.Stop()
-		// The pool is empty; give straggling response writes a moment, then
+		// No job is running; give straggling response writes a moment, then
 		// close the listener.
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

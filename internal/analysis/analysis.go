@@ -37,10 +37,10 @@ func AnalyzeModule(mod *ir.Module) *Facts {
 }
 
 // AnalyzeFunc runs CFG construction, the value-range analysis, the alias
-// analysis, and the safe-address proof over one function. It renumbers the
-// function first, so instruction IDs agree with an RDG built afterwards.
+// analysis, and the safe-address proof over one function. It only reads
+// fn, whose instructions must be numbered as Func.Verify checks, so the
+// facts and an RDG of fn share instruction IDs.
 func AnalyzeFunc(fn *ir.Func, mod *ir.Module) *FuncFacts {
-	fn.Renumber()
 	cfg := BuildCFG(fn)
 	rd := dataflow.ComputeReachingDefs(fn)
 	ranges := AnalyzeRanges(fn, cfg)

@@ -89,14 +89,11 @@ type Suite struct {
 
 // frontRes is one frontend's output. ref is the frontend's self-profile
 // run: its Profile feeds the cost model and its Ret and Output are the
-// interpreter reference every timed run is checked against.
+// interpreter reference every timed run is checked against. Compiles only
+// read mod, so concurrent compiles of one source share it.
 type frontRes struct {
 	mod *ir.Module
 	ref *interp.Result
-	// mu serializes the users of mod: building a dependence graph and
-	// running the analyses renumber its instructions, so concurrent
-	// compiles of one source take turns.
-	mu sync.Mutex
 }
 
 // NewSuite returns an empty measurement cache.
@@ -162,9 +159,7 @@ func (s *Suite) compile(w *Workload, opts codegen.Options) (*codegen.Result, err
 		return nil, err
 	}
 	opts.Profile = fr.ref.Profile
-	fr.mu.Lock()
 	res, err := codegen.Compile(fr.mod, opts)
-	fr.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", w.Name, opts.Scheme, err)
 	}
@@ -451,7 +446,6 @@ func (s *Suite) SliceStats(ws []Workload) ([]SliceRow, error) {
 			return nil, err
 		}
 		var total, ldst, br, sv float64
-		fr.mu.Lock()
 		for _, fn := range fr.mod.Funcs {
 			g := core.BuildGraph(fn, fr.ref.Profile)
 			st := g.ComputeSliceStats()
@@ -460,7 +454,6 @@ func (s *Suite) SliceStats(ws []Workload) ([]SliceRow, error) {
 			br += st.BranchWeight
 			sv += st.StoreValWeight
 		}
-		fr.mu.Unlock()
 		if total == 0 {
 			total = 1
 		}

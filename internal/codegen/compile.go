@@ -144,7 +144,7 @@ type Result struct {
 // Compile lowers an optimized IR module to an executable program, applying
 // the selected partitioning scheme per function. Every partition must pass
 // core.VerifyPartition before PartitionHook sees it; a violation is an
-// error.
+// error. Compile only reads mod, so concurrent compiles may share it.
 func Compile(mod *ir.Module, opts Options) (*Result, error) {
 	res := &Result{
 		Partitions: make(map[string]*core.Partition),

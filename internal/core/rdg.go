@@ -148,9 +148,9 @@ func BuildGraph(fn *ir.Func, profile *interp.Profile) *Graph {
 
 // BuildGraphWithOracle constructs the RDG for fn, consulting oracle (which
 // may be nil) to unpin load/store address nodes the analysis proved safe.
-// Every unpin is recorded in Graph.Unpinned with its justification.
+// Every unpin is recorded in Graph.Unpinned with its justification. It
+// only reads fn, whose instructions must be numbered as Func.Verify checks.
 func BuildGraphWithOracle(fn *ir.Func, profile *interp.Profile, oracle AddrOracle) *Graph {
-	fn.Renumber()
 	g := &Graph{
 		Fn:        fn,
 		Unpinned:  make(map[NodeID]string),

@@ -63,6 +63,35 @@ func TestVerifyCatchesMisplacedTerminator(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsStaleNumbering: an edit that leaves an instruction's
+// Blk, Idx or ID other than Renumber would set fails Verify, and
+// renumbering clears it. Readers keyed by instruction ID (the RDG, the
+// analyses) rely on this instead of renumbering the function themselves.
+func TestVerifyRejectsStaleNumbering(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(fn *ir.Func, entry, exit *ir.Block)
+	}{
+		{"inserted instruction", func(fn *ir.Func, entry, _ *ir.Block) {
+			entry.InsertBefore(&ir.Instr{Op: ir.OpConst, Dst: fn.NewVReg(ir.I64), Imm: 2}, 0)
+		}},
+		{"removed instruction", func(_ *ir.Func, entry, _ *ir.Block) { entry.RemoveAt(0) }},
+		{"stale Blk", func(_ *ir.Func, entry, exit *ir.Block) { entry.Instrs[0].Blk = exit }},
+		{"stale Idx", func(_ *ir.Func, _, exit *ir.Block) { exit.Instrs[1].Idx = 0 }},
+		{"stale ID", func(_ *ir.Func, entry, _ *ir.Block) { entry.Instrs[1].ID = 0 }},
+	} {
+		fn, entry, _, _, exit := makeLoop(t)
+		c.edit(fn, entry, exit)
+		if err := fn.Verify(); err == nil || !strings.Contains(err.Error(), "stale numbering") {
+			t.Errorf("%s: Verify() = %v, want a stale-numbering error", c.name, err)
+		}
+		fn.Renumber()
+		if err := fn.Verify(); err != nil {
+			t.Errorf("%s: after Renumber, Verify() = %v", c.name, err)
+		}
+	}
+}
+
 func TestVerifyCatchesTypeError(t *testing.T) {
 	fn := ir.NewFunc("bad", ir.I64)
 	b := fn.NewBlock()

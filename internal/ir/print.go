@@ -56,6 +56,9 @@ func (f *Func) String() string {
 // Verify checks structural invariants of the function:
 //   - every block ends with exactly one terminator (and only the last
 //     instruction is a terminator),
+//   - every instruction is numbered as Renumber leaves it: its Blk and
+//     Idx locate it, and IDs run 0, 1, 2, ... in block order, so readers
+//     keyed by ID (the RDG, the analyses) need not renumber,
 //   - successor counts match the terminator kind,
 //   - operand and destination registers are well typed,
 //   - predecessor lists are consistent with successor lists.
@@ -64,6 +67,7 @@ func (f *Func) String() string {
 // inconsistent predecessors of one block, the one with the lowest ID.
 func (f *Func) Verify() error {
 	n := f.NumBlockIDs()
+	id := 0
 	// The sources of the CFG edges into each block, from the successor
 	// lists: into[off[id]:off[id+1]] for the block with that ID. Counting
 	// into off[id+2] and filling through off[id+1] leaves each bucket's
@@ -78,6 +82,10 @@ func (f *Func) Verify() error {
 			if in.Op.IsTerminator() != isLast {
 				return fmt.Errorf("%s: b%d instr %d (%s): terminator placement", f.Name, b.ID, i, in)
 			}
+			if in.Blk != b || in.Idx != i || in.ID != id {
+				return fmt.Errorf("%s: b%d instr %d (%s): stale numbering; Renumber after editing", f.Name, b.ID, i, in)
+			}
+			id++
 			if err := f.verifyInstr(in); err != nil {
 				return fmt.Errorf("%s: b%d: %v", f.Name, b.ID, err)
 			}

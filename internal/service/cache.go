@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,42 +10,44 @@ import (
 	"fpint/internal/fperr"
 )
 
-// Artifact is one sealed cache entry: the response document produced by a
-// successful (or degraded) job, content-addressed by the job key and
-// protected by a hash over its encoded payload. Like a runstore record, a
-// sealed artifact that no longer verifies is corruption, not data: Get
-// refuses and evicts it rather than serving it.
+// Artifact is one sealed cache entry: the response a job produced,
+// content-addressed by the job key and protected by a hash over the bytes
+// the miss sent. Like a runstore record, a sealed artifact that no longer
+// verifies is corruption, not data: the cache refuses and evicts it
+// rather than serving it.
 type Artifact struct {
-	Key      string
-	Class    fperr.Class
-	Degraded bool
-	// Resp is the stored payload with Cached=false; handlers serve a copy
-	// with Cached set. It must not be mutated after Seal.
-	Resp *Response
+	Key   string
+	Class fperr.Class
+	// Body is the response as sent on a miss: compact JSON with
+	// "cached":false, and one newline. A hit sends the same bytes with
+	// the envelope's cached flag set (writeResponse). It must not be
+	// mutated after Seal.
+	Body []byte
 	// Hash is the hex SHA-256 of the sealed content.
 	Hash string
 }
 
-// ComputeHash hashes the artifact's content: key, class, degraded flag,
-// and the canonical JSON encoding of the payload.
+// newArtifact encodes resp once, as the miss sends it. A document that
+// cannot be encoded (a report holding a non-finite float) becomes an
+// internal error, which is never cached; an error document holds only
+// strings, so its own encoding cannot fail.
+func newArtifact(key string, class fperr.Class, resp *Response) *Artifact {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		class = fperr.ClassInternal
+		json.NewEncoder(&buf).Encode(errorResponse(resp.Kind, key, fperr.New(class, "encode response: %v", err)))
+	}
+	return &Artifact{Key: key, Class: class, Body: buf.Bytes()}
+}
+
+// ComputeHash hashes the artifact's content: key, class and body.
 func (a *Artifact) ComputeHash() string {
 	h := sha256.New()
 	h.Write([]byte(a.Key))
 	h.Write([]byte{0})
 	h.Write([]byte(a.Class.String()))
 	h.Write([]byte{0})
-	if a.Degraded {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
-	}
-	body, err := json.Marshal(a.Resp)
-	if err != nil {
-		// An unencodable payload can never verify; the sentinel keeps
-		// Seal/Verify total.
-		return "unencodable"
-	}
-	h.Write(body)
+	h.Write(a.Body)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

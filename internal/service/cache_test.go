@@ -1,6 +1,8 @@
 package service
 
 import (
+	"encoding/json"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -14,8 +16,8 @@ func (c *cache) len() int {
 	return len(c.entries)
 }
 
-// tamper mutates the stored entry for key through fn, re-marshalling
-// nothing — the seal is left stale on purpose.
+// tamper mutates the stored entry for key through fn, resealing nothing —
+// the seal is left stale on purpose.
 func (c *cache) tamper(key string, fn func(*Artifact)) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -115,11 +117,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 func TestCacheTamperRefusal(t *testing.T) {
 	st := newStats()
 	c := newCache(8, st)
-	art := &Artifact{
-		Key:   "k1",
-		Class: fperr.ClassNone,
-		Resp:  &Response{Schema: ResponseSchema, Kind: KindCompile, Key: "k1", Class: "none"},
-	}
+	art := newArtifact("k1", fperr.ClassNone, &Response{Schema: ResponseSchema, Kind: KindCompile, Key: "k1", Class: "none"})
 	computes := 0
 	compute := func() (*Artifact, error) { computes++; return art, nil }
 
@@ -133,13 +131,12 @@ func TestCacheTamperRefusal(t *testing.T) {
 		t.Fatalf("computes = %d, want 1", computes)
 	}
 
-	// Flip a bit inside the sealed entry.
-	if !c.tamper("k1", func(a *Artifact) { a.Resp.Class = "internal" }) {
+	// Flip one byte of the sealed body.
+	if !c.tamper("k1", func(a *Artifact) { a.Body[len(a.Body)/2] ^= 1 }) {
 		t.Fatal("entry to tamper not found")
 	}
 
-	fresh := &Artifact{Key: "k1", Class: fperr.ClassNone,
-		Resp: &Response{Schema: ResponseSchema, Kind: KindCompile, Key: "k1", Class: "none"}}
+	fresh := newArtifact("k1", fperr.ClassNone, &Response{Schema: ResponseSchema, Kind: KindCompile, Key: "k1", Class: "none"})
 	compute2 := func() (*Artifact, error) { computes++; return fresh, nil }
 	got, cached, _ := c.do("k1", true, compute2)
 	if cached {
@@ -148,8 +145,9 @@ func TestCacheTamperRefusal(t *testing.T) {
 	if computes != 2 {
 		t.Errorf("tampered entry did not trigger recomputation (computes=%d)", computes)
 	}
-	if got.Resp.Class != "none" {
-		t.Errorf("served class %q from tampered entry", got.Resp.Class)
+	var doc Response
+	if err := json.Unmarshal(got.Body, &doc); err != nil || doc.Class != "none" {
+		t.Errorf("served class %q (err %v) from tampered entry", doc.Class, err)
 	}
 	if st.cacheTampered.Load() != 1 {
 		t.Errorf("cacheTampered = %d, want 1", st.cacheTampered.Load())
@@ -160,6 +158,63 @@ func TestCacheTamperRefusal(t *testing.T) {
 	}
 }
 
+// TestCacheHitAllocsPerHit: a cache hit decodes and encodes nothing. Its
+// seal check hashes the stored bytes and writeResponse sends them back
+// with the cached flag set, so a hit on li's compile report allocates as
+// little as a hit on a bare envelope two hundred times smaller.
+func TestCacheHitAllocsPerHit(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Drain()
+	w := discardWriter{http.Header{}}
+	hitAllocs := func(key string, compute func() (*Artifact, error)) (float64, int) {
+		t.Helper()
+		art, _, err := s.cache.do(key, true, compute)
+		if err != nil || art.Class != fperr.ClassNone {
+			t.Fatalf("compute %s: %v, class %v", key, err, art.Class)
+		}
+		misses := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			a, cached, _ := s.cache.do(key, true, compute)
+			if !cached {
+				misses++
+			}
+			s.writeResponse(w, a, cached)
+		})
+		if misses > 0 {
+			t.Fatalf("%s: %d of the measured lookups missed", key, misses)
+		}
+		return allocs, len(art.Body)
+	}
+
+	j, err := parseRequest(KindCompile, &Request{Workload: "li"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	liKey := j.cacheKey()
+	li, liSize := hitAllocs(liKey, func() (*Artifact, error) {
+		return s.pool.run(func(ws *workerState) *Artifact { return s.execute(j, liKey, ws) })
+	})
+	// The bare envelope is keyed like a real job: the hash reads the key.
+	bareKey := strings.Repeat("0", len(liKey))
+	bare, bareSize := hitAllocs(bareKey, func() (*Artifact, error) {
+		return newArtifact(bareKey, fperr.ClassNone, &Response{Schema: ResponseSchema, Kind: KindCompile, Key: bareKey, Class: "none"}), nil
+	})
+	if liSize < 100*bareSize {
+		t.Fatalf("li's compile body is %d bytes and the bare one %d; want li's a hundred times larger", liSize, bareSize)
+	}
+	if li != bare || li > 8 {
+		t.Errorf("a hit allocates %v times on li's %d-byte body and %v on a %d-byte one; want the same, at most 8",
+			li, liSize, bare, bareSize)
+	}
+}
+
+// discardWriter is a ResponseWriter that drops what it is sent.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header       { return w.h }
+func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (discardWriter) WriteHeader(int)             {}
+
 // TestCacheDoesNotStoreErrors: error-class artifacts are never cached —
 // a transient internal failure must not be pinned under a content key.
 func TestCacheDoesNotStoreErrors(t *testing.T) {
@@ -169,7 +224,7 @@ func TestCacheDoesNotStoreErrors(t *testing.T) {
 		computes := 0
 		compute := func() (*Artifact, error) {
 			computes++
-			return &Artifact{Key: "e", Class: class, Resp: &Response{Class: class.String()}}, nil
+			return newArtifact("e", class, &Response{Class: class.String()}), nil
 		}
 		c.do("e", true, compute)
 		c.do("e", true, compute)
@@ -186,7 +241,7 @@ func TestCacheBounded(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		key := strings.Repeat("k", i+1)
 		c.do(key, true, func() (*Artifact, error) {
-			return &Artifact{Key: key, Class: fperr.ClassNone, Resp: &Response{Key: key, Class: "none"}}, nil
+			return newArtifact(key, fperr.ClassNone, &Response{Key: key, Class: "none"}), nil
 		})
 	}
 	if n := c.len(); n > 4 {

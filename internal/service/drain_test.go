@@ -13,8 +13,8 @@ import (
 )
 
 // TestGracefulDrain pins the shutdown contract end to end: with a job
-// executing and another queued behind it, Drain lets the in-flight job
-// finish with 200, sheds the queued job with 503, refuses new admissions
+// executing and another waiting behind it, Drain lets the in-flight job
+// finish with 200, sheds the waiting job with 503, refuses new admissions
 // with 503, flips /healthz to draining, and returns only when the pool is
 // quiet. Run under -race this is also the drain's concurrency test.
 func TestGracefulDrain(t *testing.T) {
@@ -34,10 +34,11 @@ func TestGracefulDrain(t *testing.T) {
 	go func() { inflight <- postRaw(ts, "/v1/compile", `{"source": `+jsonStr(okSrc)+`}`) }()
 	<-started
 
-	// Queued job: sits in the single worker's queue when the drain starts.
+	// Waiting job: admitted, and waiting for the one warm state when the
+	// drain starts.
 	queued := make(chan result, 1)
 	go func() { queued <- postRaw(ts, "/v1/compile", `{"source": `+jsonStr(okSrc+"// q")+`}`) }()
-	waitFor(t, func() bool { return len(s.pool.queue) == 1 })
+	waitFor(t, func() bool { return s.pool.waiting() == 1 })
 
 	drained := make(chan struct{})
 	go func() {
@@ -78,11 +79,62 @@ func TestGracefulDrain(t *testing.T) {
 		t.Errorf("in-flight job: %d %q, want 200 none (in-flight jobs drain, not die)", r.status, r.class)
 	}
 	if r := <-queued; r.status != 503 || r.class != "unavailable" {
-		t.Errorf("queued job: %d %q, want 503 unavailable (queued jobs shed)", r.status, r.class)
+		t.Errorf("waiting job: %d %q, want 503 unavailable (waiting jobs shed)", r.status, r.class)
 	}
 
 	// Drain is idempotent and the pool stays quiet.
 	s.Drain()
+}
+
+// TestConcurrentDrains: two Drain calls made while one job runs and
+// another waits for the pool's only warm state shed the waiting job at
+// once, and both return only after the running job has finished.
+func TestConcurrentDrains(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 1})
+	ts := newHTTPServer(t, s)
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	s.testCompileOptions = func(opts *codegen.Options) {
+		once.Do(func() { close(started) })
+		<-release
+	}
+
+	running := make(chan result, 1)
+	go func() { running <- postRaw(ts, "/v1/compile", `{"source": `+jsonStr(okSrc)+`}`) }()
+	<-started
+	waiting := make(chan result, 1)
+	go func() { waiting <- postRaw(ts, "/v1/compile", `{"source": `+jsonStr(okSrc+"// w")+`}`) }()
+	waitFor(t, func() bool { return s.pool.waiting() == 1 })
+
+	drained := make(chan struct{}, 2)
+	for range 2 {
+		go func() {
+			s.Drain()
+			drained <- struct{}{}
+		}()
+	}
+	if r := <-waiting; r.status != 503 || r.class != "unavailable" {
+		t.Errorf("waiting job: %d %q, want 503 unavailable", r.status, r.class)
+	}
+	select {
+	case <-drained:
+		t.Fatal("a Drain returned while a job was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	close(release)
+	for i := range 2 {
+		select {
+		case <-drained:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Drain %d did not return after the running job finished", i+1)
+		}
+	}
+	if r := <-running; r.status != 200 || r.class != "none" {
+		t.Errorf("running job: %d %q, want 200 none", r.status, r.class)
+	}
 }
 
 // TestAbortCancelsInflight: a drain that ran out of grace force-cancels
@@ -112,6 +164,9 @@ func TestAbortCancelsInflight(t *testing.T) {
 	}
 	s.Drain()
 }
+
+// waiting reports the admitted jobs that hold no warm state yet.
+func (p *pool) waiting() int { return len(p.slots) - (cap(p.idle) - len(p.idle)) }
 
 // newHTTPServer wraps the server's handler in an httptest listener whose
 // lifetime the test owns (drain timing is the subject here, so cleanup

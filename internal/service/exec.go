@@ -21,23 +21,23 @@ const hookInterval = 4096
 // execute runs one job to a terminal artifact. It never panics and never
 // returns a Go error: every failure mode — including panics anywhere in
 // the compile/simulate stack — becomes a classified response document, so
-// one poisoned job cannot take the worker (let alone the process) down.
+// one poisoned job cannot take the process down.
 func (s *Server) execute(j *job, key string, ws *workerState) (art *Artifact) {
+	defer s.stats.completed.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
-			// The worker's warm machines were possibly abandoned mid-run;
+			// The borrowed warm machines were possibly abandoned mid-run;
 			// rebuild rather than trust them.
 			ws.reset()
 			s.stats.panics.Add(1)
 			err := fperr.New(fperr.ClassInternal, "job panicked: %v", r)
-			art = &Artifact{Key: key, Class: fperr.ClassInternal, Resp: errorResponse(j.kind, key, err)}
+			art = failed(j.kind, key, err)
 		}
 	}()
 
 	if j.panicJob {
 		if !s.opts.Chaos {
-			err := fperr.New(fperr.ClassUsage, "panic jobs require the daemon to run in chaos mode")
-			return &Artifact{Key: key, Class: fperr.ClassUsage, Resp: errorResponse(j.kind, key, err)}
+			return failed(j.kind, key, fperr.New(fperr.ClassUsage, "panic jobs require the daemon to run in chaos mode"))
 		}
 		panic("chaos: panic job requested")
 	}
@@ -57,7 +57,7 @@ func (s *Server) execute(j *job, key string, ws *workerState) (art *Artifact) {
 
 	res, mod, err := codegen.CompileSourceWithFallback(j.src, opts)
 	if err != nil {
-		return &Artifact{Key: key, Class: fperr.ClassOf(err), Resp: errorResponse(j.kind, key, err)}
+		return failed(j.kind, key, err)
 	}
 
 	resp := &Response{Schema: ResponseSchema, Kind: j.kind, Key: key, Class: fperr.ClassNone.String()}
@@ -81,7 +81,7 @@ func (s *Server) execute(j *job, key string, ws *workerState) (art *Artifact) {
 	case KindSimulate:
 		sr, err := s.simulate(j, res, ws, hook)
 		if err != nil {
-			return &Artifact{Key: key, Class: fperr.ClassOf(err), Resp: errorResponse(j.kind, key, err)}
+			return failed(j.kind, key, err)
 		}
 		resp.Simulate = sr
 	}
@@ -90,7 +90,12 @@ func (s *Server) execute(j *job, key string, ws *workerState) (art *Artifact) {
 	if resp.Degraded {
 		class = fperr.ClassDegraded
 	}
-	return &Artifact{Key: key, Class: class, Degraded: resp.Degraded, Resp: resp}
+	return newArtifact(key, class, resp)
+}
+
+// failed is the artifact of a job that ended in the classified error err.
+func failed(kind, key string, err error) *Artifact {
+	return newArtifact(key, fperr.ClassOf(err), errorResponse(kind, key, err))
 }
 
 // simulate runs the compiled program on the engine the job selected,
@@ -114,8 +119,8 @@ func (s *Server) simulate(j *job, res *codegen.Result, ws *workerState, hook fun
 		} else {
 			out, st, err = m.Run(res.Prog)
 		}
-		// Disarm before the machine goes back in the worker's warm set: the
-		// hook closes over this job's deadline.
+		// Disarm before the machine goes back to the pool's warm state:
+		// the hook closes over this job's deadline.
 		m.SetRunHook(nil, 0)
 		m.SetStepLimit(0)
 	} else {

@@ -1,6 +1,6 @@
 // Package service implements fpintd: a fault-isolated HTTP/JSON daemon
-// that accepts compile, partition, and simulate jobs over a bounded worker
-// pool, with a content-addressed artifact cache in front.
+// that runs compile, partition, and simulate jobs on the goroutines that
+// answer them, with a content-addressed artifact cache in front.
 //
 // Robustness contract:
 //
@@ -15,9 +15,10 @@
 //   - Per-job deadlines and step budgets ride the engines' cooperative
 //     run hooks (sim/interp/uarch SetRunHook), aborting runs at step
 //     boundaries with a structured cancelled/step-limit trap → 422.
-//   - Admission is bounded: a full pool queue or a draining process
-//     sheds with 503 + Retry-After instead of queueing unboundedly.
-//   - SIGTERM drains gracefully: in-flight jobs finish, queued jobs are
+//   - Admission is bounded: Workers jobs run and QueueDepth per worker
+//     wait; one more, or any job once a drain starts, sheds with 503 +
+//     Retry-After instead of queueing unboundedly.
+//   - SIGTERM drains gracefully: in-flight jobs finish, waiting jobs are
 //     shed with 503, then the listener closes.
 package service
 
@@ -74,7 +75,7 @@ type Request struct {
 	// self-profile run and the simulation each get the budget). Exceeding
 	// it is a step-limit trap (422). 0 means the engine defaults.
 	StepBudget int64 `json:"stepBudget,omitempty"`
-	// Panic asks the worker to panic mid-job. Only honored when the
+	// Panic asks the job to panic midway. Only honored when the
 	// daemon runs with chaos mode enabled (fpintd -chaos); otherwise it
 	// is a usage error. The load harness uses it to prove the recover
 	// barrier holds.

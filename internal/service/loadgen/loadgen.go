@@ -16,8 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"fpint/internal/bench"
 )
 
 // Job flavors in the generated mix. Each flavor exercises one slice of
@@ -191,7 +189,7 @@ type respBody struct {
 // Run executes the configured load and aggregates the report. The request
 // sequence is deterministic; wall-clock fields are not (Normalize zeroes
 // them for golden comparison).
-func Run(cfg Config) (*bench.LoadReport, error) {
+func Run(cfg Config) (*LoadReport, error) {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 100
 	}
@@ -251,8 +249,8 @@ func Run(cfg Config) (*bench.LoadReport, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	rep := &bench.LoadReport{
-		Schema:  bench.LoadReportSchema,
+	rep := &LoadReport{
+		Schema:  LoadReportSchema,
 		Target:  cfg.BaseURL,
 		Workers: cfg.Workers,
 	}
@@ -282,10 +280,10 @@ func Run(cfg Config) (*bench.LoadReport, error) {
 		}
 	}
 	for f, n := range mixCount {
-		rep.Mix = append(rep.Mix, bench.LoadMixRow{Flavor: f, Count: n})
+		rep.Mix = append(rep.Mix, LoadMixRow{Flavor: f, Count: n})
 	}
 	for k, n := range outcomeCount {
-		rep.Outcomes = append(rep.Outcomes, bench.LoadOutcomeRow{Status: statusOf[k], Class: k[1], Count: n})
+		rep.Outcomes = append(rep.Outcomes, LoadOutcomeRow{Status: statusOf[k], Class: k[1], Count: n})
 	}
 	if rep.Requests > 0 {
 		rep.ShedRate = float64(rep.Shed) / float64(rep.Requests)
@@ -301,7 +299,7 @@ func Run(cfg Config) (*bench.LoadReport, error) {
 			idx := int(p * float64(len(lats)-1))
 			return lats[idx].Nanoseconds()
 		}
-		rep.Latency = bench.LoadLatency{
+		rep.Latency = LoadLatency{
 			P50NS: pct(0.50),
 			P95NS: pct(0.95),
 			P99NS: pct(0.99),

@@ -1,4 +1,4 @@
-package bench
+package loadgen
 
 import (
 	"encoding/json"

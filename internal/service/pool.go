@@ -7,29 +7,20 @@ import (
 	"fpint/internal/uarch"
 )
 
-// errShed is returned by submit when the queue is full or the pool is
-// draining; the HTTP rim turns it into 503 + Retry-After.
+// errShed is returned by run when every admission slot is taken or the
+// pool is draining; the HTTP rim turns it into 503 + Retry-After.
 var errShed = fperr.New(fperr.ClassUnavailable, "server overloaded or draining; retry later")
 
-// task is one queued job. The worker fills art (or leaves shed=true when
-// the pool drained underneath it) and closes done.
-type task struct {
-	run  func(ws *workerState) *Artifact
-	art  *Artifact
-	shed bool
-	done chan struct{}
-}
-
-// workerState is per-worker warm machinery. Simulation machines are
-// reusable across runs with zero steady-state allocation, so each worker
+// workerState is one set of warm machinery. Simulation machines are
+// reusable across runs with zero steady-state allocation, so each state
 // keeps one per machine configuration instead of rebuilding the pipeline
-// every job. A recovered panic discards the state: a machine abandoned
+// every job. A recovered panic discards the machines: a machine abandoned
 // mid-run is not known to be consistent.
 type workerState struct {
 	machines map[string]*uarch.Machine
 }
 
-// machine returns the worker's warm machine for cfg, building it on first
+// machine returns the state's warm machine for cfg, building it on first
 // use.
 func (ws *workerState) machine(cfg uarch.Config) *uarch.Machine {
 	if m, ok := ws.machines[cfg.Name]; ok {
@@ -43,73 +34,67 @@ func (ws *workerState) machine(cfg uarch.Config) *uarch.Machine {
 // reset discards the warm machines (after a recovered panic).
 func (ws *workerState) reset() { ws.machines = make(map[string]*uarch.Machine) }
 
-// pool is the bounded worker pool: one queue that every worker reads, so
-// a job waits only while every worker is busy. Identical shareable jobs
-// need no routing to one worker: the cache's singleflight merges them
-// before they are queued.
+// pool bounds the daemon's work. Each job runs on the goroutine that
+// answers it, borrowing one of the idle warm states, so at most
+// cap(idle) jobs run at once; slots admits that many plus the jobs
+// waiting for a state, and sheds the rest. Identical shareable jobs never
+// reach the pool twice: the cache's singleflight merges them first.
 type pool struct {
-	mu       sync.RWMutex
-	draining bool
-	queue    chan *task
-	wg       sync.WaitGroup
+	slots chan struct{}     // one entry per admitted job (or held by the drain)
+	idle  chan *workerState // the warm states not lent to a job
+	stop  chan struct{}     // closed when the drain starts
+	once  sync.Once         // closes stop and collects every slot, once
 }
 
-// newPool starts workers goroutines reading one queue of workers×depth
-// slots.
+// newPool builds a pool of workers warm states that admits
+// workers×(depth+1) jobs: workers running and depth per worker waiting.
 func newPool(workers, depth int) *pool {
-	p := &pool{queue: make(chan *task, workers*depth)}
-	p.wg.Add(workers)
+	p := &pool{
+		slots: make(chan struct{}, workers*(depth+1)),
+		idle:  make(chan *workerState, workers),
+		stop:  make(chan struct{}),
+	}
 	for range workers {
-		go func() {
-			defer p.wg.Done()
-			ws := &workerState{machines: make(map[string]*uarch.Machine)}
-			for t := range p.queue {
-				if p.isDraining() {
-					// The job was queued when the drain started: shed it
-					// rather than starting new work.
-					t.shed = true
-					close(t.done)
-					continue
-				}
-				t.art = t.run(ws)
-				close(t.done)
-			}
-		}()
+		p.idle <- &workerState{machines: make(map[string]*uarch.Machine)}
 	}
 	return p
 }
 
-func (p *pool) isDraining() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.draining
-}
-
-// submit enqueues t, or refuses with errShed when the queue is full or the
-// pool is draining. The read lock spans the send so a submit cannot race
-// the drain's channel close.
-func (p *pool) submit(t *task) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.draining {
-		return errShed
-	}
+// run takes a slot, then an idle state, runs job on the calling goroutine
+// and returns both. It sheds with errShed when every slot is taken, or
+// when the drain starts before the job does.
+func (p *pool) run(job func(*workerState) *Artifact) (*Artifact, error) {
 	select {
-	case p.queue <- t:
-		return nil
+	case p.slots <- struct{}{}:
 	default:
-		return errShed
+		return nil, errShed
+	}
+	defer func() { <-p.slots }()
+	select {
+	case ws := <-p.idle:
+		defer func() { p.idle <- ws }()
+		select {
+		case <-p.stop:
+			// The state came free as the drain started: shed the job
+			// rather than start new work.
+			return nil, errShed
+		default:
+			return job(ws), nil
+		}
+	case <-p.stop:
+		return nil, errShed
 	}
 }
 
-// drain stops admission, lets in-flight jobs finish, sheds everything
-// still queued, and waits for the workers to exit.
+// drain stops admission, sheds the jobs waiting for a state, and returns
+// once it holds every slot: the running jobs have finished, and no job is
+// admitted again. Concurrent and repeated calls all return after the
+// first drain completes.
 func (p *pool) drain() {
-	p.mu.Lock()
-	if !p.draining {
-		p.draining = true
-		close(p.queue)
-	}
-	p.mu.Unlock()
-	p.wg.Wait()
+	p.once.Do(func() {
+		close(p.stop)
+		for range cap(p.slots) {
+			p.slots <- struct{}{}
+		}
+	})
 }

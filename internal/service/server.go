@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,12 +15,13 @@ import (
 // Options configures a Server. The zero value is usable; zero fields take
 // the documented defaults.
 type Options struct {
-	// Workers is the number of worker goroutines (default 4), each with
-	// its own warm simulation machines.
+	// Workers bounds the jobs that run at once (default 4); each running
+	// job borrows one of Workers sets of warm simulation machines.
 	Workers int
-	// QueueDepth is the queue bound per worker (default 16): the pool's
-	// one queue holds Workers×QueueDepth jobs, and a full queue sheds with
-	// 503 rather than queueing unboundedly.
+	// QueueDepth is the number of jobs per worker that may wait for a
+	// free set (default 16): the pool admits Workers×(QueueDepth+1) jobs,
+	// running or waiting, and sheds the next with 503 rather than
+	// queueing unboundedly.
 	QueueDepth int
 	// CacheCap bounds the artifact cache entry count (default 1024).
 	CacheCap int
@@ -48,8 +50,8 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Server is the fpintd daemon core: HTTP rim, admission control, cache,
-// and worker pool. Create with New, serve Handler, stop with Drain.
+// Server is the fpintd daemon core: HTTP rim, cache, and the pool that
+// bounds admission. Create with New, serve Handler, stop with Drain.
 type Server struct {
 	opts     Options
 	stats    *stats
@@ -64,7 +66,7 @@ type Server struct {
 	testCompileOptions func(*codegen.Options)
 }
 
-// New builds a started server (workers running, accepting jobs).
+// New builds a server that accepts jobs.
 func New(opts Options) *Server {
 	o := opts.withDefaults()
 	s := &Server{opts: o, stats: newStats()}
@@ -90,9 +92,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Drain stops admission and waits for in-flight jobs to finish; queued
-// jobs are shed with 503. Safe to call more than once. The HTTP listener
-// belongs to the caller (cmd/fpintd closes it after Drain returns).
+// Drain stops admission and waits for in-flight jobs to finish; jobs
+// waiting for a worker are shed with 503. Safe to call more than once,
+// and concurrently. The HTTP listener belongs to the caller (cmd/fpintd
+// closes it after Drain returns).
 func (s *Server) Drain() {
 	s.stats.draining.Store(true)
 	s.pool.drain()
@@ -142,36 +145,21 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind string) 
 	s.stats.accepted.Add(1)
 
 	compute := func() (*Artifact, error) {
-		t := &task{done: make(chan struct{}), run: func(ws *workerState) *Artifact {
-			return s.execute(j, key, ws)
-		}}
-		if err := s.pool.submit(t); err != nil {
-			return nil, err
-		}
-		<-t.done
-		if t.shed {
-			return nil, errShed
-		}
-		s.stats.completed.Add(1)
-		return t.art, nil
+		return s.pool.run(func(ws *workerState) *Artifact { return s.execute(j, key, ws) })
 	}
 	art, cached, err := s.cache.do(key, j.shareable(), compute)
 	if err != nil {
 		s.shed(w, kind, key)
 		return
 	}
-	// Serve a copy: the stored payload stays sealed with Cached=false.
-	resp := *art.Resp
-	resp.Cached = cached
-	s.writeResponse(w, art.Class.HTTPStatus(), &resp, art.Class)
+	s.writeResponse(w, art, cached)
 }
 
 // shed refuses a job with 503 + Retry-After.
 func (s *Server) shed(w http.ResponseWriter, kind, key string) {
 	s.stats.shed.Add(1)
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSec))
-	resp := errorResponse(kind, key, errShed)
-	s.writeResponse(w, fperr.ClassUnavailable.HTTPStatus(), resp, fperr.ClassUnavailable)
+	s.writeResponse(w, failed(kind, key, errShed), false)
 }
 
 // writeError classifies and writes a pre-execution failure.
@@ -180,16 +168,27 @@ func (s *Server) writeError(w http.ResponseWriter, kind, key string, err error) 
 	if class == fperr.ClassNone {
 		class = fperr.ClassInternal
 	}
-	s.writeResponse(w, class.HTTPStatus(), errorResponse(kind, key, err), class)
+	s.writeResponse(w, newArtifact(key, class, errorResponse(kind, key, err)), false)
 }
 
-// writeResponse emits the terminal response, compact JSON and a newline,
-// and records its outcome.
-func (s *Server) writeResponse(w http.ResponseWriter, status int, resp *Response, class fperr.Class) {
-	s.stats.outcome(class)
+var cachedFalse = []byte(`"cached":false`)
+
+// writeResponse sends the artifact's body with its class's status, and
+// records the outcome. A cached response is the same body with the
+// envelope's cached flag set; the flag precedes every payload field, so
+// its first match is the envelope's.
+func (s *Server) writeResponse(w http.ResponseWriter, art *Artifact, cached bool) {
+	s.stats.outcome(art.Class)
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp) // a write error here means the client went away
+	w.WriteHeader(art.Class.HTTPStatus())
+	body := art.Body
+	if cached {
+		i := bytes.Index(body, cachedFalse) + len(`"cached":`)
+		w.Write(body[:i])
+		io.WriteString(w, "true")
+		body = body[i+len("false"):]
+	}
+	w.Write(body) // a write error here means the client went away
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -46,8 +46,8 @@ int main() {
 }
 `
 
-// newTestServer builds a server + httptest listener; the cleanup drains
-// the pool so no worker goroutines outlive the test.
+// newTestServer builds a server + httptest listener; the cleanup closes
+// the listener and drains the server.
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(opts)
@@ -285,7 +285,7 @@ func TestSingleflightDedup(t *testing.T) {
 }
 
 // TestLoadShedding: a one-worker pool whose only worker is wedged sheds
-// overflow with 503 + Retry-After once the queue fills.
+// overflow with 503 + Retry-After once its one waiting slot is taken.
 func TestLoadShedding(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, Chaos: true})
 	started := make(chan struct{})
@@ -311,13 +311,13 @@ func TestLoadShedding(t *testing.T) {
 	}()
 	<-started
 
-	// Fill the single queue slot.
+	// Fill the single waiting slot.
 	queued := make(chan *Response, 1)
 	go func() {
 		_, doc, _ := post(t, ts, "/v1/compile", `{"source": `+jsonStr(okSrc+"// b")+`}`)
 		queued <- doc
 	}()
-	waitFor(t, func() bool { return len(s.pool.queue) == 1 })
+	waitFor(t, func() bool { return s.pool.waiting() == 1 })
 
 	// The next distinct job must shed.
 	status, doc, hdr := post(t, ts, "/v1/compile", `{"source": `+jsonStr(okSrc+"// c")+`}`)

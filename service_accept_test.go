@@ -11,14 +11,13 @@ import (
 	"strings"
 	"testing"
 
-	"fpint/internal/bench"
 	"fpint/internal/obs"
 	"fpint/internal/service"
 	"fpint/internal/service/loadgen"
 )
 
-// startService builds a daemon core plus listener; cleanup drains the
-// pool so no workers outlive the test.
+// startService builds a daemon core plus listener; cleanup closes the
+// listener and drains the server.
 func startService(t *testing.T, opts service.Options) (*service.Server, *httptest.Server) {
 	t.Helper()
 	svc := service.New(opts)
@@ -33,10 +32,10 @@ func startService(t *testing.T, opts service.Options) (*service.Server, *httptes
 // normalizeLoadReport zeroes the wall-clock-derived fields (elapsed time,
 // throughput, latency percentiles) and sorts the rows, so two runs that
 // sent the same mix and saw the same outcomes encode byte-identically.
-func normalizeLoadReport(r *bench.LoadReport) {
+func normalizeLoadReport(r *loadgen.LoadReport) {
 	r.ElapsedNS = 0
 	r.ThroughputRPS = 0
-	r.Latency = bench.LoadLatency{}
+	r.Latency = loadgen.LoadLatency{}
 	r.Sort()
 }
 
