@@ -95,6 +95,8 @@ func TestConcurrentDrains(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
 	var once sync.Once
 	s.testCompileOptions = func(opts *codegen.Options) {
 		once.Do(func() { close(started) })
@@ -115,8 +117,13 @@ func TestConcurrentDrains(t *testing.T) {
 			drained <- struct{}{}
 		}()
 	}
-	if r := <-waiting; r.status != 503 || r.class != "unavailable" {
-		t.Errorf("waiting job: %d %q, want 503 unavailable", r.status, r.class)
+	select {
+	case r := <-waiting:
+		if r.status != 503 || r.class != "unavailable" {
+			t.Errorf("waiting job: %d %q, want 503 unavailable", r.status, r.class)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the waiting job was not shed while the running job ran")
 	}
 	select {
 	case <-drained:
@@ -124,7 +131,7 @@ func TestConcurrentDrains(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	close(release)
+	releaseOnce()
 	for i := range 2 {
 		select {
 		case <-drained:
